@@ -15,7 +15,6 @@ inequality checker, and a reproducible experiment harness with a CLI.
 
 from .grid import Grid, SpectralField, forward_transform, inverse_transform, apply_radial_multiplier
 from .dispersion import khat, kprimehat, propagate_linear
-from .accel import BACKEND
 
 __all__ = [
     "Grid",
@@ -26,7 +25,6 @@ __all__ = [
     "khat",
     "kprimehat",
     "propagate_linear",
-    "BACKEND",
 ]
 
 __version__ = "0.1.0"

@@ -1,37 +1,118 @@
-"""Backend selection for the hot elementwise kernels.
+"""Hot elementwise kernels of the solver step, in NumPy.
 
-The compiled extension is preferred when importable; the numpy fallback is
-numerically identical.  Set DAMPEDWAVE_PURE_PYTHON=1 to force the fallback
-(useful for benchmarking and debugging).
+The dispersion multiplier is evaluated piecewise in D = 1/4 - |xi|^2:
+
+    D >  delta:  khat = e^{-t/2} sinh(t sqrt(D)) / sqrt(D)
+                      = (e^{t(sqrt(D)-1/2)} - e^{-t(sqrt(D)+1/2)}) / (2 sqrt(D))
+    D < -delta:  khat = e^{-t/2} sin(t sqrt(-D)) / sqrt(-D)
+    |D| <= delta: khat = e^{-t/2} sum_k D^k t^{2k+1} / (2k+1)!
+
+and the time derivative is kprimehat = -khat/2 + e^{-t/2} cosh(t sqrt(D))
+(cos in the oscillatory branch, even series in the window).  The shifted
+exponential form never overflows because sqrt(D) <= 1/2 on the real lattice.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-from . import _accel_py
+__all__ = ["DELTA", "khat_kprime", "abs_pow", "predict_combine", "correct_combine"]
 
-if os.environ.get("DAMPEDWAVE_PURE_PYTHON"):
-    _impl = _accel_py
-else:
-    try:
-        from . import _accel as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _accel_py
+DELTA = 1e-4  # series window half-width in D
+_SERIES_MAX_TERMS = 256
+_SERIES_RTOL = 1e-17
 
-BACKEND: str = _impl.BACKEND_NAME
-DELTA: float = _impl.DELTA
 
-khat_kprime = _impl.khat_kprime
-abs_pow = _impl.abs_pow
-predict_combine = _impl.predict_combine
-correct_combine = _impl.correct_combine
+def khat_kprime(t: float, xi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dispersion multiplier and its time derivative at time t >= 0.
 
-__all__ = [
-    "BACKEND",
-    "DELTA",
-    "khat_kprime",
-    "abs_pow",
-    "predict_combine",
-    "correct_combine",
-]
+    xi2 is an array of squared frequencies; returns float64 arrays of the
+    same shape.
+    """
+    xi2 = np.ascontiguousarray(xi2, dtype=np.float64)
+    D = 0.25 - xi2
+    kh = np.empty_like(D)
+    ct = np.empty_like(D)  # e^{-t/2} cosh-like companion term
+
+    emt = np.exp(-0.5 * t)
+
+    pos = D > DELTA
+    if pos.any():
+        q = np.sqrt(D[pos])
+        ea = np.exp(t * (q - 0.5))
+        eb = np.exp(-t * (q + 0.5))
+        kh[pos] = (ea - eb) / (2.0 * q)
+        ct[pos] = 0.5 * (ea + eb)
+
+    neg = D < -DELTA
+    if neg.any():
+        q = np.sqrt(-D[neg])
+        kh[neg] = emt * np.sin(t * q) / q
+        ct[neg] = emt * np.cos(t * q)
+
+    mid = ~(pos | neg)
+    if mid.any():
+        Dm = D[mid]
+        s_odd = np.full(Dm.shape, t)   # sum D^k t^{2k+1}/(2k+1)!
+        s_even = np.ones(Dm.shape)     # sum D^k t^{2k}/(2k)!
+        term_odd = np.full(Dm.shape, t)
+        term_even = np.ones(Dm.shape)
+        tt = t * t
+        for k in range(1, _SERIES_MAX_TERMS):
+            term_even = term_even * Dm * tt / ((2 * k - 1) * (2 * k))
+            term_odd = term_odd * Dm * tt / ((2 * k) * (2 * k + 1))
+            s_even += term_even
+            s_odd += term_odd
+            odd_done = np.max(np.abs(term_odd)) < _SERIES_RTOL * max(
+                float(np.max(np.abs(s_odd))), 1e-300
+            )
+            even_done = np.max(np.abs(term_even)) < _SERIES_RTOL * max(
+                float(np.max(np.abs(s_even))), 1e-300
+            )
+            if odd_done and even_done:
+                break
+        kh[mid] = emt * s_odd
+        ct[mid] = emt * s_even
+
+    return kh, -0.5 * kh + ct
+
+
+def abs_pow(u: np.ndarray, p: float) -> np.ndarray:
+    """|u|^p elementwise for real u."""
+    a = np.abs(u)
+    if p == 2.0:
+        return a * a
+    if p == 3.0:
+        return a * a * a
+    return a**p
+
+
+def predict_combine(
+    uhat: np.ndarray,
+    vhat: np.ndarray,
+    nlhat: np.ndarray,
+    kh: np.ndarray,
+    kp: np.ndarray,
+    xi2: np.ndarray,
+    half_dt: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One fused linear-propagation-plus-source combine.
+
+    Returns (uhat at t+dt, linear part of vhat at t+dt).  The source term
+    carries the trapezoid weight half_dt = dt/2 with the kernel evaluated
+    inside the quadrature; the khat(0) = 0 endpoint drops out.
+    """
+    unew = kp * uhat + kh * (uhat + vhat) + (half_dt * kh) * nlhat
+    pv = kp * vhat - (xi2 * kh) * uhat
+    return unew, pv
+
+
+def correct_combine(
+    pv: np.ndarray,
+    nlhat_n: np.ndarray,
+    nlhat_p: np.ndarray,
+    kp: np.ndarray,
+    half_dt: float,
+) -> np.ndarray:
+    """Trapezoid source update for the velocity component."""
+    return pv + half_dt * (kp * nlhat_n + nlhat_p)

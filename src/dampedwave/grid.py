@@ -66,6 +66,11 @@ class Grid:
         return np.pi * self.size / (2.0 * self.half_length)
 
     @property
+    def transform_scale(self) -> float:
+        """Riemann weight dx^n times the unitary factor (2 pi)^(-n/2)."""
+        return self.dx**self.dim / (2.0 * np.pi) ** (self.dim / 2.0)
+
+    @property
     def shape(self) -> tuple:
         return (self.size,) * self.dim
 
@@ -168,15 +173,13 @@ def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralField:
         raise ConfigError(
             f"samples shape {samples.shape} does not match grid shape {grid.shape}"
         )
-    scale = grid.dx**grid.dim / (2.0 * np.pi) ** (grid.dim / 2.0)
-    coeffs = np.fft.fftn(samples) * (grid.phase * scale)
+    coeffs = np.fft.fftn(samples) * (grid.phase * grid.transform_scale)
     return SpectralField(grid, coeffs)
 
 
 def _inverse_complex(fld: SpectralField) -> np.ndarray:
     g = fld.grid
-    scale = g.dx**g.dim / (2.0 * np.pi) ** (g.dim / 2.0)
-    return np.fft.ifftn(fld.coeffs * g.phase) / scale
+    return np.fft.ifftn(fld.coeffs * g.phase) / g.transform_scale
 
 
 def inverse_transform(fld: SpectralField) -> np.ndarray:

@@ -89,7 +89,24 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _take(cfg: dict, where: str, required: tuple, optional: dict) -> dict:
+def _flag(value) -> bool:
+    """A JSON boolean; strings such as "no" are not read as truth values."""
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
+def _floats(values) -> list:
+    return [float(v) for v in values]
+
+
+def _take(cfg: dict, where: str, required: tuple, optional: dict,
+          kinds: dict | None = None) -> dict:
+    """cfg with defaults filled in and each key in kinds converted by its kind.
+
+    A rejected value is a ConfigError naming its key; null is kept where the
+    default is None.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where} must be an object, got {type(cfg).__name__}")
     unknown = set(cfg) - set(required) - set(optional)
@@ -100,41 +117,63 @@ def _take(cfg: dict, where: str, required: tuple, optional: dict) -> dict:
         raise ConfigError(f"missing keys in {where}: {missing}")
     out = dict(optional)
     out.update(cfg)
+    for key, kind in (kinds or {}).items():
+        value = out[key]
+        if value is None and key in optional and optional[key] is None:
+            continue
+        try:
+            out[key] = kind(value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: bad value {value!r} for {key!r}: {exc}") from None
     return out
 
 
+def _check(c: dict, where: str, optional: dict, kinds: dict) -> dict | None:
+    """The resolved "check" section of c, or None when it has none."""
+    if c["check"] is None:
+        return None
+    return _take(c["check"], where, (), optional, kinds)
+
+
 def build_grid(cfg: dict) -> Grid:
-    c = _take(cfg, "grid", ("dim", "size", "half_length"), {})
-    return Grid(int(c["dim"]), int(c["size"]), float(c["half_length"]))
+    c = _take(
+        cfg, "grid", ("dim", "size", "half_length"), {},
+        {"dim": int, "size": int, "half_length": float},
+    )
+    return Grid(c["dim"], c["size"], c["half_length"])
 
 
+_RADIAL = {"gamma": float, "r0": float, "scale": float}
 _PROFILE_KEYS = {
-    "power": (("gamma",), {"r0": 0.5, "scale": 1.0}),
-    "log": (("gamma",), {"r0": 0.5, "scale": 1.0}),
-    "laplacian_gaussian": (("k",), {"scale": 1.0}),
+    "power": (("gamma",), {"r0": 0.5, "scale": 1.0}, _RADIAL),
+    "log": (("gamma",), {"r0": 0.5, "scale": 1.0}, _RADIAL),
+    "laplacian_gaussian": (("k",), {"scale": 1.0}, {"k": int, "scale": float}),
 }
 
 
 def build_profile(grid: Grid, cfg: dict) -> tuple[SpectralField, dict]:
     """Build a profile field; returns it plus the fully resolved sub-config."""
-    if "family" not in cfg:
-        raise ConfigError("profile config needs a 'family' key")
+    if not isinstance(cfg, dict) or "family" not in cfg:
+        raise ConfigError("profile config needs to be an object with a 'family' key")
     family = cfg["family"]
-    if family not in _PROFILE_KEYS:
+    if not isinstance(family, str) or family not in _PROFILE_KEYS:
         raise ConfigError(
             f"unknown profile family {family!r}; expected one of "
             f"{sorted(_PROFILE_KEYS)}"
         )
-    req, opt = _PROFILE_KEYS[family]
+    req, opt, kinds = _PROFILE_KEYS[family]
     c = _take(
-        {k: v for k, v in cfg.items() if k != "family"}, f"profile[{family}]", req, opt
+        {k: v for k, v in cfg.items() if k != "family"}, f"profile[{family}]", req, opt,
+        kinds,
     )
     if family == "power":
-        fld = power_profile(grid, float(c["gamma"]), float(c["r0"]), float(c["scale"]))
+        fld = power_profile(grid, c["gamma"], c["r0"], c["scale"])
     elif family == "log":
-        fld = log_profile(grid, float(c["gamma"]), float(c["r0"]), float(c["scale"]))
+        fld = log_profile(grid, c["gamma"], c["r0"], c["scale"])
     else:
-        fld = laplacian_gaussian(grid, int(c["k"]), float(c["scale"]))
+        fld = laplacian_gaussian(grid, c["k"], c["scale"])
     return fld, {"family": family, **c}
 
 
@@ -205,8 +244,11 @@ def _ladder_times(cfg) -> list[float]:
         if len(times) < 3 or any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError("times must be >= 3 strictly increasing values")
         return times
-    c = _take(cfg, "times", ("start", "ratio", "count"), {})
-    start, ratio, count = float(c["start"]), float(c["ratio"]), int(c["count"])
+    c = _take(
+        cfg, "times", ("start", "ratio", "count"), {},
+        {"start": float, "ratio": float, "count": int},
+    )
+    start, ratio, count = c["start"], c["ratio"], c["count"]
     if start <= 0.0 or ratio <= 1.0 or count < 3:
         raise ConfigError("times ladder needs start > 0, ratio > 1, count >= 3")
     return [start * ratio**j for j in range(count)]
@@ -224,11 +266,16 @@ def run_decay(cfg: dict) -> dict:
         "decay config",
         ("grid", "profile", "times"),
         {"s": 1.0, "weight_gamma": None, "policy": "exclude", "check": None},
+        {"s": float, "weight_gamma": float, "times": _ladder_times},
+    )
+    cc = _check(
+        c, "decay check", {"l2_tol": 0.05, "seminorm_tol": 0.1},
+        {"l2_tol": float, "seminorm_tol": float},
     )
     grid = build_grid(c["grid"])
     profile, prof_resolved = build_profile(grid, c["profile"])
-    times = _ladder_times(c["times"])
-    s = float(c["s"])
+    times = c["times"]
+    s = c["s"]
     gamma = float(
         c["weight_gamma"]
         if c["weight_gamma"] is not None
@@ -236,7 +283,7 @@ def run_decay(cfg: dict) -> dict:
     )
     resolved = {
         "kind": "decay",
-        "grid": {"dim": grid.dim, "size": grid.size, "half_length": grid.half_length},
+        "grid": dataclasses.asdict(grid),
         "profile": prof_resolved,
         "times": times,
         "s": s,
@@ -273,10 +320,9 @@ def run_decay(cfg: dict) -> dict:
     }
 
     check = None
-    if c["check"] is not None:
-        cc = _take(c["check"], "decay check", (), {"l2_tol": 0.05, "seminorm_tol": 0.1})
-        ok_l2 = abs(l2_fit.slope - expected_l2) <= float(cc["l2_tol"])
-        ok_semi = abs(semi_fit.slope - expected_semi) <= float(cc["seminorm_tol"])
+    if cc is not None:
+        ok_l2 = abs(l2_fit.slope - expected_l2) <= cc["l2_tol"]
+        ok_semi = abs(semi_fit.slope - expected_semi) <= cc["seminorm_tol"]
         check = {
             "passed": bool(ok_l2 and ok_semi),
             "details": {
@@ -307,23 +353,31 @@ def run_lifespan(cfg: dict) -> dict:
         "lifespan config",
         ("grid", "profile", "p", "eps_values", "dt", "t_cap"),
         {"blowup_threshold": 1e6, "dealias": True, "check": None},
+        {
+            "p": float, "eps_values": _floats, "dt": float, "t_cap": float,
+            "blowup_threshold": float, "dealias": _flag,
+        },
+    )
+    cc = _check(
+        c, "lifespan check", {"rel_tol": None, "max_slope": None, "min_uncensored": 3},
+        {"rel_tol": float, "max_slope": float, "min_uncensored": int},
     )
     grid = build_grid(c["grid"])
     profile, prof_resolved = build_profile(grid, c["profile"])
-    p = float(c["p"])
-    eps_values = [float(e) for e in c["eps_values"]]
+    p = c["p"]
+    eps_values = c["eps_values"]
     if len(eps_values) < 3:
         raise ConfigError("need >= 3 eps values for a lifespan fit")
     resolved = {
         "kind": "lifespan",
-        "grid": {"dim": grid.dim, "size": grid.size, "half_length": grid.half_length},
+        "grid": dataclasses.asdict(grid),
         "profile": prof_resolved,
         "p": p,
         "eps_values": eps_values,
-        "dt": float(c["dt"]),
-        "t_cap": float(c["t_cap"]),
-        "blowup_threshold": float(c["blowup_threshold"]),
-        "dealias": bool(c["dealias"]),
+        "dt": c["dt"],
+        "t_cap": c["t_cap"],
+        "blowup_threshold": c["blowup_threshold"],
+        "dealias": c["dealias"],
     }
 
     rows = []
@@ -332,10 +386,10 @@ def run_lifespan(cfg: dict) -> dict:
         sim = SimConfig(
             data=pair,
             p=p,
-            dt=float(c["dt"]),
-            t_max=float(c["t_cap"]),
-            blowup_threshold=float(c["blowup_threshold"]),
-            dealias=bool(c["dealias"]),
+            dt=c["dt"],
+            t_max=c["t_cap"],
+            blowup_threshold=c["blowup_threshold"],
+            dealias=c["dealias"],
         )
         res = measure_lifespan(sim)
         rows.append(
@@ -368,23 +422,17 @@ def run_lifespan(cfg: dict) -> dict:
         summary["measured_exponent"] = fit.slope
 
     check = None
-    if c["check"] is not None:
-        cc = _take(
-            c["check"],
-            "lifespan check",
-            (),
-            {"rel_tol": None, "max_slope": None, "min_uncensored": 3},
-        )
+    if cc is not None:
         details: dict = {"n_fitted": len(fitted)}
-        passed = len(fitted) >= int(cc["min_uncensored"]) and fit is not None
+        passed = len(fitted) >= cc["min_uncensored"] and fit is not None
         if passed and cc["rel_tol"] is not None:
             target = predicted["a_combined"] if predicted else None
             if target is None:
                 raise ConfigError("rel_tol check needs a profile gamma")
-            passed = abs(fit.slope - target) <= float(cc["rel_tol"]) * abs(target)
+            passed = abs(fit.slope - target) <= cc["rel_tol"] * abs(target)
             details.update(measured=fit.slope, target=target, rel_tol=cc["rel_tol"])
         if passed and cc["max_slope"] is not None:
-            passed = fit.slope <= float(cc["max_slope"])
+            passed = fit.slope <= cc["max_slope"]
             details.update(measured=fit.slope, max_slope=cc["max_slope"])
         check = {"passed": bool(passed), "details": details}
         resolved["check"] = {k: v for k, v in cc.items()}
@@ -410,42 +458,35 @@ def run_simulate(cfg: dict) -> dict:
             "policy": "exclude",
             "check": None,
         },
+        {
+            "eps": float, "p": float, "dt": float, "t_max": float, "blowup_threshold": float,
+            "dealias": _flag, "nonlinear": _flag, "record_every": int,
+            "record_fields_every": int, "s": float, "weight_gamma": float,
+        },
+    )
+    cc = _check(
+        c, "simulate check", {"expect_outcome": None, "l2_decreasing_factor": None},
+        {"l2_decreasing_factor": float},
     )
     grid = build_grid(c["grid"])
-    pair, prof_resolved = build_pair(grid, c["profile"], float(c["eps"]))
+    pair, prof_resolved = build_pair(grid, c["profile"], c["eps"])
     gamma = float(
         c["weight_gamma"]
         if c["weight_gamma"] is not None
         else prof_resolved.get("gamma", 0.5)
     )
+    # the keys that are SimConfig fields of the same name
+    sim_keys = ("p", "dt", "t_max", "blowup_threshold", "dealias", "nonlinear",
+                "record_every", "record_fields_every", "s")
     sim = SimConfig(
-        data=pair,
-        p=float(c["p"]),
-        dt=float(c["dt"]),
-        t_max=float(c["t_max"]),
-        blowup_threshold=float(c["blowup_threshold"]),
-        dealias=bool(c["dealias"]),
-        nonlinear=bool(c["nonlinear"]),
-        record_every=int(c["record_every"]),
-        record_fields_every=int(c["record_fields_every"]),
-        s=float(c["s"]),
-        gamma=gamma,
-        norm_policy=c["policy"],
+        data=pair, gamma=gamma, norm_policy=c["policy"], **{k: c[k] for k in sim_keys}
     )
     resolved = {
         "kind": "simulate",
-        "grid": {"dim": grid.dim, "size": grid.size, "half_length": grid.half_length},
+        "grid": dataclasses.asdict(grid),
         "profile": prof_resolved,
-        "eps": float(c["eps"]),
-        "p": float(c["p"]),
-        "dt": float(c["dt"]),
-        "t_max": float(c["t_max"]),
-        "blowup_threshold": float(c["blowup_threshold"]),
-        "dealias": bool(c["dealias"]),
-        "nonlinear": bool(c["nonlinear"]),
-        "record_every": int(c["record_every"]),
-        "record_fields_every": int(c["record_fields_every"]),
-        "s": float(c["s"]),
+        "eps": c["eps"],
+        **{k: c[k] for k in sim_keys},
         "weight_gamma": gamma,
         "policy": c["policy"],
     }
@@ -484,13 +525,7 @@ def run_simulate(cfg: dict) -> dict:
         }
 
     check = None
-    if c["check"] is not None:
-        cc = _take(
-            c["check"],
-            "simulate check",
-            (),
-            {"expect_outcome": None, "l2_decreasing_factor": None},
-        )
+    if cc is not None:
         passed = True
         details: dict = {"outcome": traj.outcome}
         if cc["expect_outcome"] is not None:
@@ -498,7 +533,7 @@ def run_simulate(cfg: dict) -> dict:
         if cc["l2_decreasing_factor"] is not None:
             factor = float(traj.l2[-1]) / float(traj.l2[0])
             details["l2_last_over_first"] = factor
-            passed = passed and factor <= float(cc["l2_decreasing_factor"])
+            passed = passed and factor <= cc["l2_decreasing_factor"]
         check = {"passed": bool(passed), "details": details}
         resolved["check"] = cc
 
@@ -508,19 +543,14 @@ def run_simulate(cfg: dict) -> dict:
 
 def run_atlas(cfg: dict) -> dict:
     """Classify a rectangular raster in the (gamma, p) plane."""
-    c = _take(cfg, "atlas config", ("n", "gamma", "p"), {"s": 1.0})
-    gc = _take(c["gamma"], "atlas gamma", ("min", "max", "count"), {})
-    pc = _take(c["p"], "atlas p", ("min", "max", "count"), {})
-    n, s = int(c["n"]), float(c["s"])
-    gammas = np.linspace(float(gc["min"]), float(gc["max"]), int(gc["count"]))
-    ps = np.linspace(float(pc["min"]), float(pc["max"]), int(pc["count"]))
-    resolved = {
-        "kind": "atlas",
-        "n": n,
-        "s": s,
-        "gamma": {k: float(v) if k != "count" else int(v) for k, v in gc.items()},
-        "p": {k: float(v) if k != "count" else int(v) for k, v in pc.items()},
-    }
+    c = _take(cfg, "atlas config", ("n", "gamma", "p"), {"s": 1.0}, {"n": int, "s": float})
+    axis = ("min", "max", "count"), {}, {"min": float, "max": float, "count": int}
+    gc = _take(c["gamma"], "atlas gamma", *axis)
+    pc = _take(c["p"], "atlas p", *axis)
+    n, s = c["n"], c["s"]
+    gammas = np.linspace(gc["min"], gc["max"], gc["count"])
+    ps = np.linspace(pc["min"], pc["max"], pc["count"])
+    resolved = {"kind": "atlas", "n": n, "s": s, "gamma": gc, "p": pc}
     rows = [
         {"gamma": float(g), "p": float(p), "verdict": exponents.classify(n, g, p, s).verdict}
         for g in gammas
@@ -539,8 +569,11 @@ def run_atlas(cfg: dict) -> dict:
 
 def run_classify(cfg: dict) -> dict:
     """Classify one parameter point and report every nearby threshold."""
-    c = _take(cfg, "classify config", ("n", "gamma", "p"), {"s": 1.0})
-    n, gamma, p, s = int(c["n"]), float(c["gamma"]), float(c["p"]), float(c["s"])
+    c = _take(
+        cfg, "classify config", ("n", "gamma", "p"), {"s": 1.0},
+        {"n": int, "gamma": float, "p": float, "s": float},
+    )
+    n, gamma, p, s = c["n"], c["gamma"], c["p"], c["s"]
     resolved = {"kind": "classify", "n": n, "gamma": gamma, "p": p, "s": s}
     verdict = exponents.classify(n, gamma, p, s)
     th = exponents.thm_thresholds(n)
@@ -575,13 +608,14 @@ def run_bump_check(cfg: dict) -> dict:
             "tol": 1e-8,
             "shifted_center": None,
         },
+        {"exponents": lambda ls: [int(l) for l in ls], "tol": float, "shifted_center": float},
     )
     grid = build_grid(c["grid"])
-    tol = float(c["tol"])
-    exps = [int(l) for l in c["exponents"]]
+    tol = c["tol"]
+    exps = c["exponents"]
     resolved = {
         "kind": "bump-check",
-        "grid": {"dim": grid.dim, "size": grid.size, "half_length": grid.half_length},
+        "grid": dataclasses.asdict(grid),
         "exponents": exps,
         "tol": tol,
         "shifted_center": c["shifted_center"],
@@ -620,7 +654,7 @@ def run_bump_check(cfg: dict) -> dict:
     passed = rep.passed and transform_residual < 1e-10
 
     if c["shifted_center"] is not None:
-        shifted = self_convolve(grid, mollifier_samples(grid, float(c["shifted_center"])))
+        shifted = self_convolve(grid, mollifier_samples(grid, c["shifted_center"]))
         srep = check_conditions(shifted, tol=tol)
         summary["shifted"] = {
             "monotone_ok": srep.monotone_ok,
@@ -645,29 +679,30 @@ def run_testfunc(cfg: dict) -> dict:
             "time_points": 513,
             "check": None,
         },
+        {"fields": str, "R_values": _floats, "exponent": int, "time_points": int},
+    )
+    cc = _check(
+        c, "testfunc check", {"min_margin": 0.0, "max_identity_rel": 0.05},
+        {"min_margin": float, "max_identity_rel": float},
     )
     data = _load_fields(c["fields"])
     grid: Grid = data["grid"]
     p = data["p"]
-    l = int(c["exponent"]) if c["exponent"] is not None else required_power(p)
+    l = c["exponent"] if c["exponent"] is not None else required_power(p)
     bgrid = build_grid(c["bump_grid"])
     resolved = {
         "kind": "testfunc",
         "fields": c["fields"],
-        "R_values": [float(r) for r in c["R_values"]],
+        "R_values": c["R_values"],
         "exponent": l,
-        "bump_grid": {
-            "dim": bgrid.dim,
-            "size": bgrid.size,
-            "half_length": bgrid.half_length,
-        },
-        "time_points": int(c["time_points"]),
+        "bump_grid": dataclasses.asdict(bgrid),
+        "time_points": c["time_points"],
     }
 
     bump = bump_power(self_convolve(bgrid), l)
     weight = testfunc.weight_constant(
         p, l, dim=grid.dim, size=bgrid.size, half_length=bgrid.half_length,
-        time_points=int(c["time_points"]),
+        time_points=c["time_points"],
     )
     rows = []
     for R in resolved["R_values"]:
@@ -700,17 +735,11 @@ def run_testfunc(cfg: dict) -> dict:
     }
 
     check = None
-    if c["check"] is not None:
-        cc = _take(
-            c["check"],
-            "testfunc check",
-            (),
-            {"min_margin": 0.0, "max_identity_rel": 0.05},
-        )
+    if cc is not None:
         passed = all(
-            r["margin_holder"] >= float(cc["min_margin"])
-            and r["margin_absorbed"] >= float(cc["min_margin"])
-            and r["identity_rel"] <= float(cc["max_identity_rel"])
+            r["margin_holder"] >= cc["min_margin"]
+            and r["margin_absorbed"] >= cc["min_margin"]
+            and r["identity_rel"] <= cc["max_identity_rel"]
             for r in rows
         )
         check = {"passed": bool(passed), "details": {"rows": len(rows)}}
@@ -764,6 +793,8 @@ RUNNERS = {
 
 def run_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     """Run a list of named jobs, each into its own subdirectory."""
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     c = _take(cfg, "sweep config", ("jobs",), {})
     jobs = c["jobs"]
     if not isinstance(jobs, list) or not jobs:

@@ -1,6 +1,7 @@
 """Time integration of the damped wave equation with power nonlinearity.
 
-Works entirely on Fourier coefficients.  One step applies the exact linear
+Works entirely on Fourier coefficients.  One step (Stepper.advance, the
+single step body behind run() and step()) applies the exact linear
 propagator and a trapezoid rule to the memory integral of the nonlinear
 term; the kernel vanishing at zero time lag makes the displacement update
 explicit, and a predicted endpoint closes the velocity update.  The
@@ -29,6 +30,7 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "LifespanResult",
+    "Stepper",
     "run",
     "step",
     "measure_lifespan",
@@ -115,27 +117,47 @@ class State:
     t: float
 
 
-def _transform_pair(grid: Grid):
-    scale = grid.dx**grid.dim / (2.0 * np.pi) ** (grid.dim / 2.0)
-    phase = grid.phase
-    fwd_factor = phase * scale
+class Stepper:
+    """Steps of size dt on one grid, with the multipliers computed once."""
 
-    def fwd(arr: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(arr) * fwd_factor
+    def __init__(self, grid: Grid, dt: float, p: float, *, dealias: bool = True,
+                 nonlinear: bool = True) -> None:
+        self.xi2 = grid.xi2
+        self.p = p
+        self.nonlinear = nonlinear
+        self.half = 0.5 * dt
+        self.kh, self.kp = khat_kprime(dt, self.xi2)
+        self.mask = grid.dealias_mask.astype(np.float64) if dealias else None
+        self.phase = grid.phase
+        self.scale = grid.transform_scale
+        self.fwd_factor = self.phase * self.scale
 
-    def inv(coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(coeffs * phase).real / scale
+    def physical(self, uhat: np.ndarray) -> np.ndarray:
+        return np.fft.ifftn(uhat * self.phase).real / self.scale
 
-    return fwd, inv
+    def nl_coeffs(self, u_phys: np.ndarray) -> np.ndarray:
+        """Dealiased coefficients of |u|^p (zero for linear runs)."""
+        if not self.nonlinear:
+            return np.zeros(u_phys.shape, dtype=np.complex128)
+        out = np.fft.fftn(abs_pow(u_phys, self.p)) * self.fwd_factor
+        if self.mask is not None:
+            out *= self.mask
+        return out
+
+    def advance(self, uhat: np.ndarray, vhat: np.ndarray, nl_hat: np.ndarray):
+        """(uhat, vhat, u_phys, nl_hat) one step later."""
+        uhat_new, pv = predict_combine(
+            uhat, vhat, nl_hat, self.kh, self.kp, self.xi2, self.half
+        )
+        u_new = self.physical(uhat_new)
+        nl_new = self.nl_coeffs(u_new)
+        vhat_new = correct_combine(pv, nl_hat, nl_new, self.kp, self.half)
+        return uhat_new, vhat_new, u_new, nl_new
 
 
-def _nl_coeffs(u_phys, p, fwd, mask, nonlinear):
-    if not nonlinear:
-        return np.zeros(u_phys.shape, dtype=np.complex128)
-    out = fwd(abs_pow(u_phys, p))
-    if mask is not None:
-        out *= mask
-    return out
+def _stepper(config: SimConfig) -> Stepper:
+    return Stepper(config.grid, config.dt, config.p, dealias=config.dealias,
+                   nonlinear=config.nonlinear)
 
 
 def _boundary_mask(grid: Grid) -> np.ndarray:
@@ -150,34 +172,21 @@ def _boundary_mask(grid: Grid) -> np.ndarray:
 
 def step(state: State, dt: float, p: float, *, dealias: bool = True,
          nonlinear: bool = True) -> State:
-    """Advance one step of size dt.  Recomputes multipliers every call.
-
-    run() is the loop-optimised equivalent; the two agree to roundoff.
-    """
-    g = state.grid
-    kh, kp = khat_kprime(dt, g.xi2)
-    fwd, inv = _transform_pair(g)
-    mask = g.dealias_mask.astype(np.float64) if dealias else None
-    half = 0.5 * dt
-    nl_n = state.nl_hat
-    uhat_new, pv = predict_combine(state.uhat, state.vhat, nl_n, kh, kp, g.xi2, half)
-    u_new = inv(uhat_new)
-    nl_new = _nl_coeffs(u_new, p, fwd, mask, nonlinear)
-    vhat_new = correct_combine(pv, nl_n, nl_new, kp, half)
-    return State(g, uhat_new, vhat_new, u_new, nl_new, state.t + dt)
+    """Advance one step of size dt.  Recomputes multipliers every call."""
+    stepper = Stepper(state.grid, dt, p, dealias=dealias, nonlinear=nonlinear)
+    uhat, vhat, u_phys, nl_hat = stepper.advance(state.uhat, state.vhat, state.nl_hat)
+    return State(state.grid, uhat, vhat, u_phys, nl_hat, state.t + dt)
 
 
-def initial_state(config: SimConfig) -> State:
+def initial_state(config: SimConfig, stepper: Stepper | None = None) -> State:
     """Scale the data pair by eps and prepare cached physical samples."""
-    g = config.grid
-    fwd, inv = _transform_pair(g)
+    if stepper is None:
+        stepper = _stepper(config)
     eps = config.data.eps
     uhat = eps * config.data.u0.coeffs
     vhat = eps * config.data.u1.coeffs
-    u_phys = inv(uhat)
-    mask = g.dealias_mask.astype(np.float64) if config.dealias else None
-    nl_hat = _nl_coeffs(u_phys, config.p, fwd, mask, config.nonlinear)
-    return State(g, uhat, vhat, u_phys, nl_hat, 0.0)
+    u_phys = stepper.physical(uhat)
+    return State(config.grid, uhat, vhat, u_phys, stepper.nl_coeffs(u_phys), 0.0)
 
 
 def run(config: SimConfig) -> Trajectory:
@@ -189,7 +198,8 @@ def run(config: SimConfig) -> Trajectory:
     threshold, so it carries a +-dt detection granularity.
     """
     g = config.grid
-    state = initial_state(config)
+    stepper = _stepper(config)
+    state = initial_state(config, stepper)
 
     linf0 = float(np.max(np.abs(state.u_phys)))
     if linf0 >= config.blowup_threshold:
@@ -198,11 +208,6 @@ def run(config: SimConfig) -> Trajectory:
             f"threshold {config.blowup_threshold:.3g}"
         )
 
-    kh, kp = khat_kprime(config.dt, g.xi2)
-    fwd, inv = _transform_pair(g)
-    mask = g.dealias_mask.astype(np.float64) if config.dealias else None
-    xi2 = g.xi2
-    half = 0.5 * config.dt
     bmask = _boundary_mask(g)
 
     n_steps = int(math.floor(config.t_max / config.dt + 1e-9))
@@ -240,11 +245,7 @@ def run(config: SimConfig) -> Trajectory:
     steps_taken = 0
 
     for n in range(1, n_steps + 1):
-        uhat_new, pv = predict_combine(uhat, vhat, nl_hat, kh, kp, xi2, half)
-        u_new = inv(uhat_new)
-        nl_new = _nl_coeffs(u_new, config.p, fwd, mask, config.nonlinear)
-        vhat = correct_combine(pv, nl_hat, nl_new, kp, half)
-        uhat, u_phys, nl_hat = uhat_new, u_new, nl_new
+        uhat, vhat, u_phys, nl_hat = stepper.advance(uhat, vhat, nl_hat)
         t = n * config.dt
         steps_taken = n
 

@@ -208,6 +208,13 @@ def test_sweep_name_and_kind_validation(tmp_path):
         harness.run_sweep(bad, str(tmp_path))
     with pytest.raises(ConfigError):
         harness.run_sweep({"jobs": []}, str(tmp_path))
+    for threads in (0, -3):
+        with pytest.raises(ConfigError, match="threads"):
+            harness.run_sweep(_sweep_cfg(), str(tmp_path), threads=threads)
+    cfgp = tmp_path / "sweep.json"
+    cfgp.write_text(json.dumps(_sweep_cfg()))
+    out = str(tmp_path / "o")
+    assert cli.main(["sweep", "--config", str(cfgp), "--out", out, "--threads", "-3"]) == 2
 
 
 def test_cli_classify_flags_and_seed(tmp_path):
@@ -223,7 +230,7 @@ def test_cli_classify_flags_and_seed(tmp_path):
     assert payload["summary"]["verdict"] == "GlobalLargeGamma"
 
 
-def test_cli_config_errors(tmp_path):
+def test_cli_config_errors(tmp_path, capsys):
     assert cli.main(["decay", "--out", str(tmp_path)]) == 2
     assert cli.main(
         ["decay", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]
@@ -236,6 +243,25 @@ def test_cli_config_errors(tmp_path):
         ["classify", "--n", "1", "--gamma", "1.0", "--p", "3.5",
          "--out", str(tmp_path), "--check"]
     ) == 2
+    # wrongly typed values exit 2 with the key named, before any stepping
+    grid = {"dim": 1, "size": 64, "half_length": 8.0}
+    common = {"grid": grid, "profile": {"family": "power", "gamma": 0.5}, "p": 2.0, "dt": 0.02}
+    simulate = {**common, "eps": 0.1, "t_max": 0.1}
+    lifespan = {**common, "eps_values": [0.4, 0.2, 0.1], "t_cap": 0.1}
+    cases = [
+        ("lifespan", lifespan, {"dt": "abc"}, "dt"),
+        ("lifespan", lifespan, {"eps_values": 0.1}, "eps_values"),
+        ("lifespan", lifespan, {"dealias": "no"}, "dealias"),
+        ("simulate", simulate, {"grid": {**grid, "dim": "x"}}, "dim"),
+        ("simulate", simulate, {"check": {"l2_decreasing_factor": "x"}}, "l2_decreasing_factor"),
+        ("simulate", simulate, {"dealias": "no"}, "dealias"),
+        ("simulate", simulate, {"nonlinear": 0}, "nonlinear"),
+    ]
+    cfgp = tmp_path / "typed.json"
+    for command, base, change, key in cases:
+        cfgp.write_text(json.dumps({**base, **change}))
+        assert cli.main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert repr(key) in capsys.readouterr().err, (command, change)
 
 
 def test_cli_check_failure_and_numerical_error(tmp_path, monkeypatch):

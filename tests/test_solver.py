@@ -56,12 +56,17 @@ def test_linear_run_matches_exact_propagator():
     assert np.max(np.abs(state.vhat - pair.eps * vex.coeffs)) < 1e-12 * scale
 
 
+# the 1D cases keep their original ids
 @pytest.mark.parametrize(
-    "p,horizon",
-    [(1.5, 2.0), (2.0, 1.5), (3.0, 1.2)],
+    "dim,p,horizon",
+    [
+        pytest.param(dim, p, horizon, id=f"{p}-{horizon}" if dim == 1 else f"{dim}d-{p}-{horizon}")
+        for dim in (1, 2, 3)
+        for p, horizon in [(1.5, 2.0), (2.0, 1.5), (3.0, 1.2)]
+    ],
 )
-def test_constant_data_tracks_ode_oracle(p, horizon):
-    g = Grid(1, 8, 4.0)
+def test_constant_data_tracks_ode_oracle(dim, p, horizon):
+    g = Grid(dim, 8, 4.0)
     cfg = SimConfig(
         data=constant_pair(g, 1.0, 0.5), p=p, dt=0.005, t_max=horizon
     )
