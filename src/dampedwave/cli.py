@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-Subcommands map one-to-one onto the harness runners.  Every run writes
+Subcommands map one-to-one onto the harness runners (harness.RUNNERS plus
+sweep); each runner's docstring is its help line, and the summary lines it
+returns in result["lines"] are printed after the run.  Every run writes
 CSV/JSON outputs into --out; --check additionally gates the exit code on
 the run's built-in pass criterion.
 
@@ -16,17 +18,6 @@ import sys
 from . import harness
 from .errors import ConfigError, NumericalError
 
-_SUBCOMMANDS = (
-    ("classify", "classify one (n, gamma, p) point against the region map"),
-    ("atlas", "classify a raster of (gamma, p) points"),
-    ("simulate", "run one initial-value problem and record norms/fields"),
-    ("decay", "fit linear-flow norm decay rates against predictions"),
-    ("lifespan", "measure blow-up times across an amplitude ladder"),
-    ("sweep", "run a list of named jobs, optionally in parallel"),
-    ("bump-check", "certify the convolved bump and its powers"),
-    ("testfunc", "evaluate weak-solution bounds on stored fields"),
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -34,8 +25,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for a damped semilinear wave equation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _SUBCOMMANDS:
-        sp = sub.add_parser(name, help=help_text)
+    for name, runner in {**harness.RUNNERS, "sweep": harness.run_sweep}.items():
+        sp = sub.add_parser(name, help=(runner.__doc__ or "").partition("\n")[0])
         sp.add_argument(
             "--config",
             default=None,
@@ -80,64 +71,6 @@ def _classify_config(args) -> dict:
     return {"n": args.n, "gamma": args.gamma, "p": args.p, "s": args.s}
 
 
-def _print_summary(result: dict) -> None:
-    kind = result["kind"]
-    s = result["summary"]
-    if kind == "classify":
-        print(f"verdict={s['verdict']} tags={','.join(s['blowup_tags']) or '-'}")
-        print(
-            f"p_fujita={s['p_fujita']:.6g} p_crit={s['p_crit']:.6g} "
-            f"gamma_min={s['gamma_min']:.6g} p_min={s['p_min']:.6g}"
-        )
-        life = s["lifespan"]
-        print(
-            f"lifespan exponent={life['a_combined']} switch_p={life['switch_p']:.6g}"
-        )
-    elif kind == "atlas":
-        counts = " ".join(f"{k}={v}" for k, v in s["counts"].items())
-        print(f"raster classified: {counts}")
-    elif kind == "decay":
-        print(
-            f"l2 slope {s['l2_fit']['slope']:.4f} (expected {s['expected_l2_slope']:.4f}), "
-            f"seminorm slope {s['seminorm_fit']['slope']:.4f} "
-            f"(expected {s['expected_seminorm_slope']:.4f})"
-        )
-    elif kind == "lifespan":
-        measured = s.get("measured_exponent")
-        shown = f"{measured:.4f}" if measured is not None else "n/a"
-        target = s["predicted"]["a_combined"] if s["predicted"] else None
-        print(
-            f"lifespan exponent measured={shown} predicted={target} "
-            f"censored={s['n_censored']}"
-        )
-    elif kind == "simulate":
-        tb = s["t_blowup"]
-        tail = f" t_blowup={tb:.6g}" if tb is not None else ""
-        print(
-            f"outcome={s['outcome']}{tail} steps={s['steps_taken']} "
-            f"boundary_flagged={s['boundary_flagged']}"
-        )
-    elif kind == "bump-check":
-        b = s["base"]
-        print(
-            f"nonneg={b['nonneg_ok']} fourier={b['fourier_ok']} "
-            f"monotone={b['monotone_ok']} "
-            f"transform_residual={s['transform_identity_residual']:.3e}"
-        )
-    elif kind == "testfunc":
-        for row in result["rows"]:
-            print(
-                f"R={row['R']:g} margin_holder={row['margin_holder']:.4e} "
-                f"margin_absorbed={row['margin_absorbed']:.4e} "
-                f"identity_rel={row['identity_rel']:.3e}"
-            )
-    elif kind == "sweep":
-        for row in result["rows"]:
-            print(f"{row['name']}: {'pass' if row['passed'] else 'FAIL'}")
-    if result["check"] is not None:
-        print(f"check: {'pass' if result['check']['passed'] else 'FAIL'}")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -167,7 +100,10 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    _print_summary(result)
+    for line in result["lines"]:
+        print(line)
+    if result["check"] is not None:
+        print(f"check: {'pass' if result['check']['passed'] else 'FAIL'}")
     print("wrote " + " ".join(paths))
     if args.check:
         if result["check"] is None:

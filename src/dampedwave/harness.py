@@ -2,8 +2,8 @@
 
 Each run_* function takes a plain config dict (usually parsed from JSON),
 validates it strictly (unknown keys are errors), executes the experiment,
-and returns a result dict with rows, a summary, and an optional check
-verdict.  emit_outputs writes the result as CSV (rows), JSON (everything),
+and returns a result dict with the resolved config echo, rows, a summary,
+an optional check verdict and the summary lines the CLI prints.  emit_outputs writes the result as CSV (rows), JSON (everything),
 and optionally a field archive.
 
 Outputs are byte-stable: floats are serialised by repr, rows are ordered,
@@ -96,8 +96,22 @@ def _flag(value) -> bool:
     return value
 
 
+def _int(value) -> int:
+    """An integer; 2.0 is taken as 2, but 1.7 and true are errors, not 1."""
+    out = int(value)
+    if out != value or isinstance(value, bool):
+        raise ValueError("expected an integer")
+    return out
+
+
 def _floats(values) -> list:
     return [float(v) for v in values]
+
+
+def _outcome(value) -> str:
+    if value not in ("survived", "blewup"):
+        raise ValueError("expected 'survived' or 'blewup'")
+    return value
 
 
 def _take(cfg: dict, where: str, required: tuple, optional: dict,
@@ -125,22 +139,30 @@ def _take(cfg: dict, where: str, required: tuple, optional: dict,
             out[key] = kind(value)
         except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}: bad value {value!r} for {key!r}: {exc}") from None
     return out
 
 
 def _check(c: dict, where: str, optional: dict, kinds: dict) -> dict | None:
-    """The resolved "check" section of c, or None when it has none."""
-    if c["check"] is None:
-        return None
-    return _take(c["check"], where, (), optional, kinds)
+    """Resolve the "check" section of c in place; returns it, or None."""
+    if c["check"] is not None:
+        c["check"] = _take(c["check"], where, (), optional, kinds)
+    return c["check"]
+
+
+def _echo(kind: str, c: dict, **resolved) -> dict:
+    """The config echo: c with resolved values swapped in, a null check dropped."""
+    echo = {"kind": kind, **c, **resolved}
+    if "check" in echo and echo["check"] is None:
+        del echo["check"]
+    return echo
 
 
 def build_grid(cfg: dict) -> Grid:
     c = _take(
         cfg, "grid", ("dim", "size", "half_length"), {},
-        {"dim": int, "size": int, "half_length": float},
+        {"dim": _int, "size": _int, "half_length": float},
     )
     return Grid(c["dim"], c["size"], c["half_length"])
 
@@ -149,8 +171,9 @@ _RADIAL = {"gamma": float, "r0": float, "scale": float}
 _PROFILE_KEYS = {
     "power": (("gamma",), {"r0": 0.5, "scale": 1.0}, _RADIAL),
     "log": (("gamma",), {"r0": 0.5, "scale": 1.0}, _RADIAL),
-    "laplacian_gaussian": (("k",), {"scale": 1.0}, {"k": int, "scale": float}),
+    "laplacian_gaussian": (("k",), {"scale": 1.0}, {"k": _int, "scale": float}),
 }
+_PROFILES = {"power": power_profile, "log": log_profile, "laplacian_gaussian": laplacian_gaussian}
 
 
 def build_profile(grid: Grid, cfg: dict) -> tuple[SpectralField, dict]:
@@ -168,13 +191,7 @@ def build_profile(grid: Grid, cfg: dict) -> tuple[SpectralField, dict]:
         {k: v for k, v in cfg.items() if k != "family"}, f"profile[{family}]", req, opt,
         kinds,
     )
-    if family == "power":
-        fld = power_profile(grid, c["gamma"], c["r0"], c["scale"])
-    elif family == "log":
-        fld = log_profile(grid, c["gamma"], c["r0"], c["scale"])
-    else:
-        fld = laplacian_gaussian(grid, c["k"], c["scale"])
-    return fld, {"family": family, **c}
+    return _PROFILES[family](grid, **c), {"family": family, **c}
 
 
 def build_pair(grid: Grid, profile_cfg: dict, eps: float) -> tuple[DataPair, dict]:
@@ -225,7 +242,9 @@ def fit_powerlaw(x, y) -> FitResult:
 # experiment runners
 
 
-def _result(kind: str, config: dict, columns, rows, summary, check, arrays=None):
+def _result(kind: str, config: dict, columns, rows, summary, check, arrays=None,
+            lines=()):
+    """A runner's result; lines are its summary for the terminal."""
     return {
         "kind": kind,
         "config": config,
@@ -235,6 +254,7 @@ def _result(kind: str, config: dict, columns, rows, summary, check, arrays=None)
         "summary": summary,
         "check": check,
         "arrays": arrays,
+        "lines": list(lines),
     }
 
 
@@ -246,12 +266,21 @@ def _ladder_times(cfg) -> list[float]:
         return times
     c = _take(
         cfg, "times", ("start", "ratio", "count"), {},
-        {"start": float, "ratio": float, "count": int},
+        {"start": float, "ratio": float, "count": _int},
     )
     start, ratio, count = c["start"], c["ratio"], c["count"]
     if start <= 0.0 or ratio <= 1.0 or count < 3:
         raise ConfigError("times ladder needs start > 0, ratio > 1, count >= 3")
     return [start * ratio**j for j in range(count)]
+
+
+def _axis(cfg) -> dict:
+    """One atlas axis: count points from min to max."""
+    a = _take(cfg, "atlas axis", ("min", "max", "count"), {},
+              {"min": float, "max": float, "count": _int})
+    if a["count"] < 1:
+        raise ValueError(f"count must be >= 1, got {a['count']}")
+    return a
 
 
 def run_decay(cfg: dict) -> dict:
@@ -281,15 +310,8 @@ def run_decay(cfg: dict) -> dict:
         if c["weight_gamma"] is not None
         else prof_resolved.get("gamma", 0.5)
     )
-    resolved = {
-        "kind": "decay",
-        "grid": dataclasses.asdict(grid),
-        "profile": prof_resolved,
-        "times": times,
-        "s": s,
-        "weight_gamma": gamma,
-        "policy": c["policy"],
-    }
+    echo = _echo("decay", c, grid=dataclasses.asdict(grid), profile=prof_resolved,
+                 weight_gamma=gamma)
 
     rows = []
     for t in times:
@@ -335,10 +357,13 @@ def run_decay(cfg: dict) -> dict:
                 ],
             },
         }
-        resolved["check"] = cc
 
+    lines = [
+        f"l2 slope {l2_fit.slope:.4f} (expected {expected_l2:.4f}), "
+        f"seminorm slope {semi_fit.slope:.4f} (expected {expected_semi:.4f})"
+    ]
     columns = ["t", "l2", "linf", "hs", "hdotneg", "seminorm"]
-    return _result("decay", resolved, columns, rows, summary, check)
+    return _result("decay", echo, columns, rows, summary, check, lines=lines)
 
 
 def run_lifespan(cfg: dict) -> dict:
@@ -360,7 +385,7 @@ def run_lifespan(cfg: dict) -> dict:
     )
     cc = _check(
         c, "lifespan check", {"rel_tol": None, "max_slope": None, "min_uncensored": 3},
-        {"rel_tol": float, "max_slope": float, "min_uncensored": int},
+        {"rel_tol": float, "max_slope": float, "min_uncensored": _int},
     )
     grid = build_grid(c["grid"])
     profile, prof_resolved = build_profile(grid, c["profile"])
@@ -368,17 +393,18 @@ def run_lifespan(cfg: dict) -> dict:
     eps_values = c["eps_values"]
     if len(eps_values) < 3:
         raise ConfigError("need >= 3 eps values for a lifespan fit")
-    resolved = {
-        "kind": "lifespan",
-        "grid": dataclasses.asdict(grid),
-        "profile": prof_resolved,
-        "p": p,
-        "eps_values": eps_values,
-        "dt": c["dt"],
-        "t_cap": c["t_cap"],
-        "blowup_threshold": c["blowup_threshold"],
-        "dealias": c["dealias"],
-    }
+    gamma = prof_resolved.get("gamma")
+    predicted = (
+        dataclasses.asdict(exponents.lifespan_exponents(grid.dim, float(gamma), p))
+        if gamma is not None
+        else None
+    )
+    target = predicted["a_combined"] if predicted else None
+    if cc is not None and cc["rel_tol"] is not None and target is None:
+        raise ConfigError(
+            "rel_tol check needs a profile gamma and a predicted lifespan exponent"
+        )
+    echo = _echo("lifespan", c, grid=dataclasses.asdict(grid), profile=prof_resolved)
 
     rows = []
     for eps in eps_values:
@@ -402,13 +428,6 @@ def run_lifespan(cfg: dict) -> dict:
         )
 
     fitted = [r for r in rows if not r["censored"]]
-    gamma = prof_resolved.get("gamma")
-    n = grid.dim
-    predicted = (
-        dataclasses.asdict(exponents.lifespan_exponents(n, float(gamma), p))
-        if gamma is not None
-        else None
-    )
     summary: dict = {
         "n_censored": sum(1 for r in rows if r["censored"]),
         "predicted": predicted,
@@ -426,19 +445,20 @@ def run_lifespan(cfg: dict) -> dict:
         details: dict = {"n_fitted": len(fitted)}
         passed = len(fitted) >= cc["min_uncensored"] and fit is not None
         if passed and cc["rel_tol"] is not None:
-            target = predicted["a_combined"] if predicted else None
-            if target is None:
-                raise ConfigError("rel_tol check needs a profile gamma")
             passed = abs(fit.slope - target) <= cc["rel_tol"] * abs(target)
             details.update(measured=fit.slope, target=target, rel_tol=cc["rel_tol"])
         if passed and cc["max_slope"] is not None:
             passed = fit.slope <= cc["max_slope"]
             details.update(measured=fit.slope, max_slope=cc["max_slope"])
         check = {"passed": bool(passed), "details": details}
-        resolved["check"] = {k: v for k, v in cc.items()}
 
+    shown = f"{fit.slope:.4f}" if fit is not None else "n/a"
+    lines = [
+        f"lifespan exponent measured={shown} predicted={target} "
+        f"censored={summary['n_censored']}"
+    ]
     columns = ["eps", "t_b", "t_b_err", "censored"]
-    return _result("lifespan", resolved, columns, rows, summary, check)
+    return _result("lifespan", echo, columns, rows, summary, check, lines=lines)
 
 
 def run_simulate(cfg: dict) -> dict:
@@ -460,13 +480,13 @@ def run_simulate(cfg: dict) -> dict:
         },
         {
             "eps": float, "p": float, "dt": float, "t_max": float, "blowup_threshold": float,
-            "dealias": _flag, "nonlinear": _flag, "record_every": int,
-            "record_fields_every": int, "s": float, "weight_gamma": float,
+            "dealias": _flag, "nonlinear": _flag, "record_every": _int,
+            "record_fields_every": _int, "s": float, "weight_gamma": float,
         },
     )
     cc = _check(
         c, "simulate check", {"expect_outcome": None, "l2_decreasing_factor": None},
-        {"l2_decreasing_factor": float},
+        {"expect_outcome": _outcome, "l2_decreasing_factor": float},
     )
     grid = build_grid(c["grid"])
     pair, prof_resolved = build_pair(grid, c["profile"], c["eps"])
@@ -481,15 +501,8 @@ def run_simulate(cfg: dict) -> dict:
     sim = SimConfig(
         data=pair, gamma=gamma, norm_policy=c["policy"], **{k: c[k] for k in sim_keys}
     )
-    resolved = {
-        "kind": "simulate",
-        "grid": dataclasses.asdict(grid),
-        "profile": prof_resolved,
-        "eps": c["eps"],
-        **{k: c[k] for k in sim_keys},
-        "weight_gamma": gamma,
-        "policy": c["policy"],
-    }
+    echo = _echo("simulate", c, grid=dataclasses.asdict(grid), profile=prof_resolved,
+                 weight_gamma=gamma)
 
     traj = run(sim)
     rows = [
@@ -535,26 +548,27 @@ def run_simulate(cfg: dict) -> dict:
             details["l2_last_over_first"] = factor
             passed = passed and factor <= cc["l2_decreasing_factor"]
         check = {"passed": bool(passed), "details": details}
-        resolved["check"] = cc
 
+    tail = f" t_blowup={traj.t_blowup:.6g}" if traj.t_blowup is not None else ""
+    lines = [
+        f"outcome={traj.outcome}{tail} steps={traj.steps_taken} "
+        f"boundary_flagged={traj.boundary_flagged}"
+    ]
     columns = ["t", "l2", "linf", "hs", "hdotneg"]
-    return _result("simulate", resolved, columns, rows, summary, check, arrays)
+    return _result("simulate", echo, columns, rows, summary, check, arrays, lines)
 
 
 def run_atlas(cfg: dict) -> dict:
     """Classify a rectangular raster in the (gamma, p) plane."""
-    c = _take(cfg, "atlas config", ("n", "gamma", "p"), {"s": 1.0}, {"n": int, "s": float})
-    axis = ("min", "max", "count"), {}, {"min": float, "max": float, "count": int}
-    gc = _take(c["gamma"], "atlas gamma", *axis)
-    pc = _take(c["p"], "atlas p", *axis)
+    c = _take(
+        cfg, "atlas config", ("n", "gamma", "p"), {"s": 1.0},
+        {"n": _int, "gamma": _axis, "p": _axis, "s": float},
+    )
     n, s = c["n"], c["s"]
-    gammas = np.linspace(gc["min"], gc["max"], gc["count"])
-    ps = np.linspace(pc["min"], pc["max"], pc["count"])
-    resolved = {"kind": "atlas", "n": n, "s": s, "gamma": gc, "p": pc}
+    gammas, ps = (np.linspace(a["min"], a["max"], a["count"]) for a in (c["gamma"], c["p"]))
     rows = [
-        {"gamma": float(g), "p": float(p), "verdict": exponents.classify(n, g, p, s).verdict}
-        for g in gammas
-        for p in ps
+        {"gamma": float(g), "p": float(p), "verdict": v}
+        for g, p, v in exponents.atlas_raster(n, s, gammas, ps)
     ]
     counts: dict = {}
     for r in rows:
@@ -564,17 +578,18 @@ def run_atlas(cfg: dict) -> dict:
         "thresholds": dataclasses.asdict(exponents.thm_thresholds(n)),
         "fujita": exponents.fujita(n),
     }
-    return _result("atlas", resolved, ["gamma", "p", "verdict"], rows, summary, None)
+    lines = ["raster classified: " + " ".join(f"{k}={v}" for k, v in summary["counts"].items())]
+    return _result("atlas", _echo("atlas", c), ["gamma", "p", "verdict"], rows, summary, None,
+                   lines=lines)
 
 
 def run_classify(cfg: dict) -> dict:
     """Classify one parameter point and report every nearby threshold."""
     c = _take(
         cfg, "classify config", ("n", "gamma", "p"), {"s": 1.0},
-        {"n": int, "gamma": float, "p": float, "s": float},
+        {"n": _int, "gamma": float, "p": float, "s": float},
     )
     n, gamma, p, s = c["n"], c["gamma"], c["p"], c["s"]
-    resolved = {"kind": "classify", "n": n, "gamma": gamma, "p": p, "s": s}
     verdict = exponents.classify(n, gamma, p, s)
     th = exponents.thm_thresholds(n)
     life = exponents.lifespan_exponents(n, gamma, p)
@@ -593,7 +608,14 @@ def run_classify(cfg: dict) -> dict:
         },
     }
     rows = [{"gamma": gamma, "p": p, "verdict": verdict.verdict}]
-    return _result("classify", resolved, ["gamma", "p", "verdict"], rows, summary, None)
+    lines = [
+        f"verdict={verdict.verdict} tags={','.join(verdict.blowup_tags) or '-'}",
+        f"p_fujita={summary['p_fujita']:.6g} p_crit={summary['p_crit']:.6g} "
+        f"gamma_min={th.gamma_min:.6g} p_min={th.p_min:.6g}",
+        f"lifespan exponent={life.a_combined} switch_p={life.switch_p:.6g}",
+    ]
+    return _result("classify", _echo("classify", c), ["gamma", "p", "verdict"], rows, summary,
+                   None, lines=lines)
 
 
 def run_bump_check(cfg: dict) -> dict:
@@ -608,18 +630,11 @@ def run_bump_check(cfg: dict) -> dict:
             "tol": 1e-8,
             "shifted_center": None,
         },
-        {"exponents": lambda ls: [int(l) for l in ls], "tol": float, "shifted_center": float},
+        {"exponents": lambda ls: [_int(l) for l in ls], "tol": float, "shifted_center": float},
     )
     grid = build_grid(c["grid"])
     tol = c["tol"]
     exps = c["exponents"]
-    resolved = {
-        "kind": "bump-check",
-        "grid": dataclasses.asdict(grid),
-        "exponents": exps,
-        "tol": tol,
-        "shifted_center": c["shifted_center"],
-    }
 
     base = self_convolve(grid)
     rep = check_conditions(base, tol=tol)
@@ -663,7 +678,13 @@ def run_bump_check(cfg: dict) -> dict:
         passed = passed and not srep.monotone_ok
 
     check = {"passed": bool(passed), "details": summary["base"]}
-    return _result("bump-check", resolved, ["exponent", "integral", "max", "min"], rows, summary, check)
+    lines = [
+        f"nonneg={rep.nonneg_ok} fourier={rep.fourier_ok} monotone={rep.monotone_ok} "
+        f"transform_residual={transform_residual:.3e}"
+    ]
+    echo = _echo("bump-check", c, grid=dataclasses.asdict(grid))
+    return _result("bump-check", echo, ["exponent", "integral", "max", "min"], rows, summary,
+                   check, lines=lines)
 
 
 def run_testfunc(cfg: dict) -> dict:
@@ -679,7 +700,7 @@ def run_testfunc(cfg: dict) -> dict:
             "time_points": 513,
             "check": None,
         },
-        {"fields": str, "R_values": _floats, "exponent": int, "time_points": int},
+        {"fields": str, "R_values": _floats, "exponent": _int, "time_points": _int},
     )
     cc = _check(
         c, "testfunc check", {"min_margin": 0.0, "max_identity_rel": 0.05},
@@ -690,14 +711,7 @@ def run_testfunc(cfg: dict) -> dict:
     p = data["p"]
     l = c["exponent"] if c["exponent"] is not None else required_power(p)
     bgrid = build_grid(c["bump_grid"])
-    resolved = {
-        "kind": "testfunc",
-        "fields": c["fields"],
-        "R_values": c["R_values"],
-        "exponent": l,
-        "bump_grid": dataclasses.asdict(bgrid),
-        "time_points": c["time_points"],
-    }
+    echo = _echo("testfunc", c, exponent=l, bump_grid=dataclasses.asdict(bgrid))
 
     bump = bump_power(self_convolve(bgrid), l)
     weight = testfunc.weight_constant(
@@ -705,7 +719,7 @@ def run_testfunc(cfg: dict) -> dict:
         time_points=c["time_points"],
     )
     rows = []
-    for R in resolved["R_values"]:
+    for R in c["R_values"]:
         pair = testfunc.TestPair(bump=bump, R=float(R))
         rep = testfunc.check_bounds(
             data["times"], data["snapshots"], grid, data["pair"], p, pair, weight
@@ -743,7 +757,6 @@ def run_testfunc(cfg: dict) -> dict:
             for r in rows
         )
         check = {"passed": bool(passed), "details": {"rows": len(rows)}}
-        resolved["check"] = cc
 
     columns = [
         "R",
@@ -755,7 +768,12 @@ def run_testfunc(cfg: dict) -> dict:
         "margin_absorbed",
         "identity_rel",
     ]
-    return _result("testfunc", resolved, columns, rows, summary, check)
+    lines = [
+        f"R={r['R']:g} margin_holder={r['margin_holder']:.4e} "
+        f"margin_absorbed={r['margin_absorbed']:.4e} identity_rel={r['identity_rel']:.3e}"
+        for r in rows
+    ]
+    return _result("testfunc", echo, columns, rows, summary, check, lines=lines)
 
 
 def _load_fields(path: str) -> dict:
@@ -804,18 +822,15 @@ def run_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     for j, job in enumerate(jobs):
         jc = _take(job, f"jobs[{j}]", ("name", "kind", "config"), {})
         name, kind = str(jc["name"]), str(jc["kind"])
-        if kind not in RUNNERS or kind == "sweep":
+        if kind not in RUNNERS:
             raise ConfigError(f"jobs[{j}]: unknown kind {kind!r}")
         if name in seen or not name or "/" in name or name.startswith("."):
             raise ConfigError(f"jobs[{j}]: bad or duplicate name {name!r}")
         seen.add(name)
         parsed.append((name, kind, jc["config"]))
 
-    resolved = {
-        "kind": "sweep",
-        "jobs": [{"name": n, "kind": k} for n, k, _ in parsed],
-        "threads": int(threads),
-    }
+    echo = _echo("sweep", c, jobs=[{"name": n, "kind": k} for n, k, _ in parsed],
+                 threads=int(threads))
 
     def _one(item):
         name, kind, sub = item
@@ -841,7 +856,9 @@ def run_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     all_passed = all(r["passed"] for r in rows)
     summary = {"jobs": len(rows), "all_passed": all_passed}
     check = {"passed": all_passed, "details": {"jobs": len(rows)}}
-    return _result("sweep", resolved, ["name", "kind", "config_hash", "passed"], rows, summary, check)
+    lines = [f"{r['name']}: {'pass' if r['passed'] else 'FAIL'}" for r in rows]
+    return _result("sweep", echo, ["name", "kind", "config_hash", "passed"], rows, summary,
+                   check, lines=lines)
 
 
 # ---------------------------------------------------------------------

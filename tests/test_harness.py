@@ -122,6 +122,71 @@ def test_emit_outputs_are_byte_identical(tmp_path):
     assert open(p1[1], "rb").read() == before
 
 
+_GRID = {"dim": 1, "size": 256, "half_length": 64.0}
+_POWER = {"family": "power", "gamma": 0.5}
+# a tiny config per subcommand, in run order (testfunc reads simulate's fields)
+_TINY = {
+    "classify": {"n": 2, "gamma": 0.5, "p": 1.8},
+    "atlas": {"n": 1, "gamma": {"min": 0.25, "max": 1.0, "count": 3},
+              "p": {"min": 1.5, "max": 4.0, "count": 4}},
+    "decay": {"grid": _GRID, "profile": {**_POWER, "scale": 0.1},
+              "times": {"start": 4.0, "ratio": 2.0, "count": 3},
+              "check": {"l2_tol": 0.4}},
+    "simulate": {"grid": _GRID, "profile": _POWER, "eps": 0.5, "p": 2.0, "dt": 0.02,
+                 "t_max": 4.5, "record_every": 5, "record_fields_every": 10,
+                 "check": {"expect_outcome": "survived"}},
+    "testfunc": {"fields": "simulate/fields.npz", "R_values": [1.0, 2.0],
+                 "time_points": 65, "check": {"max_identity_rel": 0.5}},
+    "lifespan": {"grid": _GRID, "profile": {"family": "power", "gamma": 1.0}, "p": 2.0,
+                 "eps_values": [2.0, 1.5, 1.0], "dt": 0.0625, "t_cap": 20.0,
+                 "check": {"min_uncensored": 3}},
+    "bump-check": {"grid": {"dim": 1, "size": 128, "half_length": 4.0},
+                   "exponents": [3, 5.0]},
+    "sweep": {"jobs": [{"name": "c", "kind": "classify",
+                        "config": {"n": 1, "gamma": 1.0, "p": 3.5}}]},
+}
+
+
+def test_config_echo_and_summary_lines_are_pinned(tmp_path, monkeypatch, capsys):
+    # The config echo, and so the config_hash in every output, is part of the
+    # byte-identical contract: a refactor of the runners must not move it.
+    monkeypatch.chdir(tmp_path)
+    hashes, stdout = {}, {}
+    for command, cfg in _TINY.items():
+        with open(f"{command}.cfg.json", "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        args = [command, "--config", f"{command}.cfg.json", "--out", command]
+        if command == "sweep":
+            args += ["--threads", "2"]
+        assert cli.main(args) == 0, command
+        stdout[command] = capsys.readouterr().out.splitlines()
+        with open(f"{command}/{command}.json", encoding="utf-8") as fh:
+            hashes[command] = json.load(fh)["config_hash"]
+    assert hashes == {
+        "classify": "559c8689cebf",
+        "atlas": "43ecfea5bc52",
+        "decay": "eaf73c27762c",
+        "simulate": "5a5df60964b4",
+        "testfunc": "f59d1209f12c",
+        "lifespan": "6184dcc7ae81",
+        "bump-check": "bfdd3abe7bbb",
+        "sweep": "2bf468e09fbc",
+    }
+    assert stdout["classify"] == [
+        "verdict=BlowupSubcritical tags=BlowupSubcritical,BlowupSubfujita,"
+        "BlowupSubcriticalSharp",
+        "p_fujita=2 p_crit=2.33333 gamma_min=1 p_min=2",
+        "lifespan exponent=2.0 switch_p=2.66667",
+        "wrote classify/classify.csv classify/classify.json",
+    ]
+    assert stdout["atlas"] == [
+        "raster classified: BlowupSubcritical=6 BlowupSubfujita=1 "
+        "GlobalLargeGamma=4 GlobalSupercritical=1",
+        "wrote atlas/atlas.csv atlas/atlas.json",
+    ]
+    assert stdout["sweep"] == ["c: pass", "check: pass", "wrote sweep/sweep.csv sweep/sweep.json"]
+
+
 def test_csv_layout(tmp_path):
     res = harness.run_classify({"n": 1, "gamma": 0.25, "p": 2.0})
     paths = harness.emit_outputs(res, str(tmp_path))
@@ -256,12 +321,35 @@ def test_cli_config_errors(tmp_path, capsys):
         ("simulate", simulate, {"check": {"l2_decreasing_factor": "x"}}, "l2_decreasing_factor"),
         ("simulate", simulate, {"dealias": "no"}, "dealias"),
         ("simulate", simulate, {"nonlinear": 0}, "nonlinear"),
+        # integer keys reject non-integral values instead of truncating them
+        ("simulate", simulate, {"grid": {**grid, "dim": 1.7}}, "dim"),
+        ("simulate", simulate, {"record_every": 1.9}, "record_every"),
+        ("simulate", simulate, {"record_fields_every": True}, "record_fields_every"),
+        ("bump-check", {}, {"exponents": [3, 5.5]}, "exponents"),
+        ("simulate", simulate, {"check": {"expect_outcome": "blowup"}}, "expect_outcome"),
+        ("atlas", _TINY["atlas"], {"gamma": {"min": 0.5, "max": 1.0, "count": -1}}, "gamma"),
+        ("atlas", _TINY["atlas"], {"p": {"min": 2.0, "max": 3.0, "count": 0}}, "p"),
     ]
     cfgp = tmp_path / "typed.json"
     for command, base, change, key in cases:
         cfgp.write_text(json.dumps({**base, **change}))
         assert cli.main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
         assert repr(key) in capsys.readouterr().err, (command, change)
+
+
+def test_lifespan_rel_tol_without_gamma_fails_before_stepping(tmp_path, monkeypatch, capsys):
+    def stepping(sim):
+        raise AssertionError("the ladder ran before the check was rejected")
+
+    monkeypatch.setattr(harness, "measure_lifespan", stepping)
+    cfgp = tmp_path / "lifespan.json"
+    cfgp.write_text(json.dumps({
+        "grid": _GRID, "profile": {"family": "laplacian_gaussian", "k": 1}, "p": 2.0,
+        "eps_values": [0.4, 0.2, 0.1], "dt": 0.0625, "t_cap": 20.0,
+        "check": {"rel_tol": 0.1},
+    }))
+    assert cli.main(["lifespan", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    assert "rel_tol" in capsys.readouterr().err
 
 
 def test_cli_check_failure_and_numerical_error(tmp_path, monkeypatch):
