@@ -52,11 +52,10 @@ def mollifier_samples(grid: Grid, center: float = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BumpFunction:
-    """A convolved bump and an integer power of it, with cached transforms.
+    """A convolved bump and an integer power of it.
 
-    samples/coeffs describe the base function; power_samples/power_coeffs
-    describe base**exponent, the function actually used as a spatial test
-    factor.
+    samples/coeffs describe the base function; power_samples holds
+    base**exponent, the function actually used as a spatial test factor.
     """
 
     grid: Grid
@@ -65,7 +64,6 @@ class BumpFunction:
     coeffs: SpectralField
     exponent: int
     power_samples: np.ndarray
-    power_coeffs: SpectralField
 
     def base_at(self, points: np.ndarray) -> np.ndarray:
         """Base-function values at arbitrary points via trig interpolation."""
@@ -123,7 +121,6 @@ def self_convolve(grid: Grid, seed: np.ndarray | None = None) -> BumpFunction:
         coeffs=coeffs,
         exponent=1,
         power_samples=samples,
-        power_coeffs=coeffs,
     )
 
 
@@ -142,7 +139,6 @@ def power(bump: BumpFunction, exponent: int) -> BumpFunction:
         coeffs=bump.coeffs,
         exponent=exponent,
         power_samples=psamples,
-        power_coeffs=forward_transform(bump.grid, psamples),
     )
 
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -373,3 +376,17 @@ def test_cli_check_failure_and_numerical_error(tmp_path, monkeypatch):
 
     monkeypatch.setitem(harness.RUNNERS, "atlas", exploding)
     assert cli.main(["atlas", "--config", str(cfgp), "--out", out]) == 3
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime is NumPy-only; SciPy is a test-time oracle
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    code = (
+        "import sys, dampedwave.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

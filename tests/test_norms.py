@@ -85,6 +85,12 @@ def test_zero_cell_weight_3d_against_monte_carlo():
     assert zero_cell_weight(g, gamma) == pytest.approx(est, rel=0.02)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_zero_cell_weight_is_cell_volume_at_gamma_zero(dim):
+    g = Grid(dim, 16, 10.0)
+    assert zero_cell_weight(g, 0.0) == pytest.approx(g.dxi**dim, rel=1e-13)
+
+
 def test_zero_cell_weight_infinite_at_critical_gamma():
     g = Grid(1, 64, 10.0)
     assert math.isinf(zero_cell_weight(g, 0.5))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from dampedwave.bump import power, self_convolve
 from dampedwave.errors import ConfigError
@@ -13,6 +14,8 @@ from dampedwave.solver import SimConfig, run
 from dampedwave.testfunc import (
     TestPair,
     TimeCutoff,
+    _g,
+    _g_mass,
     check_bounds,
     i_of_r,
     pairing,
@@ -38,6 +41,11 @@ def test_cutoff_profile_shape():
     assert np.all(vals[tau <= 0.5] == 1.0)
     assert np.all(vals[tau >= 1.0] == 0.0)
     assert np.all(np.diff(vals) <= 1e-12)
+
+
+def test_cutoff_mass_matches_adaptive_quadrature():
+    ref, _ = quad(lambda t: float(_g(np.array([t]))[0]), 0.5, 1.0, epsabs=1e-15)
+    assert _g_mass() == pytest.approx(ref, rel=1e-14)
 
 
 @pytest.mark.parametrize("exponent", [1, 3, 5])
