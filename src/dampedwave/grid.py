@@ -26,6 +26,7 @@ __all__ = [
     "SpectralField",
     "forward_transform",
     "inverse_transform",
+    "full_of",
     "apply_radial_multiplier",
     "evaluate_at",
 ]
@@ -190,6 +191,18 @@ def inverse_transform(fld: SpectralField) -> np.ndarray:
     SpectralField.is_conjugate_symmetric to verify when in doubt.
     """
     return _inverse_complex(fld).real
+
+
+def full_of(half: np.ndarray) -> np.ndarray:
+    """Full fftn-ordered lattice of a real field's half-spectrum.
+
+    half keeps the last axis for k = 0 .. N/2, as np.fft.rfftn returns it
+    (N even); each missing mode is filled in as fhat(-k) = conj(fhat(k)).
+    """
+    mirror = half
+    for ax in range(half.ndim - 1):
+        mirror = np.roll(np.flip(mirror, ax), 1, ax)  # index k -> -k mod N
+    return np.concatenate([half, np.conj(mirror[..., -2:0:-1])], axis=-1)
 
 
 def evaluate_at(fld: SpectralField, points: np.ndarray) -> np.ndarray:

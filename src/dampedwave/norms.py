@@ -61,11 +61,29 @@ def _check_s(s: float) -> None:
         raise ConfigError(f"s must lie in (0, 1], got {s}")
 
 
+@lru_cache(maxsize=8)
+def _hs_weight(grid: Grid, s: float) -> np.ndarray:
+    """(1 + |xi|^2)^s on the lattice, read-only and shared per (grid, s)."""
+    w = (1.0 + grid.xi2) ** s
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=8)
+def _hdotneg_weight(grid: Grid, gamma: float) -> np.ndarray:
+    """|xi|^(-2 gamma) on the lattice, 0 at the origin; read-only, shared."""
+    with np.errstate(divide="ignore"):
+        w = np.where(grid.xi2 > 0.0, grid.xi2, 1.0) ** (-gamma)
+    w[(0,) * grid.dim] = 0.0
+    w.flags.writeable = False
+    return w
+
+
 def hs_norm(fld: SpectralField, s: float) -> float:
     """Inhomogeneous H^s norm, weight (1 + |xi|^2)^(s/2)."""
     _check_s(s)
     g = fld.grid
-    w = (1.0 + g.xi2) ** s
+    w = _hs_weight(g, s)
     return float(np.sqrt(np.sum(w * np.abs(fld.coeffs) ** 2) * g.dxi**g.dim))
 
 
@@ -120,9 +138,7 @@ def hdotneg_norm(fld: SpectralField, gamma: float, policy: str) -> float:
                 f"zero mode fhat(0) = {c0:.3e} is nonzero under policy 'require_zero' "
                 f"(relative size {abs(c0) / scale:.2e})"
             )
-    with np.errstate(divide="ignore"):
-        w = np.where(g.xi2 > 0.0, g.xi2, 1.0) ** (-gamma)
-    w[origin] = 0.0
+    w = _hdotneg_weight(g, gamma)
     total = float(np.sum(w * np.abs(fld.coeffs) ** 2) * g.dxi**g.dim)
     cell = zero_cell_weight(g, gamma)
     if math.isfinite(cell):

@@ -6,7 +6,10 @@ propagator and a trapezoid rule to the memory integral of the nonlinear
 term; the kernel vanishing at zero time lag makes the displacement update
 explicit, and a predicted endpoint closes the velocity update.  The
 predicted nonlinearity is reused as the next step's left endpoint, so each
-step costs one forward and one inverse transform.
+step costs one real forward and one real inverse transform.  Fields are
+real, so the stepper holds only the half-spectrum (last axis k = 0 .. N/2,
+as np.fft.rfftn returns it); step() and initial_state() hand out the full
+lattice through grid.full_of.
 
 Second order accurate in dt.  The step size must resolve the fastest
 resolved oscillation, dt <= 1/(2 xi_max).
@@ -22,7 +25,7 @@ import numpy as np
 
 from .accel import abs_pow, correct_combine, khat_kprime, predict_combine
 from .errors import ConfigError, NumericalError
-from .grid import Grid, SpectralField
+from .grid import Grid, SpectralField, full_of
 from .norms import hdotneg_norm, hs_norm
 from .profiles import DataPair
 
@@ -80,6 +83,9 @@ class SimConfig:
             raise ConfigError("record intervals must be positive (fields: >= 0)")
         if not (self.blowup_threshold > 0.0):
             raise ConfigError("blowup_threshold must be positive")
+        # the half-spectrum stepper would silently drop a non-Hermitian part
+        if not all(f.is_conjugate_symmetric() for f in (self.data.u0, self.data.u1)):
+            raise ConfigError("data u0 and u1 must represent real physical fields")
 
     @property
     def grid(self) -> Grid:
@@ -107,7 +113,7 @@ class Trajectory:
 
 @dataclass
 class State:
-    """Solver state between steps; u_phys and nl_hat mirror uhat."""
+    """Full-lattice solver state between steps; u_phys and nl_hat mirror uhat."""
 
     grid: Grid
     uhat: np.ndarray
@@ -118,31 +124,39 @@ class State:
 
 
 class Stepper:
-    """Steps of size dt on one grid, with the multipliers computed once."""
+    """Steps of size dt on the half-spectrum `cut`, multipliers computed once."""
 
     def __init__(self, grid: Grid, dt: float, p: float, *, dealias: bool = True,
                  nonlinear: bool = True) -> None:
-        self.xi2 = grid.xi2
+        self.cut = (..., slice(0, grid.size // 2 + 1))
+        self.shape = grid.shape
+        self.axes = tuple(range(grid.dim))
+        self.xi2 = np.ascontiguousarray(grid.xi2[self.cut])
         self.p = p
         self.nonlinear = nonlinear
         self.half = 0.5 * dt
         self.kh, self.kp = khat_kprime(dt, self.xi2)
-        self.mask = grid.dealias_mask.astype(np.float64) if dealias else None
-        self.phase = grid.phase
-        self.scale = grid.transform_scale
-        self.fwd_factor = self.phase * self.scale
+        phase = grid.phase[self.cut]
+        self.inv_factor = phase / grid.transform_scale
+        self.fwd_factor = phase * grid.transform_scale
+        if dealias:
+            self.fwd_factor = self.fwd_factor * grid.dealias_mask[self.cut]
 
     def physical(self, uhat: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(uhat * self.phase).real / self.scale
+        return np.fft.irfftn(uhat * self.inv_factor, s=self.shape, axes=self.axes)
 
     def nl_coeffs(self, u_phys: np.ndarray) -> np.ndarray:
         """Dealiased coefficients of |u|^p (zero for linear runs)."""
         if not self.nonlinear:
-            return np.zeros(u_phys.shape, dtype=np.complex128)
-        out = np.fft.fftn(abs_pow(u_phys, self.p)) * self.fwd_factor
-        if self.mask is not None:
-            out *= self.mask
-        return out
+            return np.zeros(self.kh.shape, dtype=np.complex128)
+        return np.fft.rfftn(abs_pow(u_phys, self.p), axes=self.axes) * self.fwd_factor
+
+    def start(self, data: DataPair):
+        """(uhat, vhat, u_phys, nl_hat) of the eps-scaled data at t = 0."""
+        uhat = data.eps * data.u0.coeffs[self.cut]
+        vhat = data.eps * data.u1.coeffs[self.cut]
+        u_phys = self.physical(uhat)
+        return uhat, vhat, u_phys, self.nl_coeffs(u_phys)
 
     def advance(self, uhat: np.ndarray, vhat: np.ndarray, nl_hat: np.ndarray):
         """(uhat, vhat, u_phys, nl_hat) one step later."""
@@ -170,23 +184,22 @@ def _boundary_mask(grid: Grid) -> np.ndarray:
     return out
 
 
+def _full_state(grid: Grid, t: float, uhat, vhat, u_phys, nl_hat) -> State:
+    return State(grid, full_of(uhat), full_of(vhat), u_phys, full_of(nl_hat), t)
+
+
 def step(state: State, dt: float, p: float, *, dealias: bool = True,
          nonlinear: bool = True) -> State:
     """Advance one step of size dt.  Recomputes multipliers every call."""
     stepper = Stepper(state.grid, dt, p, dealias=dealias, nonlinear=nonlinear)
-    uhat, vhat, u_phys, nl_hat = stepper.advance(state.uhat, state.vhat, state.nl_hat)
-    return State(state.grid, uhat, vhat, u_phys, nl_hat, state.t + dt)
+    cut = stepper.cut
+    out = stepper.advance(state.uhat[cut], state.vhat[cut], state.nl_hat[cut])
+    return _full_state(state.grid, state.t + dt, *out)
 
 
-def initial_state(config: SimConfig, stepper: Stepper | None = None) -> State:
+def initial_state(config: SimConfig) -> State:
     """Scale the data pair by eps and prepare cached physical samples."""
-    if stepper is None:
-        stepper = _stepper(config)
-    eps = config.data.eps
-    uhat = eps * config.data.u0.coeffs
-    vhat = eps * config.data.u1.coeffs
-    u_phys = stepper.physical(uhat)
-    return State(config.grid, uhat, vhat, u_phys, stepper.nl_coeffs(u_phys), 0.0)
+    return _full_state(config.grid, 0.0, *_stepper(config).start(config.data))
 
 
 def run(config: SimConfig) -> Trajectory:
@@ -199,9 +212,9 @@ def run(config: SimConfig) -> Trajectory:
     """
     g = config.grid
     stepper = _stepper(config)
-    state = initial_state(config, stepper)
+    uhat, vhat, u_phys, nl_hat = stepper.start(config.data)
 
-    linf0 = float(np.max(np.abs(state.u_phys)))
+    linf0 = float(np.max(np.abs(u_phys)))
     if linf0 >= config.blowup_threshold:
         raise ConfigError(
             f"initial amplitude {linf0:.3g} already at the blow-up "
@@ -223,7 +236,7 @@ def run(config: SimConfig) -> Trajectory:
 
     def record(t: float, u_phys: np.ndarray, uhat: np.ndarray) -> None:
         nonlocal boundary_ratio
-        fld = SpectralField(g, uhat)
+        fld = SpectralField(g, full_of(uhat))
         times.append(t)
         l2s.append(float(math.sqrt(np.sum(u_phys * u_phys) * vol)))
         top = float(np.max(np.abs(u_phys)))
@@ -234,14 +247,13 @@ def run(config: SimConfig) -> Trajectory:
             ratio = float(np.max(np.abs(u_phys[bmask]))) / top
             boundary_ratio = max(boundary_ratio, ratio)
 
-    record(0.0, state.u_phys, state.uhat)
+    record(0.0, u_phys, uhat)
     if config.record_fields_every > 0:
         ftimes.append(0.0)
-        fsnaps.append(state.u_phys.copy())
+        fsnaps.append(u_phys.copy())
 
     outcome = "survived"
     t_blowup: float | None = None
-    uhat, vhat, u_phys, nl_hat = state.uhat, state.vhat, state.u_phys, state.nl_hat
     steps_taken = 0
 
     for n in range(1, n_steps + 1):

@@ -10,6 +10,7 @@ from dampedwave.grid import (
     apply_radial_multiplier,
     evaluate_at,
     forward_transform,
+    full_of,
     inverse_transform,
 )
 
@@ -133,3 +134,13 @@ def test_grid_equality_and_caching():
     b = Grid(1, 64, 8.0)
     assert a == b
     assert a.xi2 is a.xi2  # cached property returns one array
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_full_of_restores_the_half_spectrum_of_real_data(dim):
+    g = Grid(dim, 8, 4.0)
+    noise = np.random.default_rng(dim).standard_normal(g.shape)
+    coeffs = forward_transform(g, noise).coeffs
+    full = full_of(coeffs[..., : g.size // 2 + 1])
+    assert full.shape == g.shape
+    assert np.max(np.abs(full - coeffs)) <= 1e-15 * np.max(np.abs(coeffs))

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from dampedwave.dispersion import propagate_linear
 from dampedwave.errors import ConfigError
-from dampedwave.grid import Grid, forward_transform
+from dampedwave.grid import Grid, SpectralField, forward_transform
 from dampedwave.profiles import DataPair, assemble_pair
 from dampedwave.solver import (
     SimConfig,
@@ -28,8 +28,12 @@ def constant_pair(grid: Grid, c0: float, c1: float, eps: float = 1.0) -> DataPai
 
 
 def gaussian_pair(grid: Grid, eps: float) -> DataPair:
-    field = forward_transform(grid, np.exp(-grid.x_axis**2))
-    return assemble_pair(field, eps)
+    r2 = grid.x_axis**2 if grid.dim == 1 else grid.x_abs**2
+    return assemble_pair(forward_transform(grid, np.exp(-r2)), eps)
+
+
+# (dim, size) of the 2D and 3D variants of the 1D Gaussian tests
+_MULTI_D = [pytest.param(2, 32, id="2d"), pytest.param(3, 16, id="3d")]
 
 
 def ode_solution(p: float, u0: float, v0: float, t_end: float):
@@ -43,7 +47,15 @@ def ode_solution(p: float, u0: float, v0: float, t_end: float):
 
 
 def test_linear_run_matches_exact_propagator():
-    g = Grid(1, 64, 16.0)
+    check_linear_run_matches_exact_propagator(Grid(1, 64, 16.0))
+
+
+@pytest.mark.parametrize("dim,size", _MULTI_D)
+def test_linear_run_matches_exact_propagator_multi_d(dim, size):
+    check_linear_run_matches_exact_propagator(Grid(dim, size, 8.0))
+
+
+def check_linear_run_matches_exact_propagator(g: Grid):
     pair = gaussian_pair(g, 0.7)
     dt, n = 0.05, 60
     cfg = SimConfig(data=pair, p=2.0, dt=dt, t_max=n * dt, nonlinear=False)
@@ -164,13 +176,21 @@ def test_run_is_deterministic():
 
 
 def test_run_matches_repeated_step():
-    g = Grid(1, 64, 8.0)
+    check_run_matches_repeated_step(Grid(1, 64, 8.0))
+
+
+@pytest.mark.parametrize("dim,size", _MULTI_D)
+def test_run_matches_repeated_step_multi_d(dim, size):
+    check_run_matches_repeated_step(Grid(dim, size, 8.0))
+
+
+def check_run_matches_repeated_step(g: Grid):
     cfg = SimConfig(data=gaussian_pair(g, 0.3), p=2.0, dt=0.02, t_max=0.2)
     traj = run(cfg)
     state = initial_state(cfg)
     for _ in range(10):
         state = step(state, cfg.dt, cfg.p)
-    vol = g.dx
+    vol = g.dx**g.dim
     l2 = math.sqrt(float(np.sum(state.u_phys**2)) * vol)
     assert traj.times[-1] == pytest.approx(0.2, abs=1e-12)
     assert traj.linf[-1] == pytest.approx(float(np.max(np.abs(state.u_phys))), rel=1e-13)
@@ -224,6 +244,16 @@ def test_config_validation():
         SimConfig(data=pair, p=2.0, dt=0.02, t_max=1.0, blowup_threshold=0.0)
     # linear runs accept p at or below 1
     SimConfig(data=pair, p=1.0, dt=0.02, t_max=1.0, nonlinear=False)
+
+
+def test_non_real_data_is_rejected():
+    g = Grid(1, 64, 8.0)
+    pair = gaussian_pair(g, 0.3)
+    # a hand-built pair bypasses assemble_pair's realness check
+    rotated = DataPair(u0=SpectralField(g, 1j * pair.u0.coeffs), u1=pair.u1,
+                       eps=0.3, family="rotated")
+    with pytest.raises(ConfigError, match="real"):
+        SimConfig(data=rotated, p=2.0, dt=0.02, t_max=1.0)
 
 
 def test_initial_amplitude_already_over_threshold():
