@@ -109,24 +109,17 @@ class RegionVerdict:
 
     verdict: str
     blowup_tags: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
+
+
+def _supercritical_s_ok(n: int, p: float, s: float) -> bool:
+    # nonlinearity must act on H^s: below-2s dimensions are unconstrained,
+    # above them p is capped by the Sobolev embedding exponent
+    return n <= 2.0 * s or p <= n / (n - 2.0 * s)
 
 
 def _global_large_gamma(n: int, gamma: float, p: float, s: float) -> bool:
     th = thm_thresholds(n)
-    if gamma < th.gamma_min or p <= th.p_min:
-        return False
-    # nonlinearity must act on H^s: below-2s dimensions are unconstrained,
-    # above them p is capped by the Sobolev embedding exponent
-    if n <= 2.0 * s:
-        return True
-    return p <= n / (n - 2.0 * s)
-
-
-def _supercritical_s_ok(n: int, p: float, s: float) -> bool:
-    if n <= 2.0 * s:
-        return True
-    return p <= n / (n - 2.0 * s)
+    return gamma >= th.gamma_min and p > th.p_min and _supercritical_s_ok(n, p, s)
 
 
 def classify(n: int, gamma: float, p: float, s: float) -> RegionVerdict:

@@ -203,22 +203,14 @@ def build_pair(grid: Grid, profile_cfg: dict, eps: float) -> tuple[DataPair, dic
 # fitting
 
 
+@dataclasses.dataclass(frozen=True)
 class FitResult:
     """Least-squares power law y = C x^slope, fitted in log-log."""
 
-    def __init__(self, slope: float, intercept: float, r2: float, count: int):
-        self.slope = slope
-        self.intercept = intercept
-        self.r2 = r2
-        self.count = count
-
-    def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "count": self.count,
-        }
+    slope: float
+    intercept: float
+    r2: float
+    count: int
 
 
 def fit_powerlaw(x, y) -> FitResult:
@@ -333,8 +325,8 @@ def run_decay(cfg: dict) -> dict:
     expected_l2 = -gamma / 2.0
     expected_semi = -(s + gamma) / 2.0
     summary = {
-        "l2_fit": l2_fit.as_dict(),
-        "seminorm_fit": semi_fit.as_dict(),
+        "l2_fit": dataclasses.asdict(l2_fit),
+        "seminorm_fit": dataclasses.asdict(semi_fit),
         "expected_l2_slope": expected_l2,
         "expected_seminorm_slope": expected_semi,
         "hdotneg_first": rows[0]["hdotneg"],
@@ -437,7 +429,7 @@ def run_lifespan(cfg: dict) -> dict:
         fit = fit_powerlaw(
             [1.0 / r["eps"] for r in fitted], [r["t_b"] for r in fitted]
         )
-        summary["fit"] = fit.as_dict()
+        summary["fit"] = dataclasses.asdict(fit)
         summary["measured_exponent"] = fit.slope
 
     check = None
@@ -706,18 +698,22 @@ def run_testfunc(cfg: dict) -> dict:
         c, "testfunc check", {"min_margin": 0.0, "max_identity_rel": 0.05},
         {"min_margin": float, "max_identity_rel": float},
     )
+    if not c["R_values"]:
+        raise ConfigError("testfunc config: 'R_values' must not be empty")
     data = _load_fields(c["fields"])
     grid: Grid = data["grid"]
+    bgrid = build_grid(c["bump_grid"])
+    if bgrid.dim != grid.dim:
+        raise ConfigError(
+            f"testfunc config: 'bump_grid' has dim {bgrid.dim} but the fields "
+            f"archive has dim {grid.dim}"
+        )
     p = data["p"]
     l = c["exponent"] if c["exponent"] is not None else required_power(p)
-    bgrid = build_grid(c["bump_grid"])
     echo = _echo("testfunc", c, exponent=l, bump_grid=dataclasses.asdict(bgrid))
 
     bump = bump_power(self_convolve(bgrid), l)
-    weight = testfunc.weight_constant(
-        p, l, dim=grid.dim, size=bgrid.size, half_length=bgrid.half_length,
-        time_points=c["time_points"],
-    )
+    weight = testfunc.weight_constant(p, bump, time_points=c["time_points"])
     rows = []
     for R in c["R_values"]:
         pair = testfunc.TestPair(bump=bump, R=float(R))

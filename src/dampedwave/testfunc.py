@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bump import BumpFunction, required_power, self_convolve
+from .bump import BumpFunction, power, self_convolve
 from .errors import ConfigError
 from .grid import Grid, SpectralField, evaluate_at
 from .profiles import DataPair
@@ -309,27 +309,17 @@ class WeightReport:
     rel_change_literal: float
 
 
-def _bump_for(dim: int, size: int, half_length: float) -> BumpFunction:
-    return self_convolve(Grid(dim, size, half_length))
+def _weight_integrals(
+    bump: BumpFunction, p: float, R: float | None, time_points: int
+) -> tuple[float, float]:
+    """(dominating, literal) weighted integrals of bump's test function.
 
-
-def _weight_integral(
-    bump: BumpFunction,
-    p: float,
-    l: int,
-    R: float | None,
-    time_points: int,
-    variant: str,
-) -> float:
-    """Core quadrature shared by weight_constant and scaled_weight.
-
-    R = None computes the unit-scale constant (every term at weight one);
+    R = None computes the unit-scale constants (every term at weight one);
     a float R applies the dilation factors R^-4 / R^-2 and the volume
-    factor R^(n+2).  variant selects the signed ("literal") or termwise
-    absolute ("dominating") combination.
+    factor R^(n+2).  dominating sums the absolute values of the three
+    terms, literal takes the absolute value of their signed sum.
     """
-    if variant not in ("dominating", "literal"):
-        raise ConfigError(f"unknown variant {variant!r}")
+    l = bump.exponent
     pprime = p / (p - 1.0)
     surplus = l - 2.0 * pprime
     if surplus <= 0.0:
@@ -363,52 +353,45 @@ def _weight_integral(
     tw[-1] *= 0.5
 
     B2 = B * B
-    total = 0.0
+    dominating = 0.0
+    literal = 0.0
     for j in range(time_points):
         cj, Ej, cpj = c[j], E[j], cp[j]
-        if variant == "literal":
-            bracket = np.abs(r4 * B2 * Ej - r2 * B2 * (l * cj * cpj) - r2 * cj * cj * D)
-        else:
-            bracket = r4 * B2 * np.abs(Ej) + r2 * B2 * (l * cj * np.abs(cpj)) + (
-                r2 * cj * cj * np.abs(D)
-            )
-        density = (B * cj) ** surplus * bracket**pprime
-        total += tw[j] * float(density.sum()) * vol
-    return total * vol_factor
+        vanish = (B * cj) ** surplus
+        dom = r4 * B2 * np.abs(Ej) + r2 * B2 * (l * cj * np.abs(cpj)) + (
+            r2 * cj * cj * np.abs(D)
+        )
+        lit = np.abs(r4 * B2 * Ej - r2 * B2 * (l * cj * cpj) - r2 * cj * cj * D)
+        dominating += tw[j] * float((vanish * dom**pprime).sum()) * vol
+        literal += tw[j] * float((vanish * lit**pprime).sum()) * vol
+    return dominating * vol_factor, literal * vol_factor
 
 
 def weight_constant(
-    p: float,
-    exponent: int | None = None,
-    dim: int = 1,
-    size: int = 512,
-    half_length: float = 4.0,
-    time_points: int = 513,
-    refine: bool = True,
+    p: float, bump: BumpFunction, time_points: int = 513, refine: bool = True
 ) -> WeightReport:
-    """Unit-scale weighted integral of the powered bump test function.
+    """Unit-scale weighted integral of bump's test function.
 
-    Builds its own bump so quadrature refinement can rebuild on a finer
-    grid; exponent defaults to the smallest admissible integer for p.
+    Refinement doubles the bump grid's size (same box) and the time
+    points, and reports the finer values with their relative change.
     """
-    l = required_power(p) if exponent is None else int(exponent)
-    bump = _bump_for(dim, size, half_length)
-    dom = _weight_integral(bump, p, l, None, time_points, "dominating")
-    lit = _weight_integral(bump, p, l, None, time_points, "literal")
+    dom, lit = _weight_integrals(bump, p, None, time_points)
     rel_d = math.nan
     rel_l = math.nan
     if refine:
-        fine_bump = _bump_for(dim, size * 2, half_length)
+        g = bump.grid
+        fine_bump = power(
+            self_convolve(Grid(g.dim, 2 * g.size, g.half_length)), bump.exponent
+        )
         fine_t = 2 * (time_points - 1) + 1
-        dom2 = _weight_integral(fine_bump, p, l, None, fine_t, "dominating")
-        lit2 = _weight_integral(fine_bump, p, l, None, fine_t, "literal")
+        dom2, lit2 = _weight_integrals(fine_bump, p, None, fine_t)
         rel_d = abs(dom2 - dom) / dom2 if dom2 else math.nan
         rel_l = abs(lit2 - lit) / lit2 if lit2 else math.nan
         dom, lit = dom2, lit2
     return WeightReport(
         p=p,
-        exponent=l,
-        dim=dim,
+        exponent=bump.exponent,
+        dim=bump.grid.dim,
         dominating=dom,
         literal=lit,
         rel_change_dominating=rel_d,
@@ -417,25 +400,15 @@ def weight_constant(
 
 
 def scaled_weight(
-    p: float,
-    exponent: int,
-    R: float,
-    dim: int = 1,
-    size: int = 512,
-    half_length: float = 4.0,
-    time_points: int = 513,
-    variant: str = "dominating",
-    bump: BumpFunction | None = None,
+    p: float, bump: BumpFunction, R: float, time_points: int = 513
 ) -> float:
-    """Weighted integral of the scaled test function phi_R eta_R.
+    """Dominating weighted integral of the scaled test function phi_R eta_R.
 
-    For R >= 1 the dominating variant is bounded by the unit-scale
-    constant times R^(n + 2 - 2 p'), which is what the absorbed bound
-    uses; the ratio of the two measures the slack.
+    For R >= 1 it is bounded by the unit-scale constant times
+    R^(n + 2 - 2 p'), which is what the absorbed bound uses; the ratio of
+    the two measures the slack.
     """
-    if bump is None:
-        bump = _bump_for(dim, size, half_length)
-    return _weight_integral(bump, p, int(exponent), float(R), time_points, variant)
+    return _weight_integrals(bump, p, float(R), time_points)[0]
 
 
 # ---------------------------------------------------------------------
@@ -463,8 +436,6 @@ class BoundReport:
     margin_absorbed: float
     identity_residual: float
     identity_scale: float
-    weight_dominating: float
-    scaled_weight_dominating: float
 
 
 def check_bounds(
@@ -474,7 +445,7 @@ def check_bounds(
     data: DataPair,
     p: float,
     pair: TestPair,
-    weight: WeightReport | None = None,
+    weight: WeightReport,
 ) -> BoundReport:
     """Evaluate both weak-solution inequalities on recorded fields.
 
@@ -484,8 +455,6 @@ def check_bounds(
     """
     times = np.asarray(times, dtype=np.float64)
     _check_fields(times, snapshots, pair)
-    if weight is None:
-        weight = weight_constant(p, pair.exponent, dim=grid.dim)
     if weight.exponent != pair.exponent:
         raise ConfigError("weight constant was computed for a different exponent")
     pprime = p / (p - 1.0)
@@ -518,16 +487,6 @@ def check_bounds(
     scale = max(abs(ival), abs(data_term), abs(j_val))
     residual = ival - data_term - j_val
 
-    swd = scaled_weight(
-        p,
-        pair.exponent,
-        R,
-        dim=grid.dim,
-        size=pair.bump.grid.size,
-        half_length=pair.bump.grid.half_length,
-        bump=pair.bump,
-    )
-
     return BoundReport(
         R=R,
         i_value=ival,
@@ -538,6 +497,4 @@ def check_bounds(
         margin_absorbed=absorbed_rhs - ival,
         identity_residual=residual,
         identity_scale=scale,
-        weight_dominating=W,
-        scaled_weight_dominating=swd,
     )

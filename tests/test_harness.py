@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from dampedwave import cli, exponents, harness
+from dampedwave import cli, exponents, harness, testfunc
 from dampedwave.errors import ConfigError, NumericalError
 from dampedwave.grid import Grid
 
@@ -332,6 +332,9 @@ def test_cli_config_errors(tmp_path, capsys):
         ("simulate", simulate, {"check": {"expect_outcome": "blowup"}}, "expect_outcome"),
         ("atlas", _TINY["atlas"], {"gamma": {"min": 0.5, "max": 1.0, "count": -1}}, "gamma"),
         ("atlas", _TINY["atlas"], {"p": {"min": 2.0, "max": 3.0, "count": 0}}, "p"),
+        # an empty R list would pass --check with nothing checked; the fields
+        # path does not exist, so the error must come before it is read
+        ("testfunc", {"fields": str(tmp_path / "none.npz")}, {"R_values": []}, "R_values"),
     ]
     cfgp = tmp_path / "typed.json"
     for command, base, change, key in cases:
@@ -353,6 +356,51 @@ def test_lifespan_rel_tol_without_gamma_fails_before_stepping(tmp_path, monkeypa
     }))
     assert cli.main(["lifespan", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
     assert "rel_tol" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fields_2d(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sim2d")
+    cfgp = out / "simulate.cfg.json"
+    cfgp.write_text(json.dumps({
+        "grid": {"dim": 2, "size": 128, "half_length": 64.0}, "profile": {"family": "power", "gamma": 1.0},
+        "eps": 0.05, "p": 2.0, "dt": 0.125, "t_max": 17.0, "record_fields_every": 2,
+    }))
+    assert cli.main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
+    return str(out / "fields.npz")
+
+
+def test_testfunc_2d_run_passes_the_weak_form_check(fields_2d, tmp_path, capsys):
+    # R = 4 because the target grid has dx = 1: at R = 2 phi_R spans only 4
+    # cells per radius, and the spatial quadrature error alone puts
+    # identity_rel near 0.75
+    cfgp = tmp_path / "testfunc.json"
+    cfgp.write_text(json.dumps({
+        "fields": fields_2d, "R_values": [4.0],
+        "bump_grid": {"dim": 2, "size": 32, "half_length": 4.0},
+        "time_points": 129, "check": {},
+    }))
+    out = str(tmp_path / "o")
+    assert cli.main(["testfunc", "--config", str(cfgp), "--out", out, "--check"]) == 0
+    assert "check: pass" in capsys.readouterr().out
+    with open(f"{out}/testfunc.json", encoding="utf-8") as fh:
+        (row,) = json.load(fh)["rows"]
+    assert row["identity_rel"] < 0.01
+
+
+def test_testfunc_bump_dim_mismatch_fails_before_weights(fields_2d, tmp_path, monkeypatch,
+                                                        capsys):
+    def building(*args, **kwargs):
+        raise AssertionError("a bump or weight was built before the check was rejected")
+
+    monkeypatch.setattr(testfunc, "weight_constant", building)
+    monkeypatch.setattr(harness, "self_convolve", building)
+    cfgp = tmp_path / "testfunc.json"
+    # the default bump_grid is 1D
+    cfgp.write_text(json.dumps({"fields": fields_2d, "R_values": [4.0]}))
+    assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'bump_grid' has dim 1" in err and "archive has dim 2" in err
 
 
 def test_cli_check_failure_and_numerical_error(tmp_path, monkeypatch):

@@ -70,12 +70,13 @@ def test_cutoff_and_pair_validation(bump5):
 
 def test_weight_requires_integrable_surplus():
     # p' = 2 needs exponent strictly above 4
+    bump4 = power(self_convolve(Grid(1, 64, 4.0)), 4)
     with pytest.raises(ConfigError):
-        weight_constant(2.0, exponent=4, size=64, time_points=33, refine=False)
+        weight_constant(2.0, bump4, time_points=33, refine=False)
 
 
-def test_weight_refinement_is_stable():
-    rep = weight_constant(2.0)
+def test_weight_refinement_is_stable(bump5):
+    rep = weight_constant(2.0, bump5)
     assert rep.exponent == 5
     assert rep.dominating > rep.literal > 0.0
     assert rep.rel_change_dominating < 0.01
@@ -83,16 +84,16 @@ def test_weight_refinement_is_stable():
 
 
 def test_scaled_weight_bounded_by_unit_constant(bump5):
-    rep = weight_constant(2.0, exponent=5, refine=False)
+    rep = weight_constant(2.0, bump5, refine=False)
     expo = 1 + 2 - 2 * 2.0  # n + 2 - 2 p'
     for R in (2.0, 8.0, 32.0):
-        s = scaled_weight(2.0, 5, R)
+        s = scaled_weight(2.0, bump5, R)
         assert s <= rep.dominating * R**expo * (1.0 + 1e-9)
 
 
 def test_scaled_weight_asymptotic_ratio(bump5):
-    s128 = scaled_weight(2.0, 5, 128.0)
-    s256 = scaled_weight(2.0, 5, 256.0)
+    s128 = scaled_weight(2.0, bump5, 128.0)
+    s256 = scaled_weight(2.0, bump5, 256.0)
     # n + 2 - 2p' = -1, so doubling R should halve the integral in the limit
     assert s256 / s128 == pytest.approx(0.5, rel=0.01)
 
@@ -166,7 +167,7 @@ def test_check_bounds_on_small_run(bump5):
     traj = run(cfg)
     assert traj.outcome == "survived"
     pair = TestPair(bump5, 2.0)
-    weight = weight_constant(2.0, exponent=5)
+    weight = weight_constant(2.0, bump5)
     rep = check_bounds(
         traj.field_times, traj.field_snapshots, g, data, 2.0, pair, weight
     )
@@ -174,11 +175,9 @@ def test_check_bounds_on_small_run(bump5):
     assert rep.margin_holder > 0.0
     assert rep.margin_absorbed > 0.0
     assert abs(rep.identity_residual) < 0.05 * rep.identity_scale
-    assert rep.scaled_weight_dominating <= rep.weight_dominating * pair.R ** (-1.0) * (
-        1.0 + 1e-9
-    )
     # a weight constant computed for another exponent is rejected
-    other = weight_constant(2.5, exponent=7, size=128, time_points=65, refine=False)
+    bump7 = power(self_convolve(Grid(1, 128, 4.0)), 7)
+    other = weight_constant(2.5, bump7, time_points=65, refine=False)
     with pytest.raises(ConfigError):
         check_bounds(
             traj.field_times, traj.field_snapshots, g, data, 2.0, pair, other
