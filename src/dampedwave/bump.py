@@ -38,12 +38,8 @@ def mollifier_samples(grid: Grid, center: float = 0.0) -> np.ndarray:
     center shifts every axis by the same amount; nonzero centers exist to
     exercise failure modes of the origin-symmetry checks.
     """
-    axes = np.meshgrid(
-        *([grid.x_axis - center] * grid.dim), indexing="ij", sparse=True
-    )
-    r2 = np.zeros(grid.shape)
-    for a in axes:
-        r2 = r2 + a * a
+    x = grid.x_axis - center
+    r2 = grid.lattice(x * x, np.add)
     out = np.zeros(grid.shape)
     inside = r2 < 1.0
     out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
@@ -83,11 +79,7 @@ def _support_half_width(grid: Grid, samples: np.ndarray) -> float:
     mask = np.abs(samples) > _SUPPORT_RTOL * np.max(np.abs(samples))
     if not mask.any():
         raise ConfigError("seed is identically zero")
-    width = 0.0
-    axes = np.meshgrid(*([grid.x_axis] * grid.dim), indexing="ij", sparse=True)
-    for a in axes:
-        width = max(width, float(np.max(np.abs(np.broadcast_to(a, grid.shape)[mask]))))
-    return width
+    return float(np.max(grid.lattice(np.abs(grid.x_axis), np.maximum)[mask]))
 
 
 def self_convolve(grid: Grid, seed: np.ndarray | None = None) -> BumpFunction:

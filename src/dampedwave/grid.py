@@ -7,14 +7,18 @@ use the unitary convention
     fhat(xi) = (2 pi)^(-n/2) * integral f(x) exp(-i x.xi) dx,
 
 discretised with Riemann weight dx^n, so a centred Gaussian e^{-|x|^2/2}
-maps to e^{-|xi|^2/2} and the discrete Parseval identity
-sum |f|^2 dx^n = sum |fhat|^2 dxi^n holds exactly.
+maps to e^{-|xi|^2/2}.  Every field is real, so a SpectralField and the
+Grid's spectral arrays hold only the half-spectrum that np.fft.rfftn
+returns (last axis k = 0 .. N/2); the discrete Parseval identity
+sum |f|^2 dx^n = sum w |fhat|^2 dxi^n holds exactly with the column
+weight w = 1 at k = 0 and k = N/2 and w = 2 elsewhere.  full_of rebuilds
+the full fftn lattice for off-lattice interpolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -89,14 +93,27 @@ class Grid:
     def xi_axis(self) -> np.ndarray:
         return self.dxi * self.k_axis
 
+    @property
+    def spectral_shape(self) -> tuple:
+        """Shape of the half-spectrum: the last axis keeps k = 0 .. N/2."""
+        return self.shape[:-1] + (self.size // 2 + 1,)
+
+    def lattice(self, per_axis: np.ndarray, op: Callable, *, half: bool = False) -> np.ndarray:
+        """op folded over the axes: out[i0, .., i(n-1)] = op(v[i0], .., v[i(n-1)]).
+
+        per_axis holds one value per axis index; half=True cuts the last
+        axis to the spectral_shape, keeping fftn ordering (so its last
+        entry is the Nyquist mode k = -N/2).
+        """
+        cols = [per_axis] * self.dim
+        if half:
+            cols[-1] = per_axis[: self.spectral_shape[-1]]
+        return reduce(op, np.meshgrid(*cols, indexing="ij", sparse=True))
+
     @cached_property
     def xi2(self) -> np.ndarray:
-        """|xi|^2 on the full frequency lattice."""
-        axes = np.meshgrid(*([self.xi_axis] * self.dim), indexing="ij", sparse=True)
-        out = np.zeros(self.shape)
-        for a in axes:
-            out = out + a * a
-        return out
+        """|xi|^2 on the half-spectrum."""
+        return self.lattice(self.xi_axis * self.xi_axis, np.add, half=True)
 
     @cached_property
     def xi_abs(self) -> np.ndarray:
@@ -104,43 +121,38 @@ class Grid:
 
     @cached_property
     def phase(self) -> np.ndarray:
-        """(-1)^(k1+...+kn): shifts the DFT origin to x = -L."""
-        sign = 1.0 - 2.0 * (np.abs(self.k_axis) % 2)
-        axes = np.meshgrid(*([sign] * self.dim), indexing="ij", sparse=True)
-        out = np.ones(self.shape)
-        for a in axes:
-            out = out * a
-        return out
+        """(-1)^(k1+...+kn) on the half-spectrum: shifts the DFT origin to x = -L."""
+        return self.lattice(1.0 - 2.0 * (np.abs(self.k_axis) % 2), np.multiply, half=True)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Two-thirds rule mask: keeps |k| <= N/3 per axis."""
-        keep = np.abs(self.k_axis) <= self.size // 3
-        axes = np.meshgrid(*([keep] * self.dim), indexing="ij", sparse=True)
-        out = np.ones(self.shape, dtype=bool)
-        for a in axes:
-            out = out & a
-        return out
+        """Two-thirds rule mask on the half-spectrum: keeps |k| <= N/3 per axis."""
+        return self.lattice(np.abs(self.k_axis) <= self.size // 3, np.logical_and, half=True)
+
+    @cached_property
+    def column_weight(self) -> np.ndarray:
+        """Modes each half-spectrum column stands for: 1 at k = 0 and N/2, else 2."""
+        w = np.full(self.spectral_shape[-1], 2.0)
+        w[[0, -1]] = 1.0
+        return w
 
     @cached_property
     def x_abs(self) -> np.ndarray:
         """|x| on the physical lattice."""
-        axes = np.meshgrid(*([self.x_axis] * self.dim), indexing="ij", sparse=True)
-        out = np.zeros(self.shape)
-        for a in axes:
-            out = out + a * a
-        return np.sqrt(out)
+        return np.sqrt(self.lattice(self.x_axis * self.x_axis, np.add))
 
     def zeros_spectral(self) -> np.ndarray:
-        return np.zeros(self.shape, dtype=np.complex128)
+        return np.zeros(self.spectral_shape, dtype=np.complex128)
 
 
 @dataclass
 class SpectralField:
-    """A field stored by its spectral coefficients on a Grid.
+    """A real field stored by its half-spectrum on a Grid.
 
-    coeffs follow numpy fftn ordering and approximate the continuum unitary
-    transform evaluated at xi_k (the -L origin phase is already folded in).
+    coeffs follow numpy rfftn ordering (last axis k = 0 .. N/2) and
+    approximate the continuum unitary transform evaluated at xi_k (the -L
+    origin phase is already folded in); the modes left out are the
+    conjugates fhat(-k) = conj(fhat(k)) of a real field.
     """
 
     grid: Grid
@@ -148,49 +160,36 @@ class SpectralField:
 
     def __post_init__(self) -> None:
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != self.grid.shape:
+        if self.coeffs.shape != self.grid.spectral_shape:
             raise ConfigError(
-                f"coeffs shape {self.coeffs.shape} does not match grid shape {self.grid.shape}"
+                f"coeffs shape {self.coeffs.shape} does not match the half-spectrum "
+                f"shape {self.grid.spectral_shape} of the grid"
             )
 
     def physical(self) -> np.ndarray:
-        """Inverse transform to physical samples (real part; see inverse_transform)."""
+        """Inverse transform to physical samples."""
         return inverse_transform(self)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
 
-    def is_conjugate_symmetric(self, tol: float = 1e-10) -> bool:
-        """True when the field represents a real physical function."""
-        phys = _inverse_complex(self)
-        scale = np.max(np.abs(phys)) or 1.0
-        return bool(np.max(np.abs(phys.imag)) <= tol * scale)
-
 
 def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralField:
-    """Transform physical samples on the grid to a SpectralField."""
+    """Transform real physical samples on the grid to a SpectralField."""
     samples = np.asarray(samples)
     if samples.shape != grid.shape:
         raise ConfigError(
             f"samples shape {samples.shape} does not match grid shape {grid.shape}"
         )
-    coeffs = np.fft.fftn(samples) * (grid.phase * grid.transform_scale)
+    coeffs = np.fft.rfftn(samples) * (grid.phase * grid.transform_scale)
     return SpectralField(grid, coeffs)
 
 
-def _inverse_complex(fld: SpectralField) -> np.ndarray:
-    g = fld.grid
-    return np.fft.ifftn(fld.coeffs * g.phase) / g.transform_scale
-
-
 def inverse_transform(fld: SpectralField) -> np.ndarray:
-    """Physical samples of the field.
-
-    Returns the real part; coefficients of real fields satisfy conjugate
-    symmetry and the imaginary residue is roundoff.  Use
-    SpectralField.is_conjugate_symmetric to verify when in doubt.
-    """
-    return _inverse_complex(fld).real
+    """Real physical samples of the field."""
+    g = fld.grid
+    axes = tuple(range(g.dim))
+    return np.fft.irfftn(fld.coeffs * g.phase, s=g.shape, axes=axes) / g.transform_scale
 
 
 def full_of(half: np.ndarray) -> np.ndarray:
@@ -221,9 +220,10 @@ def evaluate_at(fld: SpectralField, points: np.ndarray) -> np.ndarray:
         raise ConfigError(f"points must have shape (m, {g.dim})")
     norm = g.dxi**g.dim / (2.0 * np.pi) ** (g.dim / 2.0)
     xi = np.asarray(g.xi_axis)
+    full = full_of(fld.coeffs)  # the Nyquist mode sits at xi = -xi_max
     out = np.empty(pts.shape[0], dtype=np.complex128)
     for i, x in enumerate(pts):
-        acc = fld.coeffs
+        acc = full
         for d in range(g.dim):
             acc = np.tensordot(acc, np.exp(1j * x[d] * xi), axes=([0], [0]))
         out[i] = acc
@@ -245,8 +245,8 @@ def apply_radial_multiplier(
     """
     g = fld.grid
     m = np.asarray(multiplier(g.xi_abs), dtype=np.float64)
-    if m.shape != g.shape:
-        raise ConfigError("multiplier must return one value per lattice point")
+    if m.shape != g.spectral_shape:
+        raise ConfigError("multiplier must return one value per half-spectrum mode")
     origin = (0,) * g.dim
     if isinstance(zero_mode, str):
         if zero_mode != "evaluate":

@@ -764,8 +764,10 @@ def run_testfunc(cfg: dict) -> dict:
         "margin_absorbed",
         "identity_rel",
     ]
+    # phi_R reaches radius 2R: few cells there leave the spatial sums coarse
     lines = [
-        f"R={r['R']:g} margin_holder={r['margin_holder']:.4e} "
+        f"R={r['R']:g} cells_per_radius={2.0 * r['R'] / grid.dx:g} "
+        f"margin_holder={r['margin_holder']:.4e} "
         f"margin_absorbed={r['margin_absorbed']:.4e} identity_rel={r['identity_rel']:.3e}"
         for r in rows
     ]

@@ -1,9 +1,10 @@
 """Lebesgue and Sobolev-type norms on spectral grids.
 
 Physical L^p norms are Riemann sums with weight dx^n.  Frequency-side norms
-are midpoint sums with weight dxi^n; the inhomogeneous H^s norm weights
-coefficients by (1 + |xi|^2)^(s/2) and the negative-order norm by
-|xi|^(-gamma).
+are midpoint sums with weight dxi^n over the half-spectrum, each column
+counted for the modes it stands for (Grid.column_weight, folded into the
+cached weights); the inhomogeneous H^s norm weights coefficients by
+(1 + |xi|^2)^(s/2) and the negative-order norm by |xi|^(-gamma).
 
 The |xi|^(-gamma) weight is singular, so the k = 0 cell needs care.  Policy
 "require_zero" demands fhat(0) = 0 (to roundoff) and sums over k != 0.
@@ -61,38 +62,48 @@ def _check_s(s: float) -> None:
         raise ConfigError(f"s must lie in (0, 1], got {s}")
 
 
-@lru_cache(maxsize=8)
-def _hs_weight(grid: Grid, s: float) -> np.ndarray:
-    """(1 + |xi|^2)^s on the lattice, read-only and shared per (grid, s)."""
-    w = (1.0 + grid.xi2) ** s
+def _frozen(grid: Grid, w: np.ndarray) -> np.ndarray:
+    """w times the grid's column weight, read-only and shared by the caches."""
+    w = w * grid.column_weight
     w.flags.writeable = False
     return w
+
+
+@lru_cache(maxsize=8)
+def _hs_weight(grid: Grid, s: float) -> np.ndarray:
+    return _frozen(grid, (1.0 + grid.xi2) ** s)
+
+
+@lru_cache(maxsize=8)
+def _seminorm_weight(grid: Grid, s: float) -> np.ndarray:
+    return _frozen(grid, grid.xi2**s)
 
 
 @lru_cache(maxsize=8)
 def _hdotneg_weight(grid: Grid, gamma: float) -> np.ndarray:
-    """|xi|^(-2 gamma) on the lattice, 0 at the origin; read-only, shared."""
+    """|xi|^(-2 gamma), 0 at the origin."""
     with np.errstate(divide="ignore"):
         w = np.where(grid.xi2 > 0.0, grid.xi2, 1.0) ** (-gamma)
     w[(0,) * grid.dim] = 0.0
-    w.flags.writeable = False
-    return w
+    return _frozen(grid, w)
+
+
+def _weighted_sum(fld: SpectralField, w: np.ndarray) -> float:
+    """sum of w |fhat|^2 dxi^n over the half-spectrum."""
+    g = fld.grid
+    return float(np.sum(w * np.abs(fld.coeffs) ** 2) * g.dxi**g.dim)
 
 
 def hs_norm(fld: SpectralField, s: float) -> float:
     """Inhomogeneous H^s norm, weight (1 + |xi|^2)^(s/2)."""
     _check_s(s)
-    g = fld.grid
-    w = _hs_weight(g, s)
-    return float(np.sqrt(np.sum(w * np.abs(fld.coeffs) ** 2) * g.dxi**g.dim))
+    return math.sqrt(_weighted_sum(fld, _hs_weight(fld.grid, s)))
 
 
 def seminorm_hs(fld: SpectralField, s: float) -> float:
     """Homogeneous seminorm || |xi|^s fhat ||, used by decay-rate fits."""
     _check_s(s)
-    g = fld.grid
-    w = g.xi2**s
-    return float(np.sqrt(np.sum(w * np.abs(fld.coeffs) ** 2) * g.dxi**g.dim))
+    return math.sqrt(_weighted_sum(fld, _seminorm_weight(fld.grid, s)))
 
 
 @lru_cache(maxsize=64)
@@ -138,8 +149,7 @@ def hdotneg_norm(fld: SpectralField, gamma: float, policy: str) -> float:
                 f"zero mode fhat(0) = {c0:.3e} is nonzero under policy 'require_zero' "
                 f"(relative size {abs(c0) / scale:.2e})"
             )
-    w = _hdotneg_weight(g, gamma)
-    total = float(np.sum(w * np.abs(fld.coeffs) ** 2) * g.dxi**g.dim)
+    total = _weighted_sum(fld, _hdotneg_weight(g, gamma))
     cell = zero_cell_weight(g, gamma)
     if math.isfinite(cell):
         total += abs(c0) ** 2 * cell

@@ -123,7 +123,7 @@ def assemble_pair(
 
     Validates that the transformed sum u0hat + u1hat is real and
     nonnegative (required by the sign hypotheses of both the decay and the
-    blow-up experiments) and that the physical data is real.
+    blow-up experiments).
     """
     if not (eps > 0.0):
         raise ConfigError(f"eps must be positive, got {eps}")
@@ -136,6 +136,4 @@ def assemble_pair(
         raise ConfigError(
             "u0hat + u1hat must be real and nonnegative for this data family"
         )
-    if not field.is_conjugate_symmetric():
-        raise ConfigError("profile does not represent real physical data")
     return DataPair(u0=field, u1=field.copy(), eps=eps, family=family)

@@ -7,9 +7,8 @@ term; the kernel vanishing at zero time lag makes the displacement update
 explicit, and a predicted endpoint closes the velocity update.  The
 predicted nonlinearity is reused as the next step's left endpoint, so each
 step costs one real forward and one real inverse transform.  Fields are
-real, so the stepper holds only the half-spectrum (last axis k = 0 .. N/2,
-as np.fft.rfftn returns it); step() and initial_state() hand out the full
-lattice through grid.full_of.
+real, and every spectral array here is the half-spectrum that
+SpectralField holds (last axis k = 0 .. N/2, as np.fft.rfftn returns it).
 
 Second order accurate in dt.  The step size must resolve the fastest
 resolved oscillation, dt <= 1/(2 xi_max).
@@ -25,7 +24,7 @@ import numpy as np
 
 from .accel import abs_pow, correct_combine, khat_kprime, predict_combine
 from .errors import ConfigError, NumericalError
-from .grid import Grid, SpectralField, full_of
+from .grid import Grid, SpectralField
 from .norms import hdotneg_norm, hs_norm
 from .profiles import DataPair
 
@@ -83,9 +82,6 @@ class SimConfig:
             raise ConfigError("record intervals must be positive (fields: >= 0)")
         if not (self.blowup_threshold > 0.0):
             raise ConfigError("blowup_threshold must be positive")
-        # the half-spectrum stepper would silently drop a non-Hermitian part
-        if not all(f.is_conjugate_symmetric() for f in (self.data.u0, self.data.u1)):
-            raise ConfigError("data u0 and u1 must represent real physical fields")
 
     @property
     def grid(self) -> Grid:
@@ -113,7 +109,7 @@ class Trajectory:
 
 @dataclass
 class State:
-    """Full-lattice solver state between steps; u_phys and nl_hat mirror uhat."""
+    """Half-spectrum solver state between steps; u_phys and nl_hat mirror uhat."""
 
     grid: Grid
     uhat: np.ndarray
@@ -124,23 +120,21 @@ class State:
 
 
 class Stepper:
-    """Steps of size dt on the half-spectrum `cut`, multipliers computed once."""
+    """Steps of size dt on the half-spectrum, multipliers computed once."""
 
     def __init__(self, grid: Grid, dt: float, p: float, *, dealias: bool = True,
                  nonlinear: bool = True) -> None:
-        self.cut = (..., slice(0, grid.size // 2 + 1))
         self.shape = grid.shape
         self.axes = tuple(range(grid.dim))
-        self.xi2 = np.ascontiguousarray(grid.xi2[self.cut])
+        self.xi2 = grid.xi2
         self.p = p
         self.nonlinear = nonlinear
         self.half = 0.5 * dt
         self.kh, self.kp = khat_kprime(dt, self.xi2)
-        phase = grid.phase[self.cut]
-        self.inv_factor = phase / grid.transform_scale
-        self.fwd_factor = phase * grid.transform_scale
+        self.inv_factor = grid.phase / grid.transform_scale
+        self.fwd_factor = grid.phase * grid.transform_scale
         if dealias:
-            self.fwd_factor = self.fwd_factor * grid.dealias_mask[self.cut]
+            self.fwd_factor = self.fwd_factor * grid.dealias_mask
 
     def physical(self, uhat: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(uhat * self.inv_factor, s=self.shape, axes=self.axes)
@@ -153,8 +147,8 @@ class Stepper:
 
     def start(self, data: DataPair):
         """(uhat, vhat, u_phys, nl_hat) of the eps-scaled data at t = 0."""
-        uhat = data.eps * data.u0.coeffs[self.cut]
-        vhat = data.eps * data.u1.coeffs[self.cut]
+        uhat = data.eps * data.u0.coeffs
+        vhat = data.eps * data.u1.coeffs
         u_phys = self.physical(uhat)
         return uhat, vhat, u_phys, self.nl_coeffs(u_phys)
 
@@ -176,30 +170,20 @@ def _stepper(config: SimConfig) -> Stepper:
 
 def _boundary_mask(grid: Grid) -> np.ndarray:
     edge = grid.half_length - _BOUNDARY_CELLS * grid.dx
-    near = np.abs(grid.x_axis) >= edge
-    axes = np.meshgrid(*([near] * grid.dim), indexing="ij", sparse=True)
-    out = np.zeros(grid.shape, dtype=bool)
-    for a in axes:
-        out = out | a
-    return out
-
-
-def _full_state(grid: Grid, t: float, uhat, vhat, u_phys, nl_hat) -> State:
-    return State(grid, full_of(uhat), full_of(vhat), u_phys, full_of(nl_hat), t)
+    return grid.lattice(np.abs(grid.x_axis) >= edge, np.logical_or)
 
 
 def step(state: State, dt: float, p: float, *, dealias: bool = True,
          nonlinear: bool = True) -> State:
     """Advance one step of size dt.  Recomputes multipliers every call."""
     stepper = Stepper(state.grid, dt, p, dealias=dealias, nonlinear=nonlinear)
-    cut = stepper.cut
-    out = stepper.advance(state.uhat[cut], state.vhat[cut], state.nl_hat[cut])
-    return _full_state(state.grid, state.t + dt, *out)
+    out = stepper.advance(state.uhat, state.vhat, state.nl_hat)
+    return State(state.grid, *out, state.t + dt)
 
 
 def initial_state(config: SimConfig) -> State:
     """Scale the data pair by eps and prepare cached physical samples."""
-    return _full_state(config.grid, 0.0, *_stepper(config).start(config.data))
+    return State(config.grid, *_stepper(config).start(config.data), 0.0)
 
 
 def run(config: SimConfig) -> Trajectory:
@@ -236,7 +220,7 @@ def run(config: SimConfig) -> Trajectory:
 
     def record(t: float, u_phys: np.ndarray, uhat: np.ndarray) -> None:
         nonlocal boundary_ratio
-        fld = SpectralField(g, full_of(uhat))
+        fld = SpectralField(g, uhat)
         times.append(t)
         l2s.append(float(math.sqrt(np.sum(u_phys * u_phys) * vol)))
         top = float(np.max(np.abs(u_phys)))

@@ -170,9 +170,16 @@ def _lattice_points(grid: Grid) -> np.ndarray:
 
 
 def _axis_xi(grid: Grid, d: int) -> np.ndarray:
+    """The odd multiplier xi_d along axis d of the half-spectrum.
+
+    The Nyquist mode k_d = -N/2 is its own mirror, so an odd multiplier is
+    0 there, as the real part of a full-lattice inverse transform gives it.
+    """
     shape = [1] * grid.dim
-    shape[d] = grid.size
-    return grid.xi_axis.reshape(shape)
+    shape[d] = grid.spectral_shape[d]
+    xi = grid.xi_axis[: shape[d]].copy()
+    xi[grid.size // 2] = 0.0
+    return xi.reshape(shape)
 
 
 @dataclass
@@ -460,6 +467,9 @@ def check_bounds(
     pprime = p / (p - 1.0)
     n = grid.dim
     R = pair.R
+    # eta(t/R^2) is 0 past R^2: keep the snapshots up to the first at or past it
+    stop = int(np.searchsorted(times, R * R)) + 1
+    times, snapshots = times[:stop], snapshots[:stop]
 
     factors = spatial_factors(pair, grid)
     ival = i_of_r(times, snapshots, grid, p, pair, factors)

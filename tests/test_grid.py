@@ -6,7 +6,6 @@ import pytest
 from dampedwave.errors import ConfigError
 from dampedwave.grid import (
     Grid,
-    SpectralField,
     apply_radial_multiplier,
     evaluate_at,
     forward_transform,
@@ -56,33 +55,33 @@ def test_gaussian_coefficients_match_continuum():
     # unitary convention: Fourier transform of e^{-x^2/2} is e^{-xi^2/2}
     g = Grid(1, 256, 20.0)
     fld = forward_transform(g, np.exp(-0.5 * g.x_axis**2))
-    expected = np.exp(-0.5 * g.xi_axis**2)
+    expected = np.exp(-0.5 * g.xi_axis[: g.size // 2 + 1] ** 2)
+    assert fld.coeffs.shape == (g.size // 2 + 1,)
     assert np.max(np.abs(fld.coeffs - expected)) < 1e-12
 
 
 def test_parseval_exact():
-    g = Grid(1, 128, 9.0)
-    rng = np.random.default_rng(5)
-    samples = rng.standard_normal(g.shape)
-    fld = forward_transform(g, samples)
-    phys = float(np.sum(samples**2) * g.dx)
-    spec = float(np.sum(np.abs(fld.coeffs) ** 2) * g.dxi)
-    assert phys == pytest.approx(spec, rel=1e-13)
-
-
-def test_real_field_is_conjugate_symmetric():
-    g = Grid(2, 16, 5.0)
-    rng = np.random.default_rng(6)
-    fld = forward_transform(g, rng.standard_normal(g.shape))
-    assert fld.is_conjugate_symmetric()
-    broken = SpectralField(g, fld.coeffs + 1j * 5e-3)
-    assert not broken.is_conjugate_symmetric()
+    # the half-spectrum counts each column k = 1 .. N/2 - 1 twice (for k and
+    # -k) and the self-conjugate columns k = 0 and k = N/2 once
+    for dim, size, half_length in [(1, 128, 9.0), (2, 16, 5.0), (3, 8, 4.0)]:
+        g = Grid(dim, size, half_length)
+        samples = np.random.default_rng(5 + dim).standard_normal(g.shape)
+        fld = forward_transform(g, samples)
+        assert fld.coeffs.shape == g.shape[:-1] + (size // 2 + 1,)
+        count = np.full(size // 2 + 1, 2.0)
+        count[0] = count[-1] = 1.0
+        phys = float(np.sum(samples**2) * g.dx**dim)
+        spec = float(np.sum(count * np.abs(fld.coeffs) ** 2) * g.dxi**dim)
+        assert phys == pytest.approx(spec, rel=1e-13)
+        assert np.array_equal(g.column_weight, count)
 
 
 def test_dealias_mask_cuts_top_third():
     g = Grid(1, 64, 8.0)
-    kept = int(g.dealias_mask.sum())
-    # modes with |k| <= N // 3 survive
+    # modes with |k| <= N // 3 survive, each column k > 0 standing for +-k
+    assert g.dealias_mask.shape == (33,)
+    assert int(g.dealias_mask.sum()) == 64 // 3 + 1
+    kept = float(np.sum(g.dealias_mask * g.column_weight))
     assert kept == 2 * (64 // 3) + 1
 
 
@@ -136,11 +135,18 @@ def test_grid_equality_and_caching():
     assert a.xi2 is a.xi2  # cached property returns one array
 
 
+def full_lattice_coeffs(g: Grid, samples: np.ndarray) -> np.ndarray:
+    """Reference: the fftn-ordered coefficients of the full lattice."""
+    sign = (-1.0) ** np.abs(g.k_axis)
+    phase = np.prod(np.meshgrid(*[sign] * g.dim, indexing="ij"), axis=0)
+    return np.fft.fftn(samples) * phase * g.transform_scale
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_full_of_restores_the_half_spectrum_of_real_data(dim):
     g = Grid(dim, 8, 4.0)
     noise = np.random.default_rng(dim).standard_normal(g.shape)
-    coeffs = forward_transform(g, noise).coeffs
-    full = full_of(coeffs[..., : g.size // 2 + 1])
+    coeffs = full_lattice_coeffs(g, noise)
+    full = full_of(forward_transform(g, noise).coeffs)
     assert full.shape == g.shape
     assert np.max(np.abs(full - coeffs)) <= 1e-15 * np.max(np.abs(coeffs))

@@ -11,7 +11,7 @@ import pytest
 
 from dampedwave import cli, exponents, harness, testfunc
 from dampedwave.errors import ConfigError, NumericalError
-from dampedwave.grid import Grid
+from dampedwave.grid import Grid, full_of
 
 
 def test_take_validates_keys():
@@ -382,7 +382,10 @@ def test_testfunc_2d_run_passes_the_weak_form_check(fields_2d, tmp_path, capsys)
     }))
     out = str(tmp_path / "o")
     assert cli.main(["testfunc", "--config", str(cfgp), "--out", out, "--check"]) == 0
-    assert "check: pass" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "check: pass" in stdout
+    # phi_R's radius 2R = 8 spans 8 cells of dx = 1
+    assert "R=4 cells_per_radius=8 " in stdout
     with open(f"{out}/testfunc.json", encoding="utf-8") as fh:
         (row,) = json.load(fh)["rows"]
     assert row["identity_rel"] < 0.01
@@ -401,6 +404,23 @@ def test_testfunc_bump_dim_mismatch_fails_before_weights(fields_2d, tmp_path, mo
     assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "'bump_grid' has dim 1" in err and "archive has dim 2" in err
+
+
+def test_testfunc_rejects_full_lattice_coefficients(fields_2d, tmp_path, capsys):
+    # an archive whose u0_coeffs cover the full fftn lattice, not the half-spectrum
+    with np.load(fields_2d) as z:
+        arrays = dict(z)
+    arrays["u0_coeffs"] = full_of(arrays["u0_coeffs"])
+    old = str(tmp_path / "fields.npz")
+    np.savez(old, **arrays)
+    cfgp = tmp_path / "testfunc.json"
+    cfgp.write_text(json.dumps({
+        "fields": old, "R_values": [4.0],
+        "bump_grid": {"dim": 2, "size": 32, "half_length": 4.0},
+    }))
+    assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "(128, 128)" in err and "(128, 65)" in err and "Traceback" not in err
 
 
 def test_cli_check_failure_and_numerical_error(tmp_path, monkeypatch):

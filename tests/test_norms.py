@@ -171,3 +171,27 @@ def test_hs_order_validation():
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(ConfigError):
             hs_norm(fld, bad)
+
+
+@pytest.mark.parametrize("dim,size", [(1, 64), (2, 16), (3, 8)])
+def test_spectral_norms_match_a_full_lattice_reference(dim, size):
+    g = Grid(dim, size, 6.0)
+    samples = np.random.default_rng(dim).standard_normal(g.shape)
+    fld = forward_transform(g, samples)
+    # reference: every mode of the full fftn lattice, each counted once
+    k = np.fft.fftfreq(size, 1.0 / size)
+    xi2 = sum((g.dxi * a) ** 2 for a in np.meshgrid(*[k] * dim, indexing="ij"))
+    phase = np.prod(np.meshgrid(*[(-1.0) ** np.abs(k)] * dim, indexing="ij"), axis=0)
+    full = np.fft.fftn(samples) * phase * g.transform_scale
+    mass = np.abs(full) ** 2 * g.dxi**dim
+    for s in (0.5, 1.0):
+        ref = math.sqrt(np.sum((1.0 + xi2) ** s * mass))
+        assert hs_norm(fld, s) == pytest.approx(ref, rel=1e-14)
+        ref = math.sqrt(np.sum(xi2**s * mass))
+        assert seminorm_hs(fld, s) == pytest.approx(ref, rel=1e-14)
+    gamma = 0.3
+    off = xi2 > 0.0
+    ref = np.sum(xi2[off] ** -gamma * mass[off]) + abs(full.flat[0]) ** 2 * zero_cell_weight(
+        g, gamma
+    )
+    assert hdotneg_norm(fld, gamma, "exclude") == pytest.approx(math.sqrt(ref), rel=1e-14)

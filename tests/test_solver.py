@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from dampedwave.dispersion import propagate_linear
 from dampedwave.errors import ConfigError
-from dampedwave.grid import Grid, SpectralField, forward_transform
+from dampedwave.grid import Grid, forward_transform
 from dampedwave.profiles import DataPair, assemble_pair
 from dampedwave.solver import (
     SimConfig,
@@ -244,16 +244,6 @@ def test_config_validation():
         SimConfig(data=pair, p=2.0, dt=0.02, t_max=1.0, blowup_threshold=0.0)
     # linear runs accept p at or below 1
     SimConfig(data=pair, p=1.0, dt=0.02, t_max=1.0, nonlinear=False)
-
-
-def test_non_real_data_is_rejected():
-    g = Grid(1, 64, 8.0)
-    pair = gaussian_pair(g, 0.3)
-    # a hand-built pair bypasses assemble_pair's realness check
-    rotated = DataPair(u0=SpectralField(g, 1j * pair.u0.coeffs), u1=pair.u1,
-                       eps=0.3, family="rotated")
-    with pytest.raises(ConfigError, match="real"):
-        SimConfig(data=rotated, p=2.0, dt=0.02, t_max=1.0)
 
 
 def test_initial_amplitude_already_over_threshold():

@@ -8,12 +8,13 @@ from scipy.integrate import quad
 
 from dampedwave.bump import power, self_convolve
 from dampedwave.errors import ConfigError
-from dampedwave.grid import Grid, forward_transform
+from dampedwave.grid import Grid, SpectralField, forward_transform
 from dampedwave.profiles import assemble_pair
 from dampedwave.solver import SimConfig, run
 from dampedwave.testfunc import (
     TestPair,
     TimeCutoff,
+    _axis_xi,
     _g,
     _g_mass,
     check_bounds,
@@ -182,3 +183,41 @@ def test_check_bounds_on_small_run(bump5):
         check_bounds(
             traj.field_times, traj.field_snapshots, g, data, 2.0, pair, other
         )
+
+
+def test_check_bounds_ignores_snapshots_past_the_window(bump5):
+    # eta(t/R^2) is 0 from t = R^2 on, so snapshots after the first one at
+    # or past R^2 must not enter the sums: poisoning them changes nothing
+    g = Grid(1, 256, 32.0)
+    data = assemble_pair(forward_transform(g, np.exp(-g.x_axis**2)), 0.05)
+    traj = run(SimConfig(data=data, p=2.0, dt=0.03125, t_max=4.5, record_every=16,
+                         record_fields_every=2))
+    times, snaps = traj.field_times, traj.field_snapshots
+    pair = TestPair(bump5, 2.0)
+    weight = weight_constant(2.0, bump5, time_points=65, refine=False)
+    rep = check_bounds(times, snaps, g, data, 2.0, pair, weight)
+    first_past = int(np.argmax(times >= 4.0))
+    assert first_past + 1 < times.size
+    poisoned = snaps.copy()
+    poisoned[first_past + 1:] = np.nan
+    again = check_bounds(times, poisoned, g, data, 2.0, pair, weight)
+    assert again == rep
+    assert rep.i_value == pytest.approx(i_of_r(times, snaps, g, 2.0, pair), rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_odd_derivative_fields_match_a_full_lattice_reference(dim):
+    # The reference keeps the full fftn lattice and takes the real part of
+    # ifftn, as the full-lattice layout did; that zeroes the Nyquist plane
+    # of an odd multiplier, which the half-spectrum must do by itself
+    g = Grid(dim, 16, 4.0)
+    bump = self_convolve(g)
+    k = np.fft.fftfreq(g.size, 1.0 / g.size)
+    phase = np.prod(np.meshgrid(*[(-1.0) ** np.abs(k)] * dim, indexing="ij"), axis=0)
+    seed_hat = np.fft.fftn(bump.seed) * phase * g.transform_scale
+    full = (2.0 * np.pi) ** (dim / 2.0) * seed_hat**2
+    for d in range(dim):
+        xi_d = (g.dxi * k).reshape([-1 if e == d else 1 for e in range(dim)])
+        ref = np.fft.ifftn(1j * xi_d * full * phase).real / g.transform_scale
+        got = SpectralField(g, 1j * _axis_xi(g, d) * bump.coeffs.coeffs).physical()
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
