@@ -31,6 +31,7 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "full_of",
+    "hermitian_defect",
     "apply_radial_multiplier",
     "evaluate_at",
 ]
@@ -192,16 +193,35 @@ def inverse_transform(fld: SpectralField) -> np.ndarray:
     return np.fft.irfftn(fld.coeffs * g.phase, s=g.shape, axes=axes) / g.transform_scale
 
 
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """half at index -k mod N along every axis but the last."""
+    for ax in range(half.ndim - 1):
+        half = np.roll(np.flip(half, ax), 1, ax)
+    return half
+
+
 def full_of(half: np.ndarray) -> np.ndarray:
     """Full fftn-ordered lattice of a real field's half-spectrum.
 
     half keeps the last axis for k = 0 .. N/2, as np.fft.rfftn returns it
     (N even); each missing mode is filled in as fhat(-k) = conj(fhat(k)).
     """
-    mirror = half
-    for ax in range(half.ndim - 1):
-        mirror = np.roll(np.flip(mirror, ax), 1, ax)  # index k -> -k mod N
-    return np.concatenate([half, np.conj(mirror[..., -2:0:-1])], axis=-1)
+    return np.concatenate([half, np.conj(_mirror(half)[..., -2:0:-1])], axis=-1)
+
+
+def hermitian_defect(fld: SpectralField) -> float:
+    """How far fld's coefficients are from those of a real field.
+
+    The last-axis planes k = 0 and k = N/2 are their own mirrors, so a real
+    field needs c(-k) = conj(c(k)) within them; irfftn silently drops any
+    part that breaks it.  Returns the largest break relative to max |c|
+    (0 for a zero field).  Costs O(N^(dim-1)).
+    """
+    planes = fld.coeffs[..., [0, -1]]
+    top = float(np.max(np.abs(fld.coeffs)))
+    if top == 0.0:
+        return 0.0
+    return float(np.max(np.abs(_mirror(planes) - np.conj(planes)))) / top
 
 
 def evaluate_at(fld: SpectralField, points: np.ndarray) -> np.ndarray:

@@ -3,8 +3,11 @@
 Each run_* function takes a plain config dict (usually parsed from JSON),
 validates it strictly (unknown keys are errors), executes the experiment,
 and returns a result dict with the resolved config echo, rows, a summary,
-an optional check verdict and the summary lines the CLI prints.  emit_outputs writes the result as CSV (rows), JSON (everything),
-and optionally a field archive.
+an optional check verdict and the summary lines the CLI prints.  A runner
+declares each config key once, in a spec that gives its kind and default.
+emit_outputs writes the result as CSV (rows), JSON (everything), and
+optionally a field archive; the rows define the CSV header, which is the
+first row's keys in order.
 
 Outputs are byte-stable: floats are serialised by repr, rows are ordered,
 no timestamps are written, files land via atomic replace, and every row
@@ -114,26 +117,30 @@ def _outcome(value) -> str:
     return value
 
 
-def _take(cfg: dict, where: str, required: tuple, optional: dict,
-          kinds: dict | None = None) -> dict:
-    """cfg with defaults filled in and each key in kinds converted by its kind.
+# a spec default marking a key that has no default and must be given
+_REQUIRED = object()
 
-    A rejected value is a ConfigError naming its key; null is kept where the
-    default is None.
+
+def _take(cfg: dict, where: str, spec: dict) -> dict:
+    """cfg checked against spec, which maps each key to (kind, default).
+
+    Absent keys take their default, unless it is _REQUIRED.  Each value is
+    converted by its kind (kind None keeps it as given); a rejected value is
+    a ConfigError naming its key, and null is kept where the default is None.
     """
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where} must be an object, got {type(cfg).__name__}")
-    unknown = set(cfg) - set(required) - set(optional)
+    unknown = set(cfg) - set(spec)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = [k for k in required if k not in cfg]
+    missing = [k for k, (_, default) in spec.items() if default is _REQUIRED and k not in cfg]
     if missing:
         raise ConfigError(f"missing keys in {where}: {missing}")
-    out = dict(optional)
+    out = {k: default for k, (_, default) in spec.items() if default is not _REQUIRED}
     out.update(cfg)
-    for key, kind in (kinds or {}).items():
+    for key, (kind, default) in spec.items():
         value = out[key]
-        if value is None and key in optional and optional[key] is None:
+        if kind is None or (value is None and default is None):
             continue
         try:
             out[key] = kind(value)
@@ -144,10 +151,10 @@ def _take(cfg: dict, where: str, required: tuple, optional: dict,
     return out
 
 
-def _check(c: dict, where: str, optional: dict, kinds: dict) -> dict | None:
+def _check(c: dict, where: str, spec: dict) -> dict | None:
     """Resolve the "check" section of c in place; returns it, or None."""
     if c["check"] is not None:
-        c["check"] = _take(c["check"], where, (), optional, kinds)
+        c["check"] = _take(c["check"], where, spec)
     return c["check"]
 
 
@@ -160,18 +167,17 @@ def _echo(kind: str, c: dict, **resolved) -> dict:
 
 
 def build_grid(cfg: dict) -> Grid:
-    c = _take(
-        cfg, "grid", ("dim", "size", "half_length"), {},
-        {"dim": _int, "size": _int, "half_length": float},
-    )
+    c = _take(cfg, "grid", {
+        "dim": (_int, _REQUIRED), "size": (_int, _REQUIRED), "half_length": (float, _REQUIRED),
+    })
     return Grid(c["dim"], c["size"], c["half_length"])
 
 
-_RADIAL = {"gamma": float, "r0": float, "scale": float}
+_RADIAL = {"gamma": (float, _REQUIRED), "r0": (float, 0.5), "scale": (float, 1.0)}
 _PROFILE_KEYS = {
-    "power": (("gamma",), {"r0": 0.5, "scale": 1.0}, _RADIAL),
-    "log": (("gamma",), {"r0": 0.5, "scale": 1.0}, _RADIAL),
-    "laplacian_gaussian": (("k",), {"scale": 1.0}, {"k": _int, "scale": float}),
+    "power": _RADIAL,
+    "log": _RADIAL,
+    "laplacian_gaussian": {"k": (_int, _REQUIRED), "scale": (float, 1.0)},
 }
 _PROFILES = {"power": power_profile, "log": log_profile, "laplacian_gaussian": laplacian_gaussian}
 
@@ -186,10 +192,9 @@ def build_profile(grid: Grid, cfg: dict) -> tuple[SpectralField, dict]:
             f"unknown profile family {family!r}; expected one of "
             f"{sorted(_PROFILE_KEYS)}"
         )
-    req, opt, kinds = _PROFILE_KEYS[family]
     c = _take(
-        {k: v for k, v in cfg.items() if k != "family"}, f"profile[{family}]", req, opt,
-        kinds,
+        {k: v for k, v in cfg.items() if k != "family"}, f"profile[{family}]",
+        _PROFILE_KEYS[family],
     )
     return _PROFILES[family](grid, **c), {"family": family, **c}
 
@@ -234,14 +239,15 @@ def fit_powerlaw(x, y) -> FitResult:
 # experiment runners
 
 
-def _result(kind: str, config: dict, columns, rows, summary, check, arrays=None,
-            lines=()):
-    """A runner's result; lines are its summary for the terminal."""
+def _result(kind: str, config: dict, rows, summary, check, arrays=None, lines=()):
+    """A runner's result; lines are its summary for the terminal.
+
+    rows is a non-empty list of dicts in one key order, the CSV header's.
+    """
     return {
         "kind": kind,
         "config": config,
         "config_hash": config_hash(config),
-        "columns": columns,
         "rows": rows,
         "summary": summary,
         "check": check,
@@ -256,10 +262,9 @@ def _ladder_times(cfg) -> list[float]:
         if len(times) < 3 or any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError("times must be >= 3 strictly increasing values")
         return times
-    c = _take(
-        cfg, "times", ("start", "ratio", "count"), {},
-        {"start": float, "ratio": float, "count": _int},
-    )
+    c = _take(cfg, "times", {
+        "start": (float, _REQUIRED), "ratio": (float, _REQUIRED), "count": (_int, _REQUIRED),
+    })
     start, ratio, count = c["start"], c["ratio"], c["count"]
     if start <= 0.0 or ratio <= 1.0 or count < 3:
         raise ConfigError("times ladder needs start > 0, ratio > 1, count >= 3")
@@ -268,11 +273,19 @@ def _ladder_times(cfg) -> list[float]:
 
 def _axis(cfg) -> dict:
     """One atlas axis: count points from min to max."""
-    a = _take(cfg, "atlas axis", ("min", "max", "count"), {},
-              {"min": float, "max": float, "count": _int})
+    a = _take(cfg, "atlas axis", {
+        "min": (float, _REQUIRED), "max": (float, _REQUIRED), "count": (_int, _REQUIRED),
+    })
     if a["count"] < 1:
         raise ValueError(f"count must be >= 1, got {a['count']}")
     return a
+
+
+def _weight_gamma(c: dict, profile: dict) -> float:
+    """The norm weight: c's weight_gamma, else the profile's gamma, else 0.5."""
+    if c["weight_gamma"] is not None:
+        return c["weight_gamma"]
+    return float(profile.get("gamma", 0.5))
 
 
 def run_decay(cfg: dict) -> dict:
@@ -282,26 +295,17 @@ def run_decay(cfg: dict) -> dict:
     power laws to the L2 norm and the order-s homogeneous seminorm.  The
     expected slopes are -gamma/2 and -(s + gamma)/2.
     """
-    c = _take(
-        cfg,
-        "decay config",
-        ("grid", "profile", "times"),
-        {"s": 1.0, "weight_gamma": None, "policy": "exclude", "check": None},
-        {"s": float, "weight_gamma": float, "times": _ladder_times},
-    )
-    cc = _check(
-        c, "decay check", {"l2_tol": 0.05, "seminorm_tol": 0.1},
-        {"l2_tol": float, "seminorm_tol": float},
-    )
+    c = _take(cfg, "decay config", {
+        "grid": (None, _REQUIRED), "profile": (None, _REQUIRED),
+        "times": (_ladder_times, _REQUIRED), "s": (float, 1.0), "weight_gamma": (float, None),
+        "policy": (None, "exclude"), "check": (None, None),
+    })
+    cc = _check(c, "decay check", {"l2_tol": (float, 0.05), "seminorm_tol": (float, 0.1)})
     grid = build_grid(c["grid"])
     profile, prof_resolved = build_profile(grid, c["profile"])
     times = c["times"]
     s = c["s"]
-    gamma = float(
-        c["weight_gamma"]
-        if c["weight_gamma"] is not None
-        else prof_resolved.get("gamma", 0.5)
-    )
+    gamma = _weight_gamma(c, prof_resolved)
     echo = _echo("decay", c, grid=dataclasses.asdict(grid), profile=prof_resolved,
                  weight_gamma=gamma)
 
@@ -354,8 +358,7 @@ def run_decay(cfg: dict) -> dict:
         f"l2 slope {l2_fit.slope:.4f} (expected {expected_l2:.4f}), "
         f"seminorm slope {semi_fit.slope:.4f} (expected {expected_semi:.4f})"
     ]
-    columns = ["t", "l2", "linf", "hs", "hdotneg", "seminorm"]
-    return _result("decay", echo, columns, rows, summary, check, lines=lines)
+    return _result("decay", echo, rows, summary, check, lines=lines)
 
 
 def run_lifespan(cfg: dict) -> dict:
@@ -365,20 +368,15 @@ def run_lifespan(cfg: dict) -> dict:
     extrapolates the threshold-crossing time.  Censored rows (survived the
     horizon) are excluded from the fit and reported.
     """
-    c = _take(
-        cfg,
-        "lifespan config",
-        ("grid", "profile", "p", "eps_values", "dt", "t_cap"),
-        {"blowup_threshold": 1e6, "dealias": True, "check": None},
-        {
-            "p": float, "eps_values": _floats, "dt": float, "t_cap": float,
-            "blowup_threshold": float, "dealias": _flag,
-        },
-    )
-    cc = _check(
-        c, "lifespan check", {"rel_tol": None, "max_slope": None, "min_uncensored": 3},
-        {"rel_tol": float, "max_slope": float, "min_uncensored": _int},
-    )
+    c = _take(cfg, "lifespan config", {
+        "grid": (None, _REQUIRED), "profile": (None, _REQUIRED), "p": (float, _REQUIRED),
+        "eps_values": (_floats, _REQUIRED), "dt": (float, _REQUIRED),
+        "t_cap": (float, _REQUIRED), "blowup_threshold": (float, 1e6),
+        "dealias": (_flag, True), "check": (None, None),
+    })
+    cc = _check(c, "lifespan check", {
+        "rel_tol": (float, None), "max_slope": (float, None), "min_uncensored": (_int, 3),
+    })
     grid = build_grid(c["grid"])
     profile, prof_resolved = build_profile(grid, c["profile"])
     p = c["p"]
@@ -401,23 +399,11 @@ def run_lifespan(cfg: dict) -> dict:
     rows = []
     for eps in eps_values:
         pair = assemble_pair(profile, eps, family=prof_resolved["family"])
-        sim = SimConfig(
-            data=pair,
-            p=p,
-            dt=c["dt"],
-            t_max=c["t_cap"],
-            blowup_threshold=c["blowup_threshold"],
-            dealias=c["dealias"],
-        )
+        sim = SimConfig(data=pair, p=p, dt=c["dt"], t_max=c["t_cap"],
+                        blowup_threshold=c["blowup_threshold"], dealias=c["dealias"])
         res = measure_lifespan(sim)
-        rows.append(
-            {
-                "eps": eps,
-                "t_b": res.t_blowup,
-                "t_b_err": res.error,
-                "censored": res.censored,
-            }
-        )
+        rows.append({"eps": eps, "t_b": res.t_blowup, "t_b_err": res.error,
+                     "censored": res.censored})
 
     fitted = [r for r in rows if not r["censored"]]
     summary: dict = {
@@ -449,44 +435,25 @@ def run_lifespan(cfg: dict) -> dict:
         f"lifespan exponent measured={shown} predicted={target} "
         f"censored={summary['n_censored']}"
     ]
-    columns = ["eps", "t_b", "t_b_err", "censored"]
-    return _result("lifespan", echo, columns, rows, summary, check, lines=lines)
+    return _result("lifespan", echo, rows, summary, check, lines=lines)
 
 
 def run_simulate(cfg: dict) -> dict:
     """One nonlinear (or linear) run with recorded norms and fields."""
-    c = _take(
-        cfg,
-        "simulate config",
-        ("grid", "profile", "eps", "p", "dt", "t_max"),
-        {
-            "blowup_threshold": 1e6,
-            "dealias": True,
-            "nonlinear": True,
-            "record_every": 1,
-            "record_fields_every": 0,
-            "s": 1.0,
-            "weight_gamma": None,
-            "policy": "exclude",
-            "check": None,
-        },
-        {
-            "eps": float, "p": float, "dt": float, "t_max": float, "blowup_threshold": float,
-            "dealias": _flag, "nonlinear": _flag, "record_every": _int,
-            "record_fields_every": _int, "s": float, "weight_gamma": float,
-        },
-    )
-    cc = _check(
-        c, "simulate check", {"expect_outcome": None, "l2_decreasing_factor": None},
-        {"expect_outcome": _outcome, "l2_decreasing_factor": float},
-    )
+    c = _take(cfg, "simulate config", {
+        "grid": (None, _REQUIRED), "profile": (None, _REQUIRED), "eps": (float, _REQUIRED),
+        "p": (float, _REQUIRED), "dt": (float, _REQUIRED), "t_max": (float, _REQUIRED),
+        "blowup_threshold": (float, 1e6), "dealias": (_flag, True),
+        "nonlinear": (_flag, True), "record_every": (_int, 1),
+        "record_fields_every": (_int, 0), "s": (float, 1.0), "weight_gamma": (float, None),
+        "policy": (None, "exclude"), "check": (None, None),
+    })
+    cc = _check(c, "simulate check", {
+        "expect_outcome": (_outcome, None), "l2_decreasing_factor": (float, None),
+    })
     grid = build_grid(c["grid"])
     pair, prof_resolved = build_pair(grid, c["profile"], c["eps"])
-    gamma = float(
-        c["weight_gamma"]
-        if c["weight_gamma"] is not None
-        else prof_resolved.get("gamma", 0.5)
-    )
+    gamma = _weight_gamma(c, prof_resolved)
     # the keys that are SimConfig fields of the same name
     sim_keys = ("p", "dt", "t_max", "blowup_threshold", "dealias", "nonlinear",
                 "record_every", "record_fields_every", "s")
@@ -546,16 +513,15 @@ def run_simulate(cfg: dict) -> dict:
         f"outcome={traj.outcome}{tail} steps={traj.steps_taken} "
         f"boundary_flagged={traj.boundary_flagged}"
     ]
-    columns = ["t", "l2", "linf", "hs", "hdotneg"]
-    return _result("simulate", echo, columns, rows, summary, check, arrays, lines)
+    return _result("simulate", echo, rows, summary, check, arrays, lines)
 
 
 def run_atlas(cfg: dict) -> dict:
     """Classify a rectangular raster in the (gamma, p) plane."""
-    c = _take(
-        cfg, "atlas config", ("n", "gamma", "p"), {"s": 1.0},
-        {"n": _int, "gamma": _axis, "p": _axis, "s": float},
-    )
+    c = _take(cfg, "atlas config", {
+        "n": (_int, _REQUIRED), "gamma": (_axis, _REQUIRED), "p": (_axis, _REQUIRED),
+        "s": (float, 1.0),
+    })
     n, s = c["n"], c["s"]
     gammas, ps = (np.linspace(a["min"], a["max"], a["count"]) for a in (c["gamma"], c["p"]))
     rows = [
@@ -571,16 +537,15 @@ def run_atlas(cfg: dict) -> dict:
         "fujita": exponents.fujita(n),
     }
     lines = ["raster classified: " + " ".join(f"{k}={v}" for k, v in summary["counts"].items())]
-    return _result("atlas", _echo("atlas", c), ["gamma", "p", "verdict"], rows, summary, None,
-                   lines=lines)
+    return _result("atlas", _echo("atlas", c), rows, summary, None, lines=lines)
 
 
 def run_classify(cfg: dict) -> dict:
     """Classify one parameter point and report every nearby threshold."""
-    c = _take(
-        cfg, "classify config", ("n", "gamma", "p"), {"s": 1.0},
-        {"n": _int, "gamma": float, "p": float, "s": float},
-    )
+    c = _take(cfg, "classify config", {
+        "n": (_int, _REQUIRED), "gamma": (float, _REQUIRED), "p": (float, _REQUIRED),
+        "s": (float, 1.0),
+    })
     n, gamma, p, s = c["n"], c["gamma"], c["p"], c["s"]
     verdict = exponents.classify(n, gamma, p, s)
     th = exponents.thm_thresholds(n)
@@ -592,12 +557,7 @@ def run_classify(cfg: dict) -> dict:
         "p_fujita": exponents.fujita(n),
         "gamma_min": th.gamma_min,
         "p_min": th.p_min,
-        "lifespan": {
-            "a_subcritical": life.a_subcritical,
-            "a_fujita": life.a_fujita,
-            "a_combined": life.a_combined,
-            "switch_p": life.switch_p,
-        },
+        "lifespan": dataclasses.asdict(life),
     }
     rows = [{"gamma": gamma, "p": p, "verdict": verdict.verdict}]
     lines = [
@@ -606,24 +566,18 @@ def run_classify(cfg: dict) -> dict:
         f"gamma_min={th.gamma_min:.6g} p_min={th.p_min:.6g}",
         f"lifespan exponent={life.a_combined} switch_p={life.switch_p:.6g}",
     ]
-    return _result("classify", _echo("classify", c), ["gamma", "p", "verdict"], rows, summary,
-                   None, lines=lines)
+    return _result("classify", _echo("classify", c), rows, summary, None, lines=lines)
 
 
 def run_bump_check(cfg: dict) -> dict:
     """Certify the convolved bump and optional shifted counterexample."""
-    c = _take(
-        cfg,
-        "bump-check config",
-        (),
-        {
-            "grid": {"dim": 1, "size": 512, "half_length": 4.0},
-            "exponents": [3, 5, 7],
-            "tol": 1e-8,
-            "shifted_center": None,
-        },
-        {"exponents": lambda ls: [_int(l) for l in ls], "tol": float, "shifted_center": float},
-    )
+    c = _take(cfg, "bump-check config", {
+        "grid": (None, {"dim": 1, "size": 512, "half_length": 4.0}),
+        "exponents": (lambda ls: [_int(l) for l in ls], [3, 5, 7]),
+        "tol": (float, 1e-8), "shifted_center": (float, None),
+    })
+    if not c["exponents"]:
+        raise ConfigError("bump-check config: 'exponents' must not be empty")
     grid = build_grid(c["grid"])
     tol = c["tol"]
     exps = c["exponents"]
@@ -647,14 +601,7 @@ def run_bump_check(cfg: dict) -> dict:
         )
 
     summary: dict = {
-        "base": {
-            "nonneg_ok": rep.nonneg_ok,
-            "fourier_ok": rep.fourier_ok,
-            "monotone_ok": rep.monotone_ok,
-            "worst_negative": rep.worst_negative,
-            "worst_fourier": rep.worst_fourier,
-            "worst_monotone": rep.worst_monotone,
-        },
+        "base": dataclasses.asdict(rep),
         "transform_identity_residual": transform_residual,
         "base_integral": float(base.samples.sum() * vol),
     }
@@ -675,29 +622,20 @@ def run_bump_check(cfg: dict) -> dict:
         f"transform_residual={transform_residual:.3e}"
     ]
     echo = _echo("bump-check", c, grid=dataclasses.asdict(grid))
-    return _result("bump-check", echo, ["exponent", "integral", "max", "min"], rows, summary,
-                   check, lines=lines)
+    return _result("bump-check", echo, rows, summary, check, lines=lines)
 
 
 def run_testfunc(cfg: dict) -> dict:
     """Evaluate the weak-solution inequalities on stored fields."""
-    c = _take(
-        cfg,
-        "testfunc config",
-        ("fields",),
-        {
-            "R_values": [2.0, 4.0, 8.0],
-            "exponent": None,
-            "bump_grid": {"dim": 1, "size": 512, "half_length": 4.0},
-            "time_points": 513,
-            "check": None,
-        },
-        {"fields": str, "R_values": _floats, "exponent": _int, "time_points": _int},
-    )
-    cc = _check(
-        c, "testfunc check", {"min_margin": 0.0, "max_identity_rel": 0.05},
-        {"min_margin": float, "max_identity_rel": float},
-    )
+    c = _take(cfg, "testfunc config", {
+        "fields": (str, _REQUIRED), "R_values": (_floats, [2.0, 4.0, 8.0]),
+        "exponent": (_int, None),
+        "bump_grid": (None, {"dim": 1, "size": 512, "half_length": 4.0}),
+        "time_points": (_int, 513), "check": (None, None),
+    })
+    cc = _check(c, "testfunc check", {
+        "min_margin": (float, 0.0), "max_identity_rel": (float, 0.05),
+    })
     if not c["R_values"]:
         raise ConfigError("testfunc config: 'R_values' must not be empty")
     data = _load_fields(c["fields"])
@@ -754,16 +692,6 @@ def run_testfunc(cfg: dict) -> dict:
         )
         check = {"passed": bool(passed), "details": {"rows": len(rows)}}
 
-    columns = [
-        "R",
-        "i_value",
-        "data_term",
-        "holder_rhs",
-        "absorbed_rhs",
-        "margin_holder",
-        "margin_absorbed",
-        "identity_rel",
-    ]
     # phi_R reaches radius 2R: few cells there leave the spatial sums coarse
     lines = [
         f"R={r['R']:g} cells_per_radius={2.0 * r['R'] / grid.dx:g} "
@@ -771,7 +699,7 @@ def run_testfunc(cfg: dict) -> dict:
         f"margin_absorbed={r['margin_absorbed']:.4e} identity_rel={r['identity_rel']:.3e}"
         for r in rows
     ]
-    return _result("testfunc", echo, columns, rows, summary, check, lines=lines)
+    return _result("testfunc", echo, rows, summary, check, lines=lines)
 
 
 def _load_fields(path: str) -> dict:
@@ -780,9 +708,7 @@ def _load_fields(path: str) -> dict:
             grid = Grid(int(z["dim"]), int(z["size"]), float(z["half_length"]))
             u0 = SpectralField(grid, np.ascontiguousarray(z["u0_coeffs"]))
             u1 = SpectralField(grid, np.ascontiguousarray(z["u1_coeffs"]))
-            pair = DataPair(
-                u0=u0, u1=u1, eps=float(z["eps"]), family="stored"
-            )
+            pair = DataPair(u0=u0, u1=u1, eps=float(z["eps"]), family="stored")
             return {
                 "grid": grid,
                 "pair": pair,
@@ -811,15 +737,17 @@ def run_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     """Run a list of named jobs, each into its own subdirectory."""
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    c = _take(cfg, "sweep config", ("jobs",), {})
+    c = _take(cfg, "sweep config", {"jobs": (None, _REQUIRED)})
     jobs = c["jobs"]
     if not isinstance(jobs, list) or not jobs:
         raise ConfigError("sweep needs a non-empty 'jobs' list")
     seen = set()
     parsed = []
     for j, job in enumerate(jobs):
-        jc = _take(job, f"jobs[{j}]", ("name", "kind", "config"), {})
-        name, kind = str(jc["name"]), str(jc["kind"])
+        jc = _take(job, f"jobs[{j}]", {
+            "name": (str, _REQUIRED), "kind": (str, _REQUIRED), "config": (None, _REQUIRED),
+        })
+        name, kind = jc["name"], jc["kind"]
         if kind not in RUNNERS:
             raise ConfigError(f"jobs[{j}]: unknown kind {kind!r}")
         if name in seen or not name or "/" in name or name.startswith("."):
@@ -836,27 +764,21 @@ def run_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         emit_outputs(result, os.path.join(out_dir, name))
         return name, kind, result
 
-    rows = []
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(_one, parsed))
     else:
         results = [_one(item) for item in parsed]
-    for name, kind, result in results:
-        rows.append(
-            {
-                "name": name,
-                "kind": kind,
-                "config_hash": result["config_hash"],
-                "passed": result["check"]["passed"] if result["check"] else True,
-            }
-        )
+    rows = [
+        {"name": name, "kind": kind, "config_hash": result["config_hash"],
+         "passed": result["check"]["passed"] if result["check"] else True}
+        for name, kind, result in results
+    ]
     all_passed = all(r["passed"] for r in rows)
     summary = {"jobs": len(rows), "all_passed": all_passed}
     check = {"passed": all_passed, "details": {"jobs": len(rows)}}
     lines = [f"{r['name']}: {'pass' if r['passed'] else 'FAIL'}" for r in rows]
-    return _result("sweep", echo, ["name", "kind", "config_hash", "passed"], rows, summary,
-                   check, lines=lines)
+    return _result("sweep", echo, rows, summary, check, lines=lines)
 
 
 # ---------------------------------------------------------------------
@@ -900,10 +822,12 @@ def _json_default(o):
     raise TypeError(f"not JSON serialisable: {type(o).__name__}")
 
 
-def write_csv(path: str, columns: list, rows: list, cfg_hash: str) -> None:
-    lines = [",".join(columns + ["config_hash"])]
+def write_csv(path: str, rows: list, cfg_hash: str) -> None:
+    """rows under a header of the first row's keys, each stamped with cfg_hash."""
+    keys = list(rows[0])
+    lines = [",".join(keys + ["config_hash"])]
     for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns) + "," + cfg_hash)
+        lines.append(",".join(_fmt(row[k]) for k in keys) + "," + cfg_hash)
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -942,11 +866,9 @@ def emit_outputs(result: dict, out_dir: str) -> list:
     """Write CSV + JSON (+ field archive) for one result; returns paths."""
     os.makedirs(out_dir, exist_ok=True)
     kind = result["kind"]
-    paths = []
-    if result["columns"]:
-        csv_path = os.path.join(out_dir, f"{kind}.csv")
-        write_csv(csv_path, result["columns"], result["rows"], result["config_hash"])
-        paths.append(csv_path)
+    csv_path = os.path.join(out_dir, f"{kind}.csv")
+    write_csv(csv_path, result["rows"], result["config_hash"])
+    paths = [csv_path]
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": kind,

@@ -35,8 +35,6 @@ __all__ = [
     "hs_norm",
     "seminorm_hs",
     "hdotneg_norm",
-    "NormReport",
-    "norm_report",
     "embedding_check",
     "EmbeddingReport",
     "divergence_probe",
@@ -154,32 +152,6 @@ def hdotneg_norm(fld: SpectralField, gamma: float, policy: str) -> float:
     if math.isfinite(cell):
         total += abs(c0) ** 2 * cell
     return math.sqrt(total)
-
-
-@dataclass
-class NormReport:
-    l2: float
-    linf: float
-    hs: float
-    hdotneg: float
-    divergence_flag: bool | None = None
-
-
-def norm_report(
-    fld: SpectralField,
-    s: float,
-    gamma: float,
-    policy: str = "exclude",
-    divergence_flag: bool | None = None,
-) -> NormReport:
-    """Bundle the four standard norms of a field."""
-    return NormReport(
-        l2=lp_norm(fld, 2.0),
-        linf=lp_norm(fld, math.inf),
-        hs=hs_norm(fld, s),
-        hdotneg=hdotneg_norm(fld, gamma, policy),
-        divergence_flag=divergence_flag,
-    )
 
 
 @dataclass

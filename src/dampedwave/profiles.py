@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid, SpectralField
+from .grid import Grid, SpectralField, hermitian_defect
 
 __all__ = [
     "log_profile",
@@ -24,6 +24,9 @@ __all__ = [
     "DataPair",
     "assemble_pair",
 ]
+
+# relative roundoff allowed in the real-data checks on spectral coefficients
+_RTOL = 1e-12
 
 # low-frequency builders need this many lattice shells inside the support
 # radius before the Riemann sums of the singular weight are trustworthy
@@ -108,12 +111,22 @@ class DataPair:
 
     The solver multiplies both fields by eps at setup; keeping the shape
     and the amplitude separate lets lifespan ladders reuse one profile.
+    Both fields must hold the half-spectrum of a real field.
     """
 
     u0: SpectralField
     u1: SpectralField
     eps: float
     family: str
+
+    def __post_init__(self) -> None:
+        for name in ("u0", "u1"):
+            defect = hermitian_defect(getattr(self, name))
+            if defect > _RTOL:
+                raise ConfigError(
+                    f"{name} is not the spectrum of a real field: its k = 0 and "
+                    f"k = N/2 planes break c(-k) = conj(c(k)) by {defect:.3g} relative"
+                )
 
 
 def assemble_pair(
@@ -131,7 +144,7 @@ def assemble_pair(
     top = float(np.max(np.abs(total)))
     if top == 0.0:
         raise ConfigError("profile is identically zero")
-    tol = 1e-12 * top
+    tol = _RTOL * top
     if float(np.max(np.abs(total.imag))) > tol or float(np.min(total.real)) < -tol:
         raise ConfigError(
             "u0hat + u1hat must be real and nonnegative for this data family"

@@ -182,6 +182,22 @@ def _axis_xi(grid: Grid, d: int) -> np.ndarray:
     return xi.reshape(shape)
 
 
+def _bump_derivatives(bump: BumpFunction, sample) -> tuple:
+    """(B, |grad B|^2, Delta B), where B is bump's base clamped at 0.
+
+    sample maps a SpectralField on the bump's grid to the values wanted,
+    e.g. its physical samples or its interpolant at chosen points.
+    """
+    g = bump.grid
+    B = np.maximum(sample(bump.coeffs), 0.0)
+    grad2 = np.zeros_like(B)
+    for d in range(g.dim):
+        gr = sample(SpectralField(g, 1j * _axis_xi(g, d) * bump.coeffs.coeffs))
+        grad2 += gr * gr
+    lap = sample(SpectralField(g, -g.xi2 * bump.coeffs.coeffs))
+    return B, grad2, lap
+
+
 @dataclass
 class SpatialFactors:
     """phi_R and its Laplacian sampled on a target grid.
@@ -218,13 +234,7 @@ def spatial_factors(pair: TestPair, grid: Grid) -> SpatialFactors:
     inside = np.max(np.abs(pts), axis=1) <= support
     sel = pts[inside]
 
-    base_vals = np.maximum(evaluate_at(b.coeffs, sel), 0.0)
-    grad2 = np.zeros_like(base_vals)
-    for d in range(g.dim):
-        dcoeffs = SpectralField(b.grid, 1j * _axis_xi(b.grid, d) * b.coeffs.coeffs)
-        gr = evaluate_at(dcoeffs, sel)
-        grad2 += gr * gr
-    lap = evaluate_at(SpectralField(b.grid, -b.grid.xi2 * b.coeffs.coeffs), sel)
+    base_vals, grad2, lap = _bump_derivatives(b, lambda f: evaluate_at(f, sel))
     # Delta(base**l) = l(l-1) base^(l-2) |grad base|^2 + l base^(l-1) lap
     lap_base_pow = (
         l * (l - 1) * base_vals ** (l - 2) * grad2 + l * base_vals ** (l - 1) * lap
@@ -335,12 +345,7 @@ def _weight_integrals(
             f"for an integrable weight"
         )
     g = bump.grid
-    B = np.maximum(bump.samples, 0.0)
-    grad2 = np.zeros_like(B)
-    for d in range(g.dim):
-        gr = SpectralField(g, 1j * _axis_xi(g, d) * bump.coeffs.coeffs).physical()
-        grad2 += gr * gr
-    lap = SpectralField(g, -g.xi2 * bump.coeffs.coeffs).physical()
+    B, grad2, lap = _bump_derivatives(bump, SpectralField.physical)
     D = l * (l - 1) * grad2 + l * B * lap  # Delta(B^l) = B^(l-2) D
 
     tau = np.linspace(0.0, 1.0, time_points)

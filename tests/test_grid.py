@@ -6,10 +6,12 @@ import pytest
 from dampedwave.errors import ConfigError
 from dampedwave.grid import (
     Grid,
+    SpectralField,
     apply_radial_multiplier,
     evaluate_at,
     forward_transform,
     full_of,
+    hermitian_defect,
     inverse_transform,
 )
 
@@ -150,3 +152,17 @@ def test_full_of_restores_the_half_spectrum_of_real_data(dim):
     full = full_of(forward_transform(g, noise).coeffs)
     assert full.shape == g.shape
     assert np.max(np.abs(full - coeffs)) <= 1e-15 * np.max(np.abs(coeffs))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hermitian_defect_separates_real_from_non_real_coefficients(dim):
+    g = Grid(dim, 8, 4.0)
+    fld = forward_transform(g, np.random.default_rng(dim).standard_normal(g.shape))
+    assert hermitian_defect(fld) <= 1e-15
+    assert hermitian_defect(SpectralField(g, g.zeros_spectral())) == 0.0
+    # a mode off the self-mirrored planes is free; the zero mode is not
+    coeffs = fld.coeffs.copy()
+    coeffs[(0,) * (dim - 1) + (1,)] += 1j
+    assert hermitian_defect(SpectralField(g, coeffs)) <= 1e-15
+    coeffs[(0,) * dim] += 1j
+    assert hermitian_defect(SpectralField(g, coeffs)) > 1e-3

@@ -15,14 +15,23 @@ from dampedwave.grid import Grid, full_of
 
 
 def test_take_validates_keys():
-    out = harness._take({"a": 1}, "x", ("a",), {"b": 2})
+    req = harness._REQUIRED
+    out = harness._take({"a": 1}, "x", {"a": (None, req), "b": (None, 2)})
     assert out == {"a": 1, "b": 2}
     with pytest.raises(ConfigError, match="unknown keys"):
-        harness._take({"a": 1, "z": 0}, "x", ("a",), {})
+        harness._take({"a": 1, "z": 0}, "x", {"a": (None, req)})
     with pytest.raises(ConfigError, match="missing keys"):
-        harness._take({}, "x", ("a",), {})
+        harness._take({}, "x", {"a": (None, req)})
     with pytest.raises(ConfigError, match="must be an object"):
-        harness._take([1], "x", (), {})
+        harness._take([1], "x", {})
+    # a default is converted by its kind, as a given value is
+    out = harness._take({}, "x", {"n": (harness._int, 2.0), "t": (float, 1)})
+    assert out == {"n": 2, "t": 1.0}
+    assert type(out["n"]) is int and type(out["t"]) is float
+    # null is kept where the default is None, and converted where it is not
+    assert harness._take({"g": None}, "x", {"g": (float, None)}) == {"g": None}
+    with pytest.raises(ConfigError, match="'dt'"):
+        harness._take({"dt": None}, "x", {"dt": (float, req)})
 
 
 def test_config_hash_is_order_insensitive():
@@ -153,8 +162,9 @@ _TINY = {
 def test_config_echo_and_summary_lines_are_pinned(tmp_path, monkeypatch, capsys):
     # The config echo, and so the config_hash in every output, is part of the
     # byte-identical contract: a refactor of the runners must not move it.
+    # Nor may it move the CSV headers, which are each runner's row keys.
     monkeypatch.chdir(tmp_path)
-    hashes, stdout = {}, {}
+    hashes, stdout, headers = {}, {}, {}
     for command, cfg in _TINY.items():
         with open(f"{command}.cfg.json", "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
@@ -165,6 +175,8 @@ def test_config_echo_and_summary_lines_are_pinned(tmp_path, monkeypatch, capsys)
         stdout[command] = capsys.readouterr().out.splitlines()
         with open(f"{command}/{command}.json", encoding="utf-8") as fh:
             hashes[command] = json.load(fh)["config_hash"]
+        with open(f"{command}/{command}.csv", encoding="utf-8") as fh:
+            headers[command] = fh.readline().rstrip("\n")
     assert hashes == {
         "classify": "559c8689cebf",
         "atlas": "43ecfea5bc52",
@@ -174,6 +186,18 @@ def test_config_echo_and_summary_lines_are_pinned(tmp_path, monkeypatch, capsys)
         "lifespan": "6184dcc7ae81",
         "bump-check": "bfdd3abe7bbb",
         "sweep": "2bf468e09fbc",
+    }
+    assert headers == {
+        "classify": "gamma,p,verdict,config_hash",
+        "atlas": "gamma,p,verdict,config_hash",
+        "decay": "t,l2,linf,hs,hdotneg,seminorm,config_hash",
+        "simulate": "t,l2,linf,hs,hdotneg,config_hash",
+        "testfunc": "R,i_value,data_term,holder_rhs,absorbed_rhs,margin_holder,"
+                    "margin_absorbed,identity_rel,config_hash",
+        "lifespan": "eps,t_b,t_b_err,censored,config_hash",
+        "bump-check": "exponent,integral,max,min,config_hash",
+        # a sweep row carries each job's hash before the sweep's own
+        "sweep": "name,kind,config_hash,passed,config_hash",
     }
     assert stdout["classify"] == [
         "verdict=BlowupSubcritical tags=BlowupSubcritical,BlowupSubfujita,"
@@ -329,6 +353,8 @@ def test_cli_config_errors(tmp_path, capsys):
         ("simulate", simulate, {"record_every": 1.9}, "record_every"),
         ("simulate", simulate, {"record_fields_every": True}, "record_fields_every"),
         ("bump-check", {}, {"exponents": [3, 5.5]}, "exponents"),
+        # no exponent leaves no row to write and nothing to certify
+        ("bump-check", {}, {"exponents": []}, "exponents"),
         ("simulate", simulate, {"check": {"expect_outcome": "blowup"}}, "expect_outcome"),
         ("atlas", _TINY["atlas"], {"gamma": {"min": 0.5, "max": 1.0, "count": -1}}, "gamma"),
         ("atlas", _TINY["atlas"], {"p": {"min": 2.0, "max": 3.0, "count": 0}}, "p"),
@@ -423,13 +449,31 @@ def test_testfunc_rejects_full_lattice_coefficients(fields_2d, tmp_path, capsys)
     assert "(128, 128)" in err and "(128, 65)" in err and "Traceback" not in err
 
 
+def test_testfunc_rejects_an_imaginary_zero_mode(fields_2d, tmp_path, capsys):
+    # coefficients no real field has: the stepper would have dropped the
+    # imaginary zero mode without notice
+    with np.load(fields_2d) as z:
+        arrays = dict(z)
+    arrays["u1_coeffs"][0, 0] = 1j * np.max(np.abs(arrays["u1_coeffs"]))
+    bad = str(tmp_path / "fields.npz")
+    np.savez(bad, **arrays)
+    cfgp = tmp_path / "testfunc.json"
+    cfgp.write_text(json.dumps({
+        "fields": bad, "R_values": [4.0],
+        "bump_grid": {"dim": 2, "size": 32, "half_length": 4.0},
+    }))
+    assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "u1 is not the spectrum of a real field" in err and "Traceback" not in err
+
+
 def test_cli_check_failure_and_numerical_error(tmp_path, monkeypatch):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text("{}")
 
     def failing(cfg):
         return harness._result(
-            "atlas", {"kind": "atlas"}, ["gamma", "p", "verdict"], [],
+            "atlas", {"kind": "atlas"}, [{"gamma": 1.0, "p": 2.0, "verdict": "x"}],
             {"counts": {}, "thresholds": {}, "fujita": 3.0},
             {"passed": False, "details": {}},
         )

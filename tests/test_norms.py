@@ -14,7 +14,6 @@ from dampedwave.norms import (
     hdotneg_norm,
     hs_norm,
     lp_norm,
-    norm_report,
     seminorm_hs,
     zero_cell_weight,
 )
@@ -27,6 +26,8 @@ def _gaussian(grid: Grid) -> SpectralField:
 def test_gaussian_l2_oracle():
     fld = _gaussian(Grid(1, 1024, 30.0))
     assert lp_norm(fld, 2.0) == pytest.approx(math.pi**0.25, rel=1e-10)
+    # the peak e^0 sits on the lattice point x = 0
+    assert lp_norm(fld, math.inf) == pytest.approx(1.0, rel=1e-8)
 
 
 def test_gaussian_h1_oracle():
@@ -155,15 +156,6 @@ def test_embedding_validates_order():
     fld = _gaussian(Grid(1, 256, 15.0))
     with pytest.raises(ConfigError):
         embedding_check(fld, 1.0, 0.5, 0.25)
-
-
-def test_norm_report_bundles_values():
-    fld = _gaussian(Grid(1, 512, 20.0))
-    rep = norm_report(fld, 1.0, 0.25)
-    assert rep.l2 == pytest.approx(lp_norm(fld, 2.0))
-    assert rep.linf == pytest.approx(1.0, rel=1e-8)
-    assert rep.hs == pytest.approx(hs_norm(fld, 1.0))
-    assert rep.divergence_flag is None
 
 
 def test_hs_order_validation():

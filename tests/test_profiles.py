@@ -9,6 +9,7 @@ from dampedwave.errors import ConfigError
 from dampedwave.grid import Grid, SpectralField, forward_transform
 from dampedwave.norms import divergence_probe, hdotneg_norm
 from dampedwave.profiles import (
+    DataPair,
     assemble_pair,
     laplacian_gaussian,
     log_profile,
@@ -139,6 +140,17 @@ def test_assemble_pair_rejects_complex_asymmetry():
     fld = forward_transform(g, samples)
     with pytest.raises(ConfigError):
         assemble_pair(fld, 0.1)
+
+
+def test_data_pair_rejects_coefficients_of_no_real_field():
+    # an imaginary zero mode: irfftn would drop it and step another field
+    coeffs = laplacian_gaussian(Grid(1, 64, 8.0), 0).coeffs
+    real = SpectralField(Grid(1, 64, 8.0), coeffs)
+    bad = SpectralField(Grid(1, 64, 8.0), 1j * coeffs)
+    for u0, u1 in ((bad, real), (real, bad)):
+        with pytest.raises(ConfigError, match="u0" if u0 is bad else "u1"):
+            DataPair(u0=u0, u1=u1, eps=0.1, family="custom")
+    DataPair(u0=real, u1=real, eps=0.1, family="custom")
 
 
 def test_physical_data_is_real_and_even():
