@@ -93,17 +93,18 @@ def predict_combine(
     nlhat: np.ndarray,
     kh: np.ndarray,
     kp: np.ndarray,
-    xi2: np.ndarray,
-    half_dt: float,
+    xi2_kh: np.ndarray,
+    half_dt_kh: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One fused linear-propagation-plus-source combine.
 
     Returns (uhat at t+dt, linear part of vhat at t+dt).  The source term
-    carries the trapezoid weight half_dt = dt/2 with the kernel evaluated
-    inside the quadrature; the khat(0) = 0 endpoint drops out.
+    carries the trapezoid weight dt/2 with the kernel evaluated inside the
+    quadrature; the khat(0) = 0 endpoint drops out.  xi2_kh = xi2 * kh and
+    half_dt_kh = (dt/2) * kh are the step-invariant products, built once.
     """
-    unew = kp * uhat + kh * (uhat + vhat) + (half_dt * kh) * nlhat
-    pv = kp * vhat - (xi2 * kh) * uhat
+    unew = kp * uhat + kh * (uhat + vhat) + half_dt_kh * nlhat
+    pv = kp * vhat - xi2_kh * uhat
     return unew, pv
 
 

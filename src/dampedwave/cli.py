@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--threads",
                 type=int,
                 default=1,
-                help="worker threads for sweep jobs (default 1)",
+                help="parallel worker processes for sweep jobs (default 1; "
+                "the name is kept for compatibility)",
             )
         if name == "classify":
             sp.add_argument("--n", type=int, default=None, help="space dimension")

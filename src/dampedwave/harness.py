@@ -17,7 +17,6 @@ traced to their parameters.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import io
@@ -733,8 +732,22 @@ RUNNERS = {
 }
 
 
+def _sweep_job(item):
+    """Run one sweep job and write its outputs; only the summary comes back."""
+    name, kind, config, out_dir = item
+    result = RUNNERS[kind](config)
+    emit_outputs(result, os.path.join(out_dir, name))
+    return name, kind, result["config_hash"], result["check"]
+
+
 def run_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
-    """Run a list of named jobs, each into its own subdirectory."""
+    """Run a list of named jobs, each into its own subdirectory.
+
+    With threads > 1 the jobs run in up to that many worker processes
+    (spawned, so each starts from a fresh import); each worker writes its
+    job's outputs itself and sends back only the job's config hash and check.
+    A ConfigError or NumericalError raised in a worker is raised here.
+    """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
     c = _take(cfg, "sweep config", {"jobs": (None, _REQUIRED)})
@@ -753,26 +766,26 @@ def run_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         if name in seen or not name or "/" in name or name.startswith("."):
             raise ConfigError(f"jobs[{j}]: bad or duplicate name {name!r}")
         seen.add(name)
-        parsed.append((name, kind, jc["config"]))
+        parsed.append((name, kind, jc["config"], out_dir))
 
-    echo = _echo("sweep", c, jobs=[{"name": n, "kind": k} for n, k, _ in parsed],
+    echo = _echo("sweep", c, jobs=[{"name": n, "kind": k} for n, k, _, _ in parsed],
                  threads=int(threads))
+    workers = min(threads, len(parsed))
+    if workers > 1:
+        # imported here: only a parallel sweep pays for the pool's imports
+        import concurrent.futures
+        import multiprocessing
 
-    def _one(item):
-        name, kind, sub = item
-        result = RUNNERS[kind](sub)
-        emit_outputs(result, os.path.join(out_dir, name))
-        return name, kind, result
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(_one, parsed))
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as ex:
+            results = list(ex.map(_sweep_job, parsed))
     else:
-        results = [_one(item) for item in parsed]
+        results = [_sweep_job(item) for item in parsed]
     rows = [
-        {"name": name, "kind": kind, "config_hash": result["config_hash"],
-         "passed": result["check"]["passed"] if result["check"] else True}
-        for name, kind, result in results
+        {"name": name, "kind": kind, "config_hash": cfg_hash,
+         "passed": check["passed"] if check else True}
+        for name, kind, cfg_hash, check in results
     ]
     all_passed = all(r["passed"] for r in rows)
     summary = {"jobs": len(rows), "all_passed": all_passed}

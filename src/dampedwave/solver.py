@@ -126,11 +126,12 @@ class Stepper:
                  nonlinear: bool = True) -> None:
         self.shape = grid.shape
         self.axes = tuple(range(grid.dim))
-        self.xi2 = grid.xi2
         self.p = p
         self.nonlinear = nonlinear
         self.half = 0.5 * dt
-        self.kh, self.kp = khat_kprime(dt, self.xi2)
+        self.kh, self.kp = khat_kprime(dt, grid.xi2)
+        self.xi2_kh = grid.xi2 * self.kh
+        self.half_kh = self.half * self.kh
         self.inv_factor = grid.phase / grid.transform_scale
         self.fwd_factor = grid.phase * grid.transform_scale
         if dealias:
@@ -155,7 +156,7 @@ class Stepper:
     def advance(self, uhat: np.ndarray, vhat: np.ndarray, nl_hat: np.ndarray):
         """(uhat, vhat, u_phys, nl_hat) one step later."""
         uhat_new, pv = predict_combine(
-            uhat, vhat, nl_hat, self.kh, self.kp, self.xi2, self.half
+            uhat, vhat, nl_hat, self.kh, self.kp, self.xi2_kh, self.half_kh
         )
         u_new = self.physical(uhat_new)
         nl_new = self.nl_coeffs(u_new)

@@ -273,16 +273,58 @@ def _sweep_cfg():
 
 
 def test_sweep_serial_and_threaded_agree(tmp_path):
+    # the lifespan job steps the solver inside a worker process
+    cfg = _sweep_cfg()
+    cfg["jobs"].append({"name": "j3", "kind": "lifespan", "config": _TINY["lifespan"]})
     d1, d2 = str(tmp_path / "serial"), str(tmp_path / "par")
-    r1 = harness.run_sweep(_sweep_cfg(), d1, threads=1)
-    r2 = harness.run_sweep(_sweep_cfg(), d2, threads=2)
+    r1 = harness.run_sweep(cfg, d1, threads=1)
+    r2 = harness.run_sweep(cfg, d2, threads=2)
     assert r1["rows"] == r2["rows"]
     assert r1["check"]["passed"] and r2["check"]["passed"]
-    for job in ("j1", "j2"):
-        kind = "classify" if job == "j1" else "atlas"
-        a = open(f"{d1}/{job}/{kind}.json", "rb").read()
-        b = open(f"{d2}/{job}/{kind}.json", "rb").read()
-        assert a == b
+    for job, kind in (("j1", "classify"), ("j2", "atlas"), ("j3", "lifespan")):
+        for ext in ("csv", "json"):
+            a = open(f"{d1}/{job}/{kind}.{ext}", "rb").read()
+            b = open(f"{d2}/{job}/{kind}.{ext}", "rb").read()
+            assert a == b, (job, ext)
+
+
+def test_sweep_pool_size_and_serial_path(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    built = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: records its size, runs jobs inline."""
+
+        def __init__(self, max_workers, mp_context):
+            built.append((max_workers, mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    r = harness.run_sweep(_sweep_cfg(), str(tmp_path / "wide"), threads=64)
+    assert built == [(2, "spawn")]
+    assert [row["name"] for row in r["rows"]] == ["j1", "j2"]
+    harness.run_sweep(_sweep_cfg(), str(tmp_path / "serial"), threads=1)
+    assert built == [(2, "spawn")]
+
+
+def test_sweep_worker_config_error_exits_2(tmp_path, capsys):
+    cfg = _sweep_cfg()
+    cfg["jobs"][1]["config"]["colour"] = "red"
+    cfgp = tmp_path / "sweep.json"
+    cfgp.write_text(json.dumps(cfg))
+    out = str(tmp_path / "o")
+    assert cli.main(["sweep", "--config", str(cfgp), "--out", out, "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "colour" in err and "Traceback" not in err
 
 
 def test_sweep_name_and_kind_validation(tmp_path):
@@ -491,11 +533,13 @@ def test_cli_check_failure_and_numerical_error(tmp_path, monkeypatch):
 
 
 def test_cli_import_loads_no_scipy():
-    # the runtime is NumPy-only; SciPy is a test-time oracle
+    # the runtime is NumPy-only; SciPy is a test-time oracle.  The sweep's
+    # process pool is imported only when a sweep runs in parallel.
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     code = (
         "import sys, dampedwave.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.') "
+        "or m == 'multiprocessing' or m == 'concurrent.futures.process'))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
