@@ -106,8 +106,16 @@ def _int(value) -> int:
     return out
 
 
+def _real(value) -> float:
+    """A finite number; NaN, Infinity and true are errors, not values."""
+    out = float(value)
+    if not math.isfinite(out) or isinstance(value, bool):
+        raise ValueError("expected a finite number")
+    return out
+
+
 def _floats(values) -> list:
-    return [float(v) for v in values]
+    return [_real(v) for v in values]
 
 
 def _outcome(value) -> str:
@@ -167,16 +175,16 @@ def _echo(kind: str, c: dict, **resolved) -> dict:
 
 def build_grid(cfg: dict) -> Grid:
     c = _take(cfg, "grid", {
-        "dim": (_int, _REQUIRED), "size": (_int, _REQUIRED), "half_length": (float, _REQUIRED),
+        "dim": (_int, _REQUIRED), "size": (_int, _REQUIRED), "half_length": (_real, _REQUIRED),
     })
     return Grid(c["dim"], c["size"], c["half_length"])
 
 
-_RADIAL = {"gamma": (float, _REQUIRED), "r0": (float, 0.5), "scale": (float, 1.0)}
+_RADIAL = {"gamma": (_real, _REQUIRED), "r0": (_real, 0.5), "scale": (_real, 1.0)}
 _PROFILE_KEYS = {
     "power": _RADIAL,
     "log": _RADIAL,
-    "laplacian_gaussian": {"k": (_int, _REQUIRED), "scale": (float, 1.0)},
+    "laplacian_gaussian": {"k": (_int, _REQUIRED), "scale": (_real, 1.0)},
 }
 _PROFILES = {"power": power_profile, "log": log_profile, "laplacian_gaussian": laplacian_gaussian}
 
@@ -195,7 +203,11 @@ def build_profile(grid: Grid, cfg: dict) -> tuple[SpectralField, dict]:
         {k: v for k, v in cfg.items() if k != "family"}, f"profile[{family}]",
         _PROFILE_KEYS[family],
     )
-    return _PROFILES[family](grid, **c), {"family": family, **c}
+    with np.errstate(over="ignore", invalid="ignore"):
+        fld = _PROFILES[family](grid, **c)
+    if not np.all(np.isfinite(fld.coeffs)):
+        raise ConfigError(f"profile {family!r} has non-finite coefficients for {c}")
+    return fld, {"family": family, **c}
 
 
 def build_pair(grid: Grid, profile_cfg: dict, eps: float) -> tuple[DataPair, dict]:
@@ -257,12 +269,12 @@ def _result(kind: str, config: dict, rows, summary, check, arrays=None, lines=()
 
 def _ladder_times(cfg) -> list[float]:
     if isinstance(cfg, list):
-        times = [float(t) for t in cfg]
+        times = [_real(t) for t in cfg]
         if len(times) < 3 or any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError("times must be >= 3 strictly increasing values")
         return times
     c = _take(cfg, "times", {
-        "start": (float, _REQUIRED), "ratio": (float, _REQUIRED), "count": (_int, _REQUIRED),
+        "start": (_real, _REQUIRED), "ratio": (_real, _REQUIRED), "count": (_int, _REQUIRED),
     })
     start, ratio, count = c["start"], c["ratio"], c["count"]
     if start <= 0.0 or ratio <= 1.0 or count < 3:
@@ -273,7 +285,7 @@ def _ladder_times(cfg) -> list[float]:
 def _axis(cfg) -> dict:
     """One atlas axis: count points from min to max."""
     a = _take(cfg, "atlas axis", {
-        "min": (float, _REQUIRED), "max": (float, _REQUIRED), "count": (_int, _REQUIRED),
+        "min": (_real, _REQUIRED), "max": (_real, _REQUIRED), "count": (_int, _REQUIRED),
     })
     if a["count"] < 1:
         raise ValueError(f"count must be >= 1, got {a['count']}")
@@ -296,10 +308,10 @@ def run_decay(cfg: dict) -> dict:
     """
     c = _take(cfg, "decay config", {
         "grid": (None, _REQUIRED), "profile": (None, _REQUIRED),
-        "times": (_ladder_times, _REQUIRED), "s": (float, 1.0), "weight_gamma": (float, None),
+        "times": (_ladder_times, _REQUIRED), "s": (_real, 1.0), "weight_gamma": (_real, None),
         "policy": (None, "exclude"), "check": (None, None),
     })
-    cc = _check(c, "decay check", {"l2_tol": (float, 0.05), "seminorm_tol": (float, 0.1)})
+    cc = _check(c, "decay check", {"l2_tol": (_real, 0.05), "seminorm_tol": (_real, 0.1)})
     grid = build_grid(c["grid"])
     profile, prof_resolved = build_profile(grid, c["profile"])
     times = c["times"]
@@ -368,13 +380,13 @@ def run_lifespan(cfg: dict) -> dict:
     horizon) are excluded from the fit and reported.
     """
     c = _take(cfg, "lifespan config", {
-        "grid": (None, _REQUIRED), "profile": (None, _REQUIRED), "p": (float, _REQUIRED),
-        "eps_values": (_floats, _REQUIRED), "dt": (float, _REQUIRED),
-        "t_cap": (float, _REQUIRED), "blowup_threshold": (float, 1e6),
+        "grid": (None, _REQUIRED), "profile": (None, _REQUIRED), "p": (_real, _REQUIRED),
+        "eps_values": (_floats, _REQUIRED), "dt": (_real, _REQUIRED),
+        "t_cap": (_real, _REQUIRED), "blowup_threshold": (_real, 1e6),
         "dealias": (_flag, True), "check": (None, None),
     })
     cc = _check(c, "lifespan check", {
-        "rel_tol": (float, None), "max_slope": (float, None), "min_uncensored": (_int, 3),
+        "rel_tol": (_real, None), "max_slope": (_real, None), "min_uncensored": (_int, 3),
     })
     grid = build_grid(c["grid"])
     profile, prof_resolved = build_profile(grid, c["profile"])
@@ -440,15 +452,15 @@ def run_lifespan(cfg: dict) -> dict:
 def run_simulate(cfg: dict) -> dict:
     """One nonlinear (or linear) run with recorded norms and fields."""
     c = _take(cfg, "simulate config", {
-        "grid": (None, _REQUIRED), "profile": (None, _REQUIRED), "eps": (float, _REQUIRED),
-        "p": (float, _REQUIRED), "dt": (float, _REQUIRED), "t_max": (float, _REQUIRED),
-        "blowup_threshold": (float, 1e6), "dealias": (_flag, True),
+        "grid": (None, _REQUIRED), "profile": (None, _REQUIRED), "eps": (_real, _REQUIRED),
+        "p": (_real, _REQUIRED), "dt": (_real, _REQUIRED), "t_max": (_real, _REQUIRED),
+        "blowup_threshold": (_real, 1e6), "dealias": (_flag, True),
         "nonlinear": (_flag, True), "record_every": (_int, 1),
-        "record_fields_every": (_int, 0), "s": (float, 1.0), "weight_gamma": (float, None),
+        "record_fields_every": (_int, 0), "s": (_real, 1.0), "weight_gamma": (_real, None),
         "policy": (None, "exclude"), "check": (None, None),
     })
     cc = _check(c, "simulate check", {
-        "expect_outcome": (_outcome, None), "l2_decreasing_factor": (float, None),
+        "expect_outcome": (_outcome, None), "l2_decreasing_factor": (_real, None),
     })
     grid = build_grid(c["grid"])
     pair, prof_resolved = build_pair(grid, c["profile"], c["eps"])
@@ -519,7 +531,7 @@ def run_atlas(cfg: dict) -> dict:
     """Classify a rectangular raster in the (gamma, p) plane."""
     c = _take(cfg, "atlas config", {
         "n": (_int, _REQUIRED), "gamma": (_axis, _REQUIRED), "p": (_axis, _REQUIRED),
-        "s": (float, 1.0),
+        "s": (_real, 1.0),
     })
     n, s = c["n"], c["s"]
     gammas, ps = (np.linspace(a["min"], a["max"], a["count"]) for a in (c["gamma"], c["p"]))
@@ -542,8 +554,8 @@ def run_atlas(cfg: dict) -> dict:
 def run_classify(cfg: dict) -> dict:
     """Classify one parameter point and report every nearby threshold."""
     c = _take(cfg, "classify config", {
-        "n": (_int, _REQUIRED), "gamma": (float, _REQUIRED), "p": (float, _REQUIRED),
-        "s": (float, 1.0),
+        "n": (_int, _REQUIRED), "gamma": (_real, _REQUIRED), "p": (_real, _REQUIRED),
+        "s": (_real, 1.0),
     })
     n, gamma, p, s = c["n"], c["gamma"], c["p"], c["s"]
     verdict = exponents.classify(n, gamma, p, s)
@@ -573,7 +585,7 @@ def run_bump_check(cfg: dict) -> dict:
     c = _take(cfg, "bump-check config", {
         "grid": (None, {"dim": 1, "size": 512, "half_length": 4.0}),
         "exponents": (lambda ls: [_int(l) for l in ls], [3, 5, 7]),
-        "tol": (float, 1e-8), "shifted_center": (float, None),
+        "tol": (_real, 1e-8), "shifted_center": (_real, None),
     })
     if not c["exponents"]:
         raise ConfigError("bump-check config: 'exponents' must not be empty")
@@ -633,7 +645,7 @@ def run_testfunc(cfg: dict) -> dict:
         "time_points": (_int, 513), "check": (None, None),
     })
     cc = _check(c, "testfunc check", {
-        "min_margin": (float, 0.0), "max_identity_rel": (float, 0.05),
+        "min_margin": (_real, 0.0), "max_identity_rel": (_real, 0.05),
     })
     if not c["R_values"]:
         raise ConfigError("testfunc config: 'R_values' must not be empty")

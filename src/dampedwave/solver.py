@@ -9,6 +9,8 @@ predicted nonlinearity is reused as the next step's left endpoint, so each
 step costs one real forward and one real inverse transform.  Fields are
 real, and every spectral array here is the half-spectrum that
 SpectralField holds (last axis k = 0 .. N/2, as np.fft.rfftn returns it).
+run() is one loop over steps: step 0 is the eps-scaled data, and it goes
+through the same finiteness and threshold gate as every later step.
 
 Second order accurate in dt.  The step size must resolve the fastest
 resolved oscillation, dt <= 1/(2 xi_max).
@@ -76,8 +78,8 @@ class SimConfig:
                 f"dt = {self.dt:.4g} exceeds the oscillation limit "
                 f"1/(2 xi_max) = {0.5 / g.xi_max:.4g}"
             )
-        if not (self.t_max >= self.dt):
-            raise ConfigError(f"t_max = {self.t_max} is below one step")
+        if not (self.dt <= self.t_max < math.inf):
+            raise ConfigError(f"t_max = {self.t_max} must be finite and not below one step")
         if self.record_every < 1 or self.record_fields_every < 0:
             raise ConfigError("record intervals must be positive (fields: >= 0)")
         if not (self.blowup_threshold > 0.0):
@@ -92,7 +94,6 @@ class SimConfig:
 class Trajectory:
     """Recorded norms (and optionally fields) of one run."""
 
-    config: SimConfig
     times: np.ndarray
     l2: np.ndarray
     linf: np.ndarray
@@ -190,76 +191,55 @@ def initial_state(config: SimConfig) -> State:
 def run(config: SimConfig) -> Trajectory:
     """Integrate up to t_max or the first threshold crossing.
 
-    Nonlinear runs treat a non-finite state as blow-up at that step;
+    Step 0 is the eps-scaled data, every later step one Stepper.advance,
+    and each goes through the same gate on max|u|.  At step 0 an amplitude
+    not below the threshold, NaN and inf included, is a ConfigError.  Later
+    on, nonlinear runs treat a non-finite state as blow-up at that step;
     linear runs must stay finite, anything else raises NumericalError.
     The blow-up time is the first step time where max|u| exceeds the
-    threshold, so it carries a +-dt detection granularity.
+    threshold, so it carries a +-dt detection granularity.  The crossing
+    step is recorded off cadence, but takes no field snapshot.
     """
     g = config.grid
     stepper = _stepper(config)
-    uhat, vhat, u_phys, nl_hat = stepper.start(config.data)
-
-    linf0 = float(np.max(np.abs(u_phys)))
-    if linf0 >= config.blowup_threshold:
-        raise ConfigError(
-            f"initial amplitude {linf0:.3g} already at the blow-up "
-            f"threshold {config.blowup_threshold:.3g}"
-        )
-
     bmask = _boundary_mask(g)
-
+    vol = g.dx**g.dim
     n_steps = int(math.floor(config.t_max / config.dt + 1e-9))
-    times: list[float] = []
-    l2s: list[float] = []
-    linfs: list[float] = []
-    hss: list[float] = []
-    hnegs: list[float] = []
+    rows: list[tuple] = []
     ftimes: list[float] = []
     fsnaps: list[np.ndarray] = []
     boundary_ratio = 0.0
-    vol = g.dx**g.dim
-
-    def record(t: float, u_phys: np.ndarray, uhat: np.ndarray) -> None:
-        nonlocal boundary_ratio
-        fld = SpectralField(g, uhat)
-        times.append(t)
-        l2s.append(float(math.sqrt(np.sum(u_phys * u_phys) * vol)))
-        top = float(np.max(np.abs(u_phys)))
-        linfs.append(top)
-        hss.append(hs_norm(fld, config.s))
-        hnegs.append(hdotneg_norm(fld, config.gamma, config.norm_policy))
-        if top > 0.0:
-            ratio = float(np.max(np.abs(u_phys[bmask]))) / top
-            boundary_ratio = max(boundary_ratio, ratio)
-
-    record(0.0, u_phys, uhat)
-    if config.record_fields_every > 0:
-        ftimes.append(0.0)
-        fsnaps.append(u_phys.copy())
-
     outcome = "survived"
     t_blowup: float | None = None
-    steps_taken = 0
 
-    for n in range(1, n_steps + 1):
-        uhat, vhat, u_phys, nl_hat = stepper.advance(uhat, vhat, nl_hat)
+    for n in range(n_steps + 1):
+        uhat, vhat, u_phys, nl_hat = (
+            stepper.advance(uhat, vhat, nl_hat) if n else stepper.start(config.data)
+        )
         t = n * config.dt
-        steps_taken = n
-
         top = float(np.max(np.abs(u_phys)))
+        if n == 0 and not top < config.blowup_threshold:
+            raise ConfigError(
+                f"initial amplitude {top:.3g} is not below the blow-up "
+                f"threshold {config.blowup_threshold:.3g}"
+            )
         if not math.isfinite(top):
             if not config.nonlinear:
-                raise NumericalError(
-                    f"linear run lost finiteness at t = {t:.6g}"
-                )
+                raise NumericalError(f"linear run lost finiteness at t = {t:.6g}")
             outcome, t_blowup = "blewup", t
             break
-        if top > config.blowup_threshold:
+        crossed = top > config.blowup_threshold
+        if crossed or n % config.record_every == 0 or n == n_steps:
+            fld = SpectralField(g, uhat)
+            l2 = math.sqrt(np.sum(u_phys * u_phys) * vol)
+            hneg = hdotneg_norm(fld, config.gamma, config.norm_policy)
+            rows.append((t, l2, top, hs_norm(fld, config.s), hneg))
+            if top > 0.0:
+                ratio = float(np.max(np.abs(u_phys[bmask]))) / top
+                boundary_ratio = max(boundary_ratio, ratio)
+        if crossed:
             outcome, t_blowup = "blewup", t
-            record(t, u_phys, uhat)
             break
-        if n % config.record_every == 0 or n == n_steps:
-            record(t, u_phys, uhat)
         if config.record_fields_every > 0 and (
             n % config.record_fields_every == 0 or n == n_steps
         ):
@@ -267,17 +247,12 @@ def run(config: SimConfig) -> Trajectory:
             fsnaps.append(u_phys.copy())
 
     return Trajectory(
-        config=config,
-        times=np.array(times),
-        l2=np.array(l2s),
-        linf=np.array(linfs),
-        hs=np.array(hss),
-        hdotneg=np.array(hnegs),
+        *(np.array(col) for col in zip(*rows)),  # times, l2, linf, hs, hdotneg
         outcome=outcome,
         t_blowup=t_blowup,
         boundary_ratio=boundary_ratio,
         boundary_flagged=boundary_ratio > _BOUNDARY_RTOL,
-        steps_taken=steps_taken,
+        steps_taken=n,
         field_times=np.array(ftimes) if fsnaps else None,
         field_snapshots=np.stack(fsnaps) if fsnaps else None,
     )
@@ -305,7 +280,7 @@ def measure_lifespan(config: SimConfig) -> LifespanResult:
     """
     lean = dataclasses.replace(
         config,
-        record_every=max(1, int(round(config.t_max / config.dt)) // 4 or 1),
+        record_every=max(1, int(round(config.t_max / config.dt)) // 4),
         record_fields_every=0,
     )
     coarse = run(lean)

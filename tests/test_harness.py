@@ -403,12 +403,27 @@ def test_cli_config_errors(tmp_path, capsys):
         # an empty R list would pass --check with nothing checked; the fields
         # path does not exist, so the error must come before it is read
         ("testfunc", {"fields": str(tmp_path / "none.npz")}, {"R_values": []}, "R_values"),
+        # JSON NaN and Infinity are not numbers a run can use; the base
+        # configs run as given
+        ("simulate", _TINY["simulate"], {"profile": {**_POWER, "scale": math.nan}}, "scale"),
+        ("simulate", _TINY["simulate"], {"profile": {**_POWER, "scale": math.inf}}, "scale"),
+        ("simulate", _TINY["simulate"], {"t_max": math.inf}, "t_max"),
+        ("lifespan", _TINY["lifespan"], {"profile": {**_POWER, "scale": math.nan}}, "scale"),
+        ("decay", _TINY["decay"], {"profile": {**_POWER, "scale": math.nan}}, "scale"),
+        ("decay", _TINY["decay"], {"times": [1.0, 2.0, math.nan]}, "times"),
+        # |xi|^400 overflows: a profile with inf coefficients is rejected by family
+        ("decay", _TINY["decay"], {"grid": {**grid, "half_length": 4.0},
+                                   "profile": {"family": "laplacian_gaussian", "k": 200}},
+         "laplacian_gaussian"),
     ]
     cfgp = tmp_path / "typed.json"
+    capsys.readouterr()
     for command, base, change, key in cases:
         cfgp.write_text(json.dumps({**base, **change}))
         assert cli.main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
-        assert repr(key) in capsys.readouterr().err, (command, change)
+        err = capsys.readouterr().err
+        assert repr(key) in err, (command, change)
+        assert err.startswith("config error:") and err.count("\n") == 1, (command, change)
 
 
 def test_lifespan_rel_tol_without_gamma_fails_before_stepping(tmp_path, monkeypatch, capsys):

@@ -8,8 +8,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from dampedwave.dispersion import propagate_linear
-from dampedwave.errors import ConfigError
-from dampedwave.grid import Grid, forward_transform
+from dampedwave.errors import ConfigError, NumericalError
+from dampedwave.grid import Grid, SpectralField, forward_transform
 from dampedwave.profiles import DataPair, assemble_pair
 from dampedwave.solver import (
     SimConfig,
@@ -107,14 +107,23 @@ def test_second_order_convergence():
 def test_blowup_detection_and_threshold_time():
     p = 2.0
     g = Grid(1, 8, 4.0)
+    # rows are due only at step 0 and at the 2000-step horizon, snapshots
+    # every 19 steps; the run crosses at step 190
     cfg = SimConfig(
-        data=constant_pair(g, 3.0, 0.0), p=p, dt=0.01, t_max=20.0
+        data=constant_pair(g, 3.0, 0.0), p=p, dt=0.01, t_max=20.0,
+        record_every=10_000, record_fields_every=19,
     )
     traj = run(cfg)
     assert traj.outcome == "blewup"
     assert traj.t_blowup is not None and traj.t_blowup > 0.0
-    # last recorded amplitude is past the threshold
+    assert traj.steps_taken == 190
+    assert traj.steps_taken * cfg.dt == traj.t_blowup
+    # the crossing row is recorded off cadence, past the threshold
+    assert traj.times.tolist() == [0.0, traj.t_blowup]
     assert traj.linf[-1] > cfg.blowup_threshold
+    # the crossing step is on the snapshot cadence but takes no snapshot
+    assert traj.field_times.tolist() == [n * cfg.dt for n in range(0, 190, 19)]
+    assert traj.field_snapshots.shape == (10, 8)
 
     def rhs(t, y):
         return [y[1], -y[1] + abs(y[0]) ** p]
@@ -239,6 +248,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(data=pair, p=2.0, dt=0.02, t_max=0.01)
     with pytest.raises(ConfigError):
+        SimConfig(data=pair, p=2.0, dt=0.02, t_max=math.inf)
+    with pytest.raises(ConfigError):
         SimConfig(data=pair, p=2.0, dt=0.02, t_max=1.0, record_every=0)
     with pytest.raises(ConfigError):
         SimConfig(data=pair, p=2.0, dt=0.02, t_max=1.0, blowup_threshold=0.0)
@@ -248,11 +259,64 @@ def test_config_validation():
 
 def test_initial_amplitude_already_over_threshold():
     g = Grid(1, 8, 4.0)
+    # NaN coefficients pass DataPair's real-field check, whose defect is NaN
+    nan = forward_transform(g, np.full(g.shape, np.nan))
+    starts = [
+        (constant_pair(g, 2.0, 0.0), 1.5),
+        (DataPair(u0=nan, u1=nan, eps=1.0, family="nan"), 1e6),
+        # eps * coeffs overflows to inf in every mode, and u to NaN
+        (assemble_pair(forward_transform(g, 100.0 * np.exp(-g.x_axis**2)), 1e308), 1e6),
+    ]
+    for data, threshold in starts:
+        cfg = SimConfig(data=data, p=2.0, dt=0.01, t_max=1.0, blowup_threshold=threshold)
+        with pytest.raises(ConfigError, match="initial amplitude"), np.errstate(
+            over="ignore", invalid="ignore"
+        ):
+            run(cfg)
+
+
+def test_nonlinear_overflow_is_blowup_at_that_step():
+    p, dt = 2.0, 0.01
+    g = Grid(1, 8, 4.0)
     cfg = SimConfig(
-        data=constant_pair(g, 2.0, 0.0), p=2.0, dt=0.01, t_max=1.0,
-        blowup_threshold=1.5,
+        data=constant_pair(g, 3.0, 0.0), p=p, dt=dt, t_max=20.0,
+        blowup_threshold=math.inf,
     )
-    with pytest.raises(ConfigError):
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = run(cfg)
+    assert traj.outcome == "blewup"
+    assert traj.t_blowup == traj.steps_taken * dt
+    # the non-finite step is not recorded
+    assert traj.times[-1] < traj.t_blowup
+    assert np.all(np.isfinite(traj.linf))
+
+    def rhs(t, y):
+        return [y[1], -y[1] + abs(y[0]) ** p]
+
+    def hit(t, y):
+        return y[0] - 1e12
+
+    hit.terminal = True
+    sol = solve_ivp(rhs, (0.0, 20.0), [3.0, 0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-12, events=hit)
+    # u ~ 6 / (T - t)^2 near the blow-up time T, so T is 2.4e-6 past the hit
+    t_ode = sol.t_events[0][0] + math.sqrt(6.0 / 1e12)
+    # the discrete map lags the singularity by about 8 steps (dt 0.0025 to 0.02)
+    assert 0.0 < traj.t_blowup - t_ode < 10 * dt
+
+
+def test_linear_overflow_raises_numerical_error():
+    g = Grid(1, 8, 4.0)
+    # finite data whose u + v overflows in the first step's combine
+    u0 = forward_transform(g, np.full(g.shape, 2e307))
+    pair = DataPair(u0=u0, u1=SpectralField(g, 2.5 * u0.coeffs), eps=1.0, family="huge")
+    cfg = SimConfig(
+        data=pair, p=2.0, dt=0.01, t_max=1.0, nonlinear=False,
+        blowup_threshold=math.inf,
+    )
+    with pytest.raises(NumericalError, match="t = 0.01$"), np.errstate(
+        over="ignore", invalid="ignore"
+    ):
         run(cfg)
 
 
