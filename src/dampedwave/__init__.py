@@ -13,7 +13,7 @@ atlas (critical curves, thresholds and lifespan powers), a weak-form
 inequality checker, and a reproducible experiment harness with a CLI.
 """
 
-from .grid import Grid, SpectralField, forward_transform, inverse_transform, apply_radial_multiplier
+from .grid import Grid, SpectralField, forward_transform, inverse_transform
 from .dispersion import khat, kprimehat, propagate_linear
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "SpectralField",
     "forward_transform",
     "inverse_transform",
-    "apply_radial_multiplier",
     "khat",
     "kprimehat",
     "propagate_linear",

@@ -32,7 +32,6 @@ __all__ = [
     "inverse_transform",
     "full_of",
     "hermitian_defect",
-    "apply_radial_multiplier",
     "evaluate_at",
 ]
 
@@ -248,36 +247,3 @@ def evaluate_at(fld: SpectralField, points: np.ndarray) -> np.ndarray:
             acc = np.tensordot(acc, np.exp(1j * x[d] * xi), axes=([0], [0]))
         out[i] = acc
     return out.real * norm
-
-
-def apply_radial_multiplier(
-    fld: SpectralField,
-    multiplier: Callable[[np.ndarray], np.ndarray],
-    *,
-    zero_mode: float | str,
-) -> SpectralField:
-    """Multiply coefficients by m(|xi|).
-
-    Multipliers singular at the origin must be resolved by the caller:
-    zero_mode is either the float value to use at k = 0 or the string
-    "evaluate" to trust m(0).  Non-finite multiplier values anywhere on the
-    lattice are rejected.
-    """
-    g = fld.grid
-    m = np.asarray(multiplier(g.xi_abs), dtype=np.float64)
-    if m.shape != g.spectral_shape:
-        raise ConfigError("multiplier must return one value per half-spectrum mode")
-    origin = (0,) * g.dim
-    if isinstance(zero_mode, str):
-        if zero_mode != "evaluate":
-            raise ConfigError(f"zero_mode must be a float or 'evaluate', got {zero_mode!r}")
-    else:
-        m[origin] = float(zero_mode)
-    if not np.all(np.isfinite(m)):
-        bad = g.xi_abs[~np.isfinite(m)]
-        raise ConfigError(
-            f"multiplier is non-finite at {bad.size} lattice points, "
-            f"first offending |xi| = {bad.flat[0]:.6g}; pass an explicit zero_mode "
-            f"or repair the multiplier"
-        )
-    return SpectralField(g, fld.coeffs * m)

@@ -580,10 +580,14 @@ def run_classify(cfg: dict) -> dict:
     return _result("classify", _echo("classify", c), rows, summary, None, lines=lines)
 
 
+# the grid a bump is built on unless the config names one
+_BUMP_GRID = {"dim": 1, "size": 512, "half_length": 4.0}
+
+
 def run_bump_check(cfg: dict) -> dict:
     """Certify the convolved bump and optional shifted counterexample."""
     c = _take(cfg, "bump-check config", {
-        "grid": (None, {"dim": 1, "size": 512, "half_length": 4.0}),
+        "grid": (None, _BUMP_GRID),
         "exponents": (lambda ls: [_int(l) for l in ls], [3, 5, 7]),
         "tol": (_real, 1e-8), "shifted_center": (_real, None),
     })
@@ -641,7 +645,7 @@ def run_testfunc(cfg: dict) -> dict:
     c = _take(cfg, "testfunc config", {
         "fields": (str, _REQUIRED), "R_values": (_floats, [2.0, 4.0, 8.0]),
         "exponent": (_int, None),
-        "bump_grid": (None, {"dim": 1, "size": 512, "half_length": 4.0}),
+        "bump_grid": (None, _BUMP_GRID),
         "time_points": (_int, 513), "check": (None, None),
     })
     cc = _check(c, "testfunc check", {
@@ -720,17 +724,20 @@ def _load_fields(path: str) -> dict:
             u0 = SpectralField(grid, np.ascontiguousarray(z["u0_coeffs"]))
             u1 = SpectralField(grid, np.ascontiguousarray(z["u1_coeffs"]))
             pair = DataPair(u0=u0, u1=u1, eps=float(z["eps"]), family="stored")
-            return {
-                "grid": grid,
-                "pair": pair,
-                "times": np.asarray(z["times"], dtype=np.float64),
-                "snapshots": np.asarray(z["snapshots"]),
-                "p": float(z["p"]),
-            }
+            times = np.asarray(z["times"], dtype=np.float64)
+            snapshots = np.asarray(z["snapshots"])
+            if not (np.isfinite(times).all() and np.isfinite(snapshots).all()):
+                raise ConfigError(f"fields archive {path} holds non-finite times or snapshots")
+            return {"grid": grid, "pair": pair, "times": times, "snapshots": snapshots,
+                    "p": float(z["p"])}
+    except ConfigError:
+        raise
     except OSError as exc:
         raise ConfigError(f"cannot read fields archive {path}: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"fields archive {path} is missing array {exc}") from exc
+    except (ValueError, TypeError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"fields archive {path} is malformed: {exc}") from exc
 
 
 RUNNERS = {

@@ -122,7 +122,7 @@ class DataPair:
     def __post_init__(self) -> None:
         for name in ("u0", "u1"):
             defect = hermitian_defect(getattr(self, name))
-            if defect > _RTOL:
+            if not defect <= _RTOL:  # NaN coefficients give a NaN defect
                 raise ConfigError(
                     f"{name} is not the spectrum of a real field: its k = 0 and "
                     f"k = N/2 planes break c(-k) = conj(c(k)) by {defect:.3g} relative"

@@ -1,14 +1,15 @@
 """Time integration of the damped wave equation with power nonlinearity.
 
 Works entirely on Fourier coefficients.  One step (Stepper.advance, the
-single step body behind run() and step()) applies the exact linear
-propagator and a trapezoid rule to the memory integral of the nonlinear
-term; the kernel vanishing at zero time lag makes the displacement update
-explicit, and a predicted endpoint closes the velocity update.  The
-predicted nonlinearity is reused as the next step's left endpoint, so each
-step costs one real forward and one real inverse transform.  Fields are
-real, and every spectral array here is the half-spectrum that
-SpectralField holds (last axis k = 0 .. N/2, as np.fft.rfftn returns it).
+single step body: run() drives it, and Stepper(config) steps by hand)
+applies the exact linear propagator and a trapezoid rule to the memory
+integral of the nonlinear term; the kernel vanishing at zero time lag
+makes the displacement update explicit, and a predicted endpoint closes
+the velocity update.  The predicted nonlinearity is reused as the next
+step's left endpoint, so each step costs one real forward and one real
+inverse transform.  Fields are real, and every spectral array here is the
+half-spectrum that SpectralField holds (last axis k = 0 .. N/2, as
+np.fft.rfftn returns it).
 run() is one loop over steps: step 0 is the eps-scaled data, and it goes
 through the same finiteness and threshold gate as every later step.
 
@@ -36,7 +37,6 @@ __all__ = [
     "LifespanResult",
     "Stepper",
     "run",
-    "step",
     "measure_lifespan",
 ]
 
@@ -108,34 +108,27 @@ class Trajectory:
     field_snapshots: np.ndarray | None = None
 
 
-@dataclass
-class State:
-    """Half-spectrum solver state between steps; u_phys and nl_hat mirror uhat."""
-
-    grid: Grid
-    uhat: np.ndarray
-    vhat: np.ndarray
-    u_phys: np.ndarray
-    nl_hat: np.ndarray
-    t: float
-
-
 class Stepper:
-    """Steps of size dt on the half-spectrum, multipliers computed once."""
+    """Steps of config.dt on the half-spectrum, multipliers computed once.
 
-    def __init__(self, grid: Grid, dt: float, p: float, *, dealias: bool = True,
-                 nonlinear: bool = True) -> None:
+    start() is the state at t = 0 and advance() the state one step later,
+    each as (uhat, vhat, u_phys, nl_hat); run() is the loop over both.
+    """
+
+    def __init__(self, config: SimConfig) -> None:
+        grid = config.grid
+        self.data = config.data
         self.shape = grid.shape
         self.axes = tuple(range(grid.dim))
-        self.p = p
-        self.nonlinear = nonlinear
-        self.half = 0.5 * dt
-        self.kh, self.kp = khat_kprime(dt, grid.xi2)
+        self.p = config.p
+        self.nonlinear = config.nonlinear
+        self.half = 0.5 * config.dt
+        self.kh, self.kp = khat_kprime(config.dt, grid.xi2)
         self.xi2_kh = grid.xi2 * self.kh
         self.half_kh = self.half * self.kh
         self.inv_factor = grid.phase / grid.transform_scale
         self.fwd_factor = grid.phase * grid.transform_scale
-        if dealias:
+        if config.dealias:
             self.fwd_factor = self.fwd_factor * grid.dealias_mask
 
     def physical(self, uhat: np.ndarray) -> np.ndarray:
@@ -147,10 +140,10 @@ class Stepper:
             return np.zeros(self.kh.shape, dtype=np.complex128)
         return np.fft.rfftn(abs_pow(u_phys, self.p), axes=self.axes) * self.fwd_factor
 
-    def start(self, data: DataPair):
+    def start(self):
         """(uhat, vhat, u_phys, nl_hat) of the eps-scaled data at t = 0."""
-        uhat = data.eps * data.u0.coeffs
-        vhat = data.eps * data.u1.coeffs
+        uhat = self.data.eps * self.data.u0.coeffs
+        vhat = self.data.eps * self.data.u1.coeffs
         u_phys = self.physical(uhat)
         return uhat, vhat, u_phys, self.nl_coeffs(u_phys)
 
@@ -165,27 +158,9 @@ class Stepper:
         return uhat_new, vhat_new, u_new, nl_new
 
 
-def _stepper(config: SimConfig) -> Stepper:
-    return Stepper(config.grid, config.dt, config.p, dealias=config.dealias,
-                   nonlinear=config.nonlinear)
-
-
 def _boundary_mask(grid: Grid) -> np.ndarray:
     edge = grid.half_length - _BOUNDARY_CELLS * grid.dx
     return grid.lattice(np.abs(grid.x_axis) >= edge, np.logical_or)
-
-
-def step(state: State, dt: float, p: float, *, dealias: bool = True,
-         nonlinear: bool = True) -> State:
-    """Advance one step of size dt.  Recomputes multipliers every call."""
-    stepper = Stepper(state.grid, dt, p, dealias=dealias, nonlinear=nonlinear)
-    out = stepper.advance(state.uhat, state.vhat, state.nl_hat)
-    return State(state.grid, *out, state.t + dt)
-
-
-def initial_state(config: SimConfig) -> State:
-    """Scale the data pair by eps and prepare cached physical samples."""
-    return State(config.grid, *_stepper(config).start(config.data), 0.0)
 
 
 def run(config: SimConfig) -> Trajectory:
@@ -201,7 +176,7 @@ def run(config: SimConfig) -> Trajectory:
     step is recorded off cadence, but takes no field snapshot.
     """
     g = config.grid
-    stepper = _stepper(config)
+    stepper = Stepper(config)
     bmask = _boundary_mask(g)
     vol = g.dx**g.dim
     n_steps = int(math.floor(config.t_max / config.dt + 1e-9))
@@ -214,7 +189,7 @@ def run(config: SimConfig) -> Trajectory:
 
     for n in range(n_steps + 1):
         uhat, vhat, u_phys, nl_hat = (
-            stepper.advance(uhat, vhat, nl_hat) if n else stepper.start(config.data)
+            stepper.advance(uhat, vhat, nl_hat) if n else stepper.start()
         )
         t = n * config.dt
         top = float(np.max(np.abs(u_phys)))

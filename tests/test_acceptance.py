@@ -34,7 +34,7 @@ from dampedwave.profiles import (
     laplacian_gaussian,
     log_profile,
 )
-from dampedwave.solver import SimConfig, initial_state, run, step
+from dampedwave.solver import SimConfig, run
 
 
 def _sinh_form(t: float, xi2: float) -> float:
@@ -90,12 +90,11 @@ def test_c02_linear_stepping_matches_exact_propagator():
     field = forward_transform(g, np.exp(-g.x_axis**2))
     pair = assemble_pair(field, 1.0)
     dt, n = 0.01, 1000
-    cfg = SimConfig(data=pair, p=2.0, dt=dt, t_max=n * dt, nonlinear=False)
-    state = initial_state(cfg)
-    for _ in range(n):
-        state = step(state, dt, cfg.p, nonlinear=False)
-    uex, _ = propagate_linear(pair.u0, pair.u1, n * dt)
-    err = np.max(np.abs(state.uhat - uex.coeffs)) / np.max(np.abs(uex.coeffs))
+    traj = run(SimConfig(data=pair, p=2.0, dt=dt, t_max=n * dt, nonlinear=False,
+                         record_every=n, record_fields_every=n))
+    assert traj.field_times[-1] == pytest.approx(n * dt, abs=1e-12)
+    uex = propagate_linear(pair.u0, pair.u1, n * dt)[0].physical()
+    err = np.max(np.abs(traj.field_snapshots[-1] - uex)) / np.max(np.abs(uex))
     print(f"c02: linear step error at t=10 is {err:.3e}")
     assert err < 1e-8
 

@@ -7,7 +7,6 @@ from dampedwave.errors import ConfigError
 from dampedwave.grid import (
     Grid,
     SpectralField,
-    apply_radial_multiplier,
     evaluate_at,
     forward_transform,
     full_of,
@@ -85,15 +84,6 @@ def test_dealias_mask_cuts_top_third():
     assert int(g.dealias_mask.sum()) == 64 // 3 + 1
     kept = float(np.sum(g.dealias_mask * g.column_weight))
     assert kept == 2 * (64 // 3) + 1
-
-
-def test_apply_radial_multiplier_matches_manual():
-    g = Grid(1, 64, 6.0)
-    rng = np.random.default_rng(7)
-    fld = forward_transform(g, rng.standard_normal(g.shape))
-    out = apply_radial_multiplier(fld, lambda r: 1.0 / (1.0 + r * r), zero_mode=1.0)
-    manual = fld.coeffs / (1.0 + g.xi2)
-    assert np.max(np.abs(out.coeffs - manual)) < 1e-14
 
 
 def test_evaluate_at_reproduces_lattice():

@@ -364,7 +364,7 @@ def test_cli_classify_flags_and_seed(tmp_path):
     assert payload["summary"]["verdict"] == "GlobalLargeGamma"
 
 
-def test_cli_config_errors(tmp_path, capsys):
+def test_cli_config_errors(tmp_path, capsys, fields_2d):
     assert cli.main(["decay", "--out", str(tmp_path)]) == 2
     assert cli.main(
         ["decay", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]
@@ -424,6 +424,34 @@ def test_cli_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert repr(key) in err, (command, change)
         assert err.startswith("config error:") and err.count("\n") == 1, (command, change)
+    # fields archives that are not an archive, are cut short, hold an array
+    # where a number belongs, or hold NaN snapshots from the 6th on
+    with np.load(fields_2d) as z:
+        arrays = dict(z)
+    with open(fields_2d, "rb") as fh:
+        raw = fh.read()
+    nan_late = arrays["snapshots"].copy()
+    nan_late[5:] = np.nan
+    archives = {
+        "garbage": b"garbage",
+        "truncated": raw[: len(raw) // 2],
+        "dim_array": {**arrays, "dim": np.array([2, 2])},
+        "nan_late": {**arrays, "snapshots": nan_late},
+    }
+    for name, content in archives.items():
+        path = tmp_path / f"{name}.npz"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            np.savez(path, **content)
+        cfgp.write_text(json.dumps({
+            "fields": str(path), "R_values": [4.0], "time_points": 129,
+            "bump_grid": {"dim": 2, "size": 32, "half_length": 4.0},
+        }))
+        assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err, name
+        assert err.startswith("config error:") and err.count("\n") == 1, name
 
 
 def test_lifespan_rel_tol_without_gamma_fails_before_stepping(tmp_path, monkeypatch, capsys):

@@ -146,10 +146,12 @@ def test_data_pair_rejects_coefficients_of_no_real_field():
     # an imaginary zero mode: irfftn would drop it and step another field
     coeffs = laplacian_gaussian(Grid(1, 64, 8.0), 0).coeffs
     real = SpectralField(Grid(1, 64, 8.0), coeffs)
-    bad = SpectralField(Grid(1, 64, 8.0), 1j * coeffs)
-    for u0, u1 in ((bad, real), (real, bad)):
-        with pytest.raises(ConfigError, match="u0" if u0 is bad else "u1"):
-            DataPair(u0=u0, u1=u1, eps=0.1, family="custom")
+    # NaN coefficients make the defect itself NaN
+    for bad in (SpectralField(Grid(1, 64, 8.0), 1j * coeffs),
+                SpectralField(Grid(1, 64, 8.0), np.full_like(coeffs, np.nan))):
+        for u0, u1 in ((bad, real), (real, bad)):
+            with pytest.raises(ConfigError, match="u0" if u0 is bad else "u1"):
+                DataPair(u0=u0, u1=u1, eps=0.1, family="custom")
     DataPair(u0=real, u1=real, eps=0.1, family="custom")
 
 

@@ -11,13 +11,7 @@ from dampedwave.dispersion import propagate_linear
 from dampedwave.errors import ConfigError, NumericalError
 from dampedwave.grid import Grid, SpectralField, forward_transform
 from dampedwave.profiles import DataPair, assemble_pair
-from dampedwave.solver import (
-    SimConfig,
-    initial_state,
-    measure_lifespan,
-    run,
-    step,
-)
+from dampedwave.solver import SimConfig, Stepper, measure_lifespan, run
 
 
 def constant_pair(grid: Grid, c0: float, c1: float, eps: float = 1.0) -> DataPair:
@@ -58,14 +52,14 @@ def test_linear_run_matches_exact_propagator_multi_d(dim, size):
 def check_linear_run_matches_exact_propagator(g: Grid):
     pair = gaussian_pair(g, 0.7)
     dt, n = 0.05, 60
-    cfg = SimConfig(data=pair, p=2.0, dt=dt, t_max=n * dt, nonlinear=False)
-    state = initial_state(cfg)
+    stepper = Stepper(SimConfig(data=pair, p=2.0, dt=dt, t_max=n * dt, nonlinear=False))
+    uhat, vhat, _, nl_hat = stepper.start()
     for _ in range(n):
-        state = step(state, dt, cfg.p, nonlinear=False)
+        uhat, vhat, _, nl_hat = stepper.advance(uhat, vhat, nl_hat)
     uex, vex = propagate_linear(pair.u0, pair.u1, n * dt)
     scale = np.max(np.abs(uex.coeffs)) * pair.eps
-    assert np.max(np.abs(state.uhat - pair.eps * uex.coeffs)) < 1e-12 * scale
-    assert np.max(np.abs(state.vhat - pair.eps * vex.coeffs)) < 1e-12 * scale
+    assert np.max(np.abs(uhat - pair.eps * uex.coeffs)) < 1e-12 * scale
+    assert np.max(np.abs(vhat - pair.eps * vex.coeffs)) < 1e-12 * scale
 
 
 # the 1D cases keep their original ids
@@ -196,13 +190,14 @@ def test_run_matches_repeated_step_multi_d(dim, size):
 def check_run_matches_repeated_step(g: Grid):
     cfg = SimConfig(data=gaussian_pair(g, 0.3), p=2.0, dt=0.02, t_max=0.2)
     traj = run(cfg)
-    state = initial_state(cfg)
+    stepper = Stepper(cfg)
+    uhat, vhat, u_phys, nl_hat = stepper.start()
     for _ in range(10):
-        state = step(state, cfg.dt, cfg.p)
+        uhat, vhat, u_phys, nl_hat = stepper.advance(uhat, vhat, nl_hat)
     vol = g.dx**g.dim
-    l2 = math.sqrt(float(np.sum(state.u_phys**2)) * vol)
+    l2 = math.sqrt(float(np.sum(u_phys**2)) * vol)
     assert traj.times[-1] == pytest.approx(0.2, abs=1e-12)
-    assert traj.linf[-1] == pytest.approx(float(np.max(np.abs(state.u_phys))), rel=1e-13)
+    assert traj.linf[-1] == pytest.approx(float(np.max(np.abs(u_phys))), rel=1e-13)
     assert traj.l2[-1] == pytest.approx(l2, rel=1e-13)
 
 
@@ -259,11 +254,8 @@ def test_config_validation():
 
 def test_initial_amplitude_already_over_threshold():
     g = Grid(1, 8, 4.0)
-    # NaN coefficients pass DataPair's real-field check, whose defect is NaN
-    nan = forward_transform(g, np.full(g.shape, np.nan))
     starts = [
         (constant_pair(g, 2.0, 0.0), 1.5),
-        (DataPair(u0=nan, u1=nan, eps=1.0, family="nan"), 1e6),
         # eps * coeffs overflows to inf in every mode, and u to NaN
         (assemble_pair(forward_transform(g, 100.0 * np.exp(-g.x_axis**2)), 1e308), 1e6),
     ]
