@@ -61,19 +61,6 @@ class BumpFunction:
     exponent: int
     power_samples: np.ndarray
 
-    def base_at(self, points: np.ndarray) -> np.ndarray:
-        """Base-function values at arbitrary points via trig interpolation."""
-        return evaluate_at(self.coeffs, points)
-
-    def power_at(self, points: np.ndarray) -> np.ndarray:
-        """(base**exponent)(points); interpolates the base, then powers.
-
-        Interpolating the smoother base and powering pointwise is more
-        accurate than interpolating the power directly.  Tiny negative
-        interpolation residue is clamped so odd exponents stay sign-safe.
-        """
-        return np.maximum(self.base_at(points), 0.0) ** self.exponent
-
 
 def _support_half_width(grid: Grid, samples: np.ndarray) -> float:
     mask = np.abs(samples) > _SUPPORT_RTOL * np.max(np.abs(samples))
@@ -211,7 +198,7 @@ def check_conditions(
     worst_m = 0.0
     for direction in _ray_directions(g.dim):
         pts = radii[:, None] * direction[None, :]
-        vals = bump.base_at(pts)
+        vals = evaluate_at(bump.coeffs, pts)
         rise = float(np.max(np.diff(vals)))
         worst_m = max(worst_m, rise / top)
     monotone_ok = worst_m <= tol

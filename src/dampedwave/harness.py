@@ -17,9 +17,9 @@ traced to their parameters.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -667,28 +667,13 @@ def run_testfunc(cfg: dict) -> dict:
 
     bump = bump_power(self_convolve(bgrid), l)
     weight = testfunc.weight_constant(p, bump, time_points=c["time_points"])
-    rows = []
-    for R in c["R_values"]:
-        pair = testfunc.TestPair(bump=bump, R=float(R))
-        rep = testfunc.check_bounds(
-            data["times"], data["snapshots"], grid, data["pair"], p, pair, weight
-        )
-        rows.append(
-            {
-                "R": rep.R,
-                "i_value": rep.i_value,
-                "data_term": rep.data_term,
-                "holder_rhs": rep.holder_rhs,
-                "absorbed_rhs": rep.absorbed_rhs,
-                "margin_holder": rep.margin_holder,
-                "margin_absorbed": rep.margin_absorbed,
-                "identity_rel": (
-                    abs(rep.identity_residual) / rep.identity_scale
-                    if rep.identity_scale > 0.0
-                    else 0.0
-                ),
-            }
-        )
+    rows = [
+        dataclasses.asdict(testfunc.check_bounds(
+            data["times"], data["snapshots"], grid, data["pair"], p,
+            testfunc.TestPair(bump=bump, R=float(R)), weight,
+        ))
+        for R in c["R_values"]
+    ]
     summary = {
         "p": p,
         "exponent": l,
@@ -829,29 +814,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _atomic_write_bytes(path: str, blob: bytes) -> None:
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Yield a temp file's binary handle; it replaces path on success, else goes."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _json_default(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, (np.bool_,)):
-        return bool(o)
-    raise TypeError(f"not JSON serialisable: {type(o).__name__}")
 
 
 def write_csv(path: str, rows: list, cfg_hash: str) -> None:
@@ -860,7 +834,8 @@ def write_csv(path: str, rows: list, cfg_hash: str) -> None:
     lines = [",".join(keys + ["config_hash"])]
     for row in rows:
         lines.append(",".join(_fmt(row[k]) for k in keys) + "," + cfg_hash)
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    with _replacing(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _sanitize(obj):
@@ -876,22 +851,24 @@ def _sanitize(obj):
 
 
 def write_json(path: str, payload: dict) -> None:
-    text = json.dumps(
-        _sanitize(payload), sort_keys=True, indent=2, default=_json_default
-    )
-    _atomic_write_bytes(path, (text + "\n").encode("utf-8"))
+    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2)
+    with _replacing(path) as fh:
+        fh.write((text + "\n").encode("utf-8"))
 
 
 def write_field_archive(path: str, arrays: dict) -> None:
-    """NPZ-compatible archive with fixed zip metadata for byte-stable output."""
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED) as zf:
+    """NPZ-compatible archive with fixed zip metadata for byte-stable output.
+
+    Each array streams into the temp file: no in-memory copy is made.
+    """
+    with _replacing(path) as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
-            payload = io.BytesIO()
-            np.lib.format.write_array(payload, np.asarray(arrays[name]))
+            arr = np.asarray(arrays[name])
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, payload.getvalue())
-    _atomic_write_bytes(path, buf.getvalue())
+            # zf.open picks zip64 from file_size, as writestr does from its data
+            info.file_size = arr.nbytes
+            with zf.open(info, "w") as member:
+                np.lib.format.write_array(member, arr)
 
 
 def emit_outputs(result: dict, out_dir: str) -> list:

@@ -111,7 +111,7 @@ class DataPair:
 
     The solver multiplies both fields by eps at setup; keeping the shape
     and the amplitude separate lets lifespan ladders reuse one profile.
-    Both fields must hold the half-spectrum of a real field.
+    Both fields must hold the finite half-spectrum of a real field.
     """
 
     u0: SpectralField
@@ -121,8 +121,12 @@ class DataPair:
 
     def __post_init__(self) -> None:
         for name in ("u0", "u1"):
-            defect = hermitian_defect(getattr(self, name))
-            if not defect <= _RTOL:  # NaN coefficients give a NaN defect
+            fld = getattr(self, name)
+            # hermitian_defect divides by max|c|: an inf would read as defect 0
+            if not np.isfinite(fld.coeffs).all():
+                raise ConfigError(f"{name} has non-finite coefficients")
+            defect = hermitian_defect(fld)
+            if defect > _RTOL:
                 raise ConfigError(
                     f"{name} is not the spectrum of a real field: its k = 0 and "
                     f"k = N/2 planes break c(-k) = conj(c(k)) by {defect:.3g} relative"

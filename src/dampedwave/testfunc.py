@@ -1,14 +1,16 @@
 """Space-time test functions and the weighted integral bounds they witness.
 
 The spatial factor is a bump power phi = base**l dilated to radius ~2R;
-the temporal factor is a smooth cutoff eta = cut**l equal to 1 on
+the temporal factor is a smooth cutoff eta = c**l equal to 1 on
 [0, R^2/2] and 0 beyond R^2.  Pairing a solution against such a product
 and integrating by parts turns the equation into an inequality between
 
     I(R) = iint |u|^p phi_R eta_R,
 
 its p-th root, a data pairing, and a weighted integral of the test
-function alone.  Everything here is deterministic quadrature.
+function alone.  Everything here is deterministic quadrature, and each
+weak-form quantity is computed once: cutoff gives eta, eta' and eta''
+from one evaluation of c, and check_bounds derives every reported number.
 
 Weighted integrands are evaluated in a factored form: with phi = B**l and
 eta = c**l the density is
@@ -34,7 +36,7 @@ from .grid import Grid, SpectralField, evaluate_at
 from .profiles import DataPair
 
 __all__ = [
-    "TimeCutoff",
+    "cutoff",
     "TestPair",
     "SpatialFactors",
     "spatial_factors",
@@ -66,7 +68,7 @@ def _g(tau: np.ndarray) -> np.ndarray:
 def _g_mass() -> float:
     """Integral of _g over [1/2, 1] by a 64-node Gauss-Legendre sum.
 
-    48 nodes, as in _tail_integral, come out low enough that base()
+    48 nodes, as in _tail_integral, come out low enough that the cutoff
     exceeds 1 just above tau = 1/2.
     """
     nodes, weights = np.polynomial.legendre.leggauss(64)
@@ -86,62 +88,30 @@ def _tail_integral(tau: np.ndarray) -> np.ndarray:
     return (half_len[..., None] * _GL_WEIGHTS * _g(pts)).sum(axis=-1)
 
 
-class TimeCutoff:
-    """Smooth non-increasing cutoff: 1 on [0, 1/2], 0 on [1, inf).
+def cutoff(tau: np.ndarray, exponent: int) -> tuple:
+    """(eta, eta', eta'') at tau for eta = c**exponent.
 
-    base() is the un-powered profile; eta and its derivatives apply the
-    stored integer power.  Derivatives use closed forms of the generating
-    bump, not finite differences.
+    c is a smooth non-increasing cutoff: 1 on [0, 1/2], 0 on [1, inf).
+    c, c' and c'' are computed once, from closed forms of the generating
+    bump rather than finite differences; exponent 1 returns them as is.
     """
-
-    def __init__(self, exponent: int = 1):
-        if exponent < 1 or exponent != int(exponent):
-            raise ConfigError(
-                f"cutoff exponent must be an integer >= 1, got {exponent}"
-            )
-        self.exponent = int(exponent)
-
-    # -- un-powered profile -------------------------------------------
-    @staticmethod
-    def base(tau: np.ndarray) -> np.ndarray:
-        tau = np.asarray(tau, dtype=np.float64)
-        out = np.zeros_like(tau)
-        out[tau <= 0.5 + _EDGE] = 1.0
-        m = (tau > 0.5 + _EDGE) & (tau < 1.0 - _EDGE)
-        out[m] = _tail_integral(tau[m]) / _g_mass()
-        return out
-
-    @staticmethod
-    def base_prime(tau: np.ndarray) -> np.ndarray:
-        return -_g(tau) / _g_mass()
-
-    @staticmethod
-    def base_second(tau: np.ndarray) -> np.ndarray:
-        tau = np.asarray(tau, dtype=np.float64)
-        out = np.zeros_like(tau)
-        m = (tau > 0.5 + _EDGE) & (tau < 1.0 - _EDGE)
-        tm = tau[m]
-        w = (tm - 0.5) * (1.0 - tm)
-        out[m] = -np.exp(-1.0 / w) * (1.5 - 2.0 * tm) / (w * w) / _g_mass()
-        return out
-
-    # -- powered profile ----------------------------------------------
-    def eta(self, tau: np.ndarray) -> np.ndarray:
-        return self.base(tau) ** self.exponent
-
-    def eta_prime(self, tau: np.ndarray) -> np.ndarray:
-        l = self.exponent
-        b = self.base(tau)
-        return l * b ** (l - 1) * self.base_prime(tau)
-
-    def eta_second(self, tau: np.ndarray) -> np.ndarray:
-        l = self.exponent
-        b = self.base(tau)
-        bp = self.base_prime(tau)
-        bs = self.base_second(tau)
-        if l == 1:
-            return bs
-        return l * (l - 1) * b ** (l - 2) * bp * bp + l * b ** (l - 1) * bs
+    if exponent < 1 or exponent != int(exponent):
+        raise ConfigError(f"cutoff exponent must be an integer >= 1, got {exponent}")
+    l = int(exponent)
+    tau = np.asarray(tau, dtype=np.float64)
+    c = np.zeros_like(tau)
+    c[tau <= 0.5 + _EDGE] = 1.0
+    m = (tau > 0.5 + _EDGE) & (tau < 1.0 - _EDGE)
+    c[m] = _tail_integral(tau[m]) / _g_mass()
+    cp = -_g(tau) / _g_mass()
+    cs = np.zeros_like(tau)
+    tm = tau[m]
+    w = (tm - 0.5) * (1.0 - tm)
+    cs[m] = -np.exp(-1.0 / w) * (1.5 - 2.0 * tm) / (w * w) / _g_mass()
+    if l == 1:
+        return c, cp, cs
+    second = l * (l - 1) * c ** (l - 2) * cp * cp + l * c ** (l - 1) * cs
+    return c**l, l * c ** (l - 1) * cp, second
 
 
 @dataclass(frozen=True)
@@ -158,10 +128,6 @@ class TestPair:
     @property
     def exponent(self) -> int:
         return self.bump.exponent
-
-    @property
-    def cutoff(self) -> TimeCutoff:
-        return TimeCutoff(self.bump.exponent)
 
 
 def _lattice_points(grid: Grid) -> np.ndarray:
@@ -206,9 +172,6 @@ class SpatialFactors:
     itself.
     """
 
-    grid: Grid
-    R: float
-    exponent: int
     phi_r: np.ndarray
     lap_phi_r: np.ndarray
 
@@ -244,13 +207,7 @@ def spatial_factors(pair: TestPair, grid: Grid) -> SpatialFactors:
     lap_phi_r = np.zeros(g.size**g.dim)
     phi_r[inside] = base_vals**l
     lap_phi_r[inside] = lap_base_pow / (R * R)
-    return SpatialFactors(
-        grid=g,
-        R=R,
-        exponent=l,
-        phi_r=phi_r.reshape(g.shape),
-        lap_phi_r=lap_phi_r.reshape(g.shape),
-    )
+    return SpatialFactors(phi_r.reshape(g.shape), lap_phi_r.reshape(g.shape))
 
 
 def _check_fields(times: np.ndarray, snapshots: np.ndarray, pair: TestPair) -> None:
@@ -285,7 +242,7 @@ def i_of_r(
     vol = grid.dx**grid.dim
     axes = tuple(range(1, snapshots.ndim))
     spatial = (np.abs(snapshots) ** p * factors.phi_r).sum(axis=axes) * vol
-    eta_vals = pair.cutoff.eta(times / pair.R**2)
+    eta_vals = cutoff(times / pair.R**2, pair.exponent)[0]
     return float(np.trapezoid(spatial * eta_vals, times))
 
 
@@ -317,9 +274,7 @@ class WeightReport:
     of doubling both quadrature resolutions.
     """
 
-    p: float
     exponent: int
-    dim: int
     dominating: float
     literal: float
     rel_change_dominating: float
@@ -349,10 +304,7 @@ def _weight_integrals(
     D = l * (l - 1) * grad2 + l * B * lap  # Delta(B^l) = B^(l-2) D
 
     tau = np.linspace(0.0, 1.0, time_points)
-    cut = TimeCutoff(1)
-    c = cut.base(tau)
-    cp = cut.base_prime(tau)
-    cs = cut.base_second(tau)
+    c, cp, cs = cutoff(tau, 1)
     E = l * (l - 1) * cp * cp + l * c * cs  # (c^l)'' = c^(l-2) E
 
     r4 = 1.0 if R is None else R**-4
@@ -401,9 +353,7 @@ def weight_constant(
         rel_l = abs(lit2 - lit) / lit2 if lit2 else math.nan
         dom, lit = dom2, lit2
     return WeightReport(
-        p=p,
         exponent=bump.exponent,
-        dim=bump.grid.dim,
         dominating=dom,
         literal=lit,
         rel_change_dominating=rel_d,
@@ -433,10 +383,10 @@ class BoundReport:
 
     margin_holder: slack of  I <= -eps P + W^(1/p') I^(1/p) R^((n+2)/p'-2).
     margin_absorbed: slack of I <= p'(-eps P) + W R^(n+2-2p').
-    identity_residual is the defect of the exact integrated identity
-    I = -eps P + iint u Op(phi_R eta_R), relative to its largest term;
-    it measures quadrature plus time-discretisation error, not estimate
-    slack.
+    identity_rel: |defect| of the exact identity I = -eps P + iint u
+    Op(phi_R eta_R) over its largest term (0 if all are 0); it measures
+    quadrature plus time-discretisation error, not estimate slack.
+    The fields are the testfunc CSV columns, in order.
     """
 
     R: float
@@ -446,8 +396,7 @@ class BoundReport:
     absorbed_rhs: float
     margin_holder: float
     margin_absorbed: float
-    identity_residual: float
-    identity_scale: float
+    identity_rel: float
 
 
 def check_bounds(
@@ -488,16 +437,12 @@ def check_bounds(
     absorbed_rhs = pprime * data_term + W * R ** (n + 2.0 - 2.0 * pprime)
 
     # exact identity defect: I - (-eps P) - iint u Op(phi_R eta_R)
-    cut = pair.cutoff
-    tau = times / R**2
-    eta = cut.eta(tau)
-    etap = cut.eta_prime(tau) / R**2
-    etas = cut.eta_second(tau) / R**4
+    eta, etap, etas = cutoff(times / R**2, pair.exponent)
     vol = grid.dx**grid.dim
     axes = tuple(range(1, snapshots.ndim))
     u_phi = (snapshots * factors.phi_r).sum(axis=axes) * vol
     u_lap = (snapshots * factors.lap_phi_r).sum(axis=axes) * vol
-    op_series = u_phi * (etas - etap) - u_lap * eta
+    op_series = u_phi * (etas / R**4 - etap / R**2) - u_lap * eta
     j_val = float(np.trapezoid(op_series, times))
     scale = max(abs(ival), abs(data_term), abs(j_val))
     residual = ival - data_term - j_val
@@ -510,6 +455,5 @@ def check_bounds(
         absorbed_rhs=absorbed_rhs,
         margin_holder=holder_rhs - ival,
         margin_absorbed=absorbed_rhs - ival,
-        identity_residual=residual,
-        identity_scale=scale,
+        identity_rel=abs(residual) / scale if scale > 0.0 else 0.0,
     )

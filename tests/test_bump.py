@@ -79,17 +79,6 @@ def test_wraparound_guard():
         self_convolve(g, seed)
 
 
-def test_power_interpolation_clamps_outside(base):
-    b = power(base, 5)
-    # interpolation dust outside the support is clamped before powering,
-    # so the fifth power is vanishingly small even if not an exact zero
-    vals = b.power_at(np.array([[3.1], [-3.5]]))
-    assert np.all(np.abs(vals) < 1e-50)
-    # inside the support the power matches the sampled values
-    mid = b.power_at(np.array([[0.0]]))
-    assert mid[0] == pytest.approx(b.power_samples.max(), rel=1e-8)
-
-
 def test_required_power_values():
     assert required_power(2.0) == 5
     assert required_power(3.0) == 4

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,33 @@ def test_field_archive_is_deterministic_and_loadable(tmp_path):
         assert float(loaded["eps"]) == 0.25
 
 
+def test_field_archive_streams_without_a_copy(tmp_path):
+    # each array streams into the temp file, so the traced peak stays below
+    # the array's own size; an archive built in memory first holds copies
+    big = np.ones(4 * 1024 * 1024)  # 32 MiB
+    path = str(tmp_path / "big.npz")
+    tracemalloc.start()
+    try:
+        harness.write_field_archive(path, {"snapshots": big})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < big.nbytes, peak / big.nbytes
+    with np.load(path) as loaded:
+        assert np.array_equal(loaded["snapshots"], big)
+
+
+def test_field_archive_failure_leaves_nothing_behind(tmp_path):
+    path = tmp_path / "fields.npz"
+    path.write_bytes(b"old archive")
+    # arrays go in name order: "b" is ragged, so np.asarray raises after "a"
+    # has been written into the temp file
+    with pytest.raises(ValueError):
+        harness.write_field_archive(str(path), {"a": np.zeros(3), "b": [[1.0], [1.0, 2.0]]})
+    assert os.listdir(tmp_path) == ["fields.npz"]
+    assert path.read_bytes() == b"old archive"
+
+
 def _sweep_cfg():
     return {
         "jobs": [
@@ -452,6 +480,19 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
         err = capsys.readouterr().err
         assert str(path) in err, name
         assert err.startswith("config error:") and err.count("\n") == 1, name
+    # an interior inf coefficient: the mirror-plane defect divides by
+    # max|c| = inf and reads 0, so finiteness is checked on its own
+    inf_u0 = arrays["u0_coeffs"].copy()
+    inf_u0[3, 3] = np.inf
+    np.savez(tmp_path / "inf_u0.npz", **{**arrays, "u0_coeffs": inf_u0})
+    cfgp.write_text(json.dumps({
+        "fields": str(tmp_path / "inf_u0.npz"), "R_values": [4.0], "time_points": 129,
+        "bump_grid": {"dim": 2, "size": 32, "half_length": 4.0},
+    }))
+    assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "u0 has non-finite coefficients" in err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_lifespan_rel_tol_without_gamma_fails_before_stepping(tmp_path, monkeypatch, capsys):

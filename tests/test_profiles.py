@@ -146,9 +146,13 @@ def test_data_pair_rejects_coefficients_of_no_real_field():
     # an imaginary zero mode: irfftn would drop it and step another field
     coeffs = laplacian_gaussian(Grid(1, 64, 8.0), 0).coeffs
     real = SpectralField(Grid(1, 64, 8.0), coeffs)
-    # NaN coefficients make the defect itself NaN
+    # NaN coefficients, and an interior +-inf, which would read as defect 0
+    # once hermitian_defect divides by max|c| = inf
+    infs = [coeffs.copy(), coeffs.copy()]
+    infs[0][3], infs[1][3] = np.inf, -np.inf
     for bad in (SpectralField(Grid(1, 64, 8.0), 1j * coeffs),
-                SpectralField(Grid(1, 64, 8.0), np.full_like(coeffs, np.nan))):
+                SpectralField(Grid(1, 64, 8.0), np.full_like(coeffs, np.nan)),
+                *(SpectralField(Grid(1, 64, 8.0), c) for c in infs)):
         for u0, u1 in ((bad, real), (real, bad)):
             with pytest.raises(ConfigError, match="u0" if u0 is bad else "u1"):
                 DataPair(u0=u0, u1=u1, eps=0.1, family="custom")

@@ -1,9 +1,11 @@
-"""Print "sha256  relpath" for every output file and stdout of the workloads.
+"""Print "sha256  relpath" for every output file and stdout of a fixed run set.
 
-Runs each perfbench/workloads/*.json config as checked in (seed 0, --check)
-through dampedwave.cli.main from this checkout's src/, inside a new OUTDIR;
-paths are relative to it, so `python tools/output_digests.py OUTDIR` in two
-checkouts gives outputs to diff.  Exits 1 if any CLI call did not return 0.
+Runs each perfbench/workloads/*.json config as checked in (seed 0, --check),
+then the small inline configs in EXTRA, which cover the subcommands and
+paths the workloads do not, through dampedwave.cli.main from this
+checkout's src/, inside a new OUTDIR; paths are relative to it, so
+`python tools/output_digests.py OUTDIR` in two checkouts gives outputs to
+diff.  Exits 1 if any CLI call did not return 0.
 """
 
 import contextlib
@@ -18,6 +20,57 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 from dampedwave import cli  # noqa: E402
 
+_BUMP_2D = {"dim": 2, "size": 32, "half_length": 4.0}
+
+# name -> steps, each run with its own args; "{out:0}" is the first step's --out
+EXTRA = {
+    "classify": [{"command": "classify", "args": [],
+                  "config": {"n": 1, "gamma": 0.25, "p": 2.0}}],
+    "atlas": [{"command": "atlas", "args": [],
+               "config": {"n": 2, "gamma": {"min": 0.25, "max": 1.5, "count": 6},
+                          "p": {"min": 1.25, "max": 4.0, "count": 12}}}],
+    "bump1d": [{"command": "bump-check", "args": ["--check"],
+                "config": {"shifted_center": 0.3}}],
+    # no --check: on 32^2 the monotone check misses tol 1e-8 (worst 1.2e-4)
+    "bump2d": [{"command": "bump-check", "args": [], "config": {"grid": _BUMP_2D}}],
+    # the decay example in README.md
+    "decay": [{"command": "decay", "args": ["--check"],
+               "config": {"grid": {"dim": 1, "size": 4096, "half_length": 3200.0},
+                          "profile": {"family": "power", "gamma": 0.5},
+                          "times": {"start": 100.0, "ratio": 2.0, "count": 5},
+                          "check": {"l2_tol": 0.05, "seminorm_tol": 0.1}}}],
+    "testfunc2d": [
+        {"command": "simulate", "args": [],
+         "config": {"grid": {"dim": 2, "size": 128, "half_length": 64.0},
+                    "profile": {"family": "power", "gamma": 1.0}, "eps": 0.05, "p": 2.0,
+                    "dt": 0.0625, "t_max": 20.0, "record_fields_every": 2}},
+        {"command": "testfunc", "args": ["--check"],
+         "config": {"fields": "{out:0}/fields.npz", "R_values": [4.0],
+                    "bump_grid": _BUMP_2D, "time_points": 129, "check": {}}},
+    ],
+}
+
+
+def _run(name: str, steps: list) -> int:
+    """Run one chain of steps, print its digests; returns the failed-call count."""
+    failed = 0
+    outs = [f"{name}/out{i}" for i in range(len(steps))]
+    for i, step in enumerate(steps):
+        cfg_path = f"{name}-config{i}.json"
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(step["config"]).replace("{out:0}", outs[0]))
+        argv = [step["command"], "--config", cfg_path, "--out", outs[i]]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main(argv + step["args"])
+        failed += rc != 0
+        print(f"{hashlib.sha256(stdout.getvalue().encode()).hexdigest()}  {name}/stdout{i}")
+        for path in sorted(glob.glob(f"{outs[i]}/**/*", recursive=True)):
+            if os.path.isfile(path):
+                with open(path, "rb") as fh:
+                    print(f"{hashlib.sha256(fh.read()).hexdigest()}  {path}")
+    return failed
+
 
 def main(out_dir: str) -> int:
     os.makedirs(out_dir)
@@ -27,21 +80,9 @@ def main(out_dir: str) -> int:
         name = os.path.splitext(os.path.basename(spec_path))[0]
         with open(spec_path, encoding="utf-8") as fh:
             steps = json.load(fh)["steps"]
-        outs = [f"{name}/out{i}" for i in range(len(steps))]
-        for i, step in enumerate(steps):
-            cfg_path = f"{name}-config{i}.json"
-            with open(cfg_path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(step["config"]).replace("{out:0}", outs[0]))
-            argv = [step["command"], "--config", cfg_path, "--out", outs[i], "--check"]
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                rc = cli.main(argv + step.get("args", []))
-            failed += rc != 0
-            print(f"{hashlib.sha256(stdout.getvalue().encode()).hexdigest()}  {name}/stdout{i}")
-            for path in sorted(glob.glob(f"{outs[i]}/**/*", recursive=True)):
-                if os.path.isfile(path):
-                    with open(path, "rb") as fh:
-                        print(f"{hashlib.sha256(fh.read()).hexdigest()}  {path}")
+        failed += _run(name, [{**s, "args": ["--check"] + s.get("args", [])} for s in steps])
+    for name, steps in EXTRA.items():
+        failed += _run(name, steps)
     return 1 if failed else 0
 
 
