@@ -77,14 +77,17 @@ def khat_kprime(t: float, xi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kh, -0.5 * kh + ct
 
 
-def abs_pow(u: np.ndarray, p: float) -> np.ndarray:
-    """|u|^p elementwise for real u."""
-    a = np.abs(u)
+def abs_pow(u: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """|u|^p elementwise for real u, written into out and returned."""
+    a = np.abs(u, out=out)
     if p == 2.0:
-        return a * a
+        return np.multiply(a, a, out=a)
     if p == 3.0:
-        return a * a * a
-    return a**p
+        # (|u| u) u: the signs cancel, and rounding ignores them, so this is
+        # |u| |u| |u| bit for bit without a second buffer
+        np.multiply(a, u, out=a)
+        return np.multiply(a, u, out=a)
+    return np.power(a, p, out=a)
 
 
 def predict_combine(
@@ -95,17 +98,25 @@ def predict_combine(
     kp: np.ndarray,
     xi2_kh: np.ndarray,
     half_dt_kh: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One fused linear-propagation-plus-source combine.
+    pv: np.ndarray,
+    work: np.ndarray,
+) -> None:
+    """One fused linear-propagation-plus-source combine, in place.
 
-    Returns (uhat at t+dt, linear part of vhat at t+dt).  The source term
+    Writes the linear part of vhat at t+dt into pv, then overwrites uhat
+    with uhat at t+dt; work is scratch of the same shape.  The source term
     carries the trapezoid weight dt/2 with the kernel evaluated inside the
     quadrature; the khat(0) = 0 endpoint drops out.  xi2_kh = xi2 * kh and
     half_dt_kh = (dt/2) * kh are the step-invariant products, built once.
+    Operand order is that of
+        pv   = kp * vhat - xi2_kh * uhat
+        unew = kp * uhat + kh * (uhat + vhat) + half_dt_kh * nlhat
     """
-    unew = kp * uhat + kh * (uhat + vhat) + half_dt_kh * nlhat
-    pv = kp * vhat - xi2_kh * uhat
-    return unew, pv
+    np.multiply(kp, vhat, out=pv)
+    np.subtract(pv, np.multiply(xi2_kh, uhat, out=work), out=pv)
+    np.multiply(kh, np.add(uhat, vhat, out=work), out=work)
+    np.add(np.multiply(kp, uhat, out=uhat), work, out=uhat)
+    np.add(uhat, np.multiply(half_dt_kh, nlhat, out=work), out=uhat)
 
 
 def correct_combine(
@@ -114,6 +125,11 @@ def correct_combine(
     nlhat_p: np.ndarray,
     kp: np.ndarray,
     half_dt: float,
-) -> np.ndarray:
-    """Trapezoid source update for the velocity component."""
-    return pv + half_dt * (kp * nlhat_n + nlhat_p)
+    out: np.ndarray,
+) -> None:
+    """Trapezoid source update for the velocity component, into out.
+
+    out = pv + half_dt * (kp * nlhat_n + nlhat_p); out must not be an input.
+    """
+    np.add(np.multiply(kp, nlhat_n, out=out), nlhat_p, out=out)
+    np.add(pv, np.multiply(half_dt, out, out=out), out=out)

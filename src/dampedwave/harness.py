@@ -704,25 +704,28 @@ def run_testfunc(cfg: dict) -> dict:
 
 def _load_fields(path: str) -> dict:
     try:
-        with np.load(path) as z:
+        # np.load leaves a file it opened itself open when the zip is corrupt
+        with open(path, "rb") as fh, np.load(fh) as z:
             grid = Grid(int(z["dim"]), int(z["size"]), float(z["half_length"]))
             u0 = SpectralField(grid, np.ascontiguousarray(z["u0_coeffs"]))
             u1 = SpectralField(grid, np.ascontiguousarray(z["u1_coeffs"]))
             pair = DataPair(u0=u0, u1=u1, eps=float(z["eps"]), family="stored")
             times = np.asarray(z["times"], dtype=np.float64)
             snapshots = np.asarray(z["snapshots"])
-            if not (np.isfinite(times).all() and np.isfinite(snapshots).all()):
-                raise ConfigError(f"fields archive {path} holds non-finite times or snapshots")
-            return {"grid": grid, "pair": pair, "times": times, "snapshots": snapshots,
-                    "p": float(z["p"])}
-    except ConfigError:
-        raise
+            finite = np.isfinite(times).all() and np.isfinite(snapshots).all()
+            fields = {"grid": grid, "pair": pair, "times": times, "snapshots": snapshots,
+                      "p": float(z["p"])}
+    except ConfigError as exc:  # from Grid, SpectralField or DataPair
+        raise ConfigError(f"fields archive {path}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read fields archive {path}: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"fields archive {path} is missing array {exc}") from exc
     except (ValueError, TypeError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"fields archive {path} is malformed: {exc}") from exc
+    if not finite:
+        raise ConfigError(f"fields archive {path} holds non-finite times or snapshots")
+    return fields
 
 
 RUNNERS = {

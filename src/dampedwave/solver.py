@@ -7,9 +7,12 @@ integral of the nonlinear term; the kernel vanishing at zero time lag
 makes the displacement update explicit, and a predicted endpoint closes
 the velocity update.  The predicted nonlinearity is reused as the next
 step's left endpoint, so each step costs one real forward and one real
-inverse transform.  Fields are real, and every spectral array here is the
-half-spectrum that SpectralField holds (last axis k = 0 .. N/2, as
-np.fft.rfftn returns it).
+inverse transform.  The Stepper owns its state and workspace: every
+combine and transform of a step writes into them in place, with the
+operand order of the out-of-place expressions.  Inside a step only
+NumPy's cast buffers and irfftn's passes over the leading axes allocate.
+Fields are real, and every spectral array here is the half-spectrum that
+SpectralField holds (last axis k = 0 .. N/2, as np.fft.rfftn returns it).
 run() is one loop over steps: step 0 is the eps-scaled data, and it goes
 through the same finiteness and threshold gate as every later step.
 
@@ -111,8 +114,12 @@ class Trajectory:
 class Stepper:
     """Steps of config.dt on the half-spectrum, multipliers computed once.
 
-    start() is the state at t = 0 and advance() the state one step later,
-    each as (uhat, vhat, u_phys, nl_hat); run() is the loop over both.
+    The stepper owns its state and workspace, allocated once here, and a
+    step creates no arrays of its own.  start() fills the state at t = 0
+    and advance() moves it one step on; each returns the stepper's own
+    (uhat, vhat, u_phys, nl_hat), which the next advance() overwrites, so
+    a caller copies what it keeps.  run() is the loop over both.  work is
+    the real scratch array: |u|^p inside a step, free between steps.
     """
 
     def __init__(self, config: SimConfig) -> None:
@@ -130,32 +137,42 @@ class Stepper:
         self.fwd_factor = grid.phase * grid.transform_scale
         if config.dealias:
             self.fwd_factor = self.fwd_factor * grid.dealias_mask
+        # linear runs keep both nl buffers at zero
+        self.uhat, self.vhat, self.nl_hat, self._nl_next, self._pv, self._spec_work = (
+            np.zeros(self.kh.shape, dtype=np.complex128) for _ in range(6)
+        )
+        self.u_phys = np.empty(self.shape)
+        self.work = np.empty(self.shape)
 
-    def physical(self, uhat: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(uhat * self.inv_factor, s=self.shape, axes=self.axes)
-
-    def nl_coeffs(self, u_phys: np.ndarray) -> np.ndarray:
-        """Dealiased coefficients of |u|^p (zero for linear runs)."""
-        if not self.nonlinear:
-            return np.zeros(self.kh.shape, dtype=np.complex128)
-        return np.fft.rfftn(abs_pow(u_phys, self.p), axes=self.axes) * self.fwd_factor
+    def _fill_physical_and_nl(self, nl_out: np.ndarray) -> None:
+        """u_phys from uhat, then the dealiased coefficients of |u|^p into nl_out."""
+        np.multiply(self.uhat, self.inv_factor, out=self._spec_work)
+        np.fft.irfftn(self._spec_work, s=self.shape, axes=self.axes, out=self.u_phys)
+        if self.nonlinear:
+            np.fft.rfftn(abs_pow(self.u_phys, self.p, self.work), axes=self.axes, out=nl_out)
+            np.multiply(nl_out, self.fwd_factor, out=nl_out)
 
     def start(self):
         """(uhat, vhat, u_phys, nl_hat) of the eps-scaled data at t = 0."""
-        uhat = self.data.eps * self.data.u0.coeffs
-        vhat = self.data.eps * self.data.u1.coeffs
-        u_phys = self.physical(uhat)
-        return uhat, vhat, u_phys, self.nl_coeffs(u_phys)
+        np.multiply(self.data.eps, self.data.u0.coeffs, out=self.uhat)
+        np.multiply(self.data.eps, self.data.u1.coeffs, out=self.vhat)
+        self._fill_physical_and_nl(self.nl_hat)
+        return self.uhat, self.vhat, self.u_phys, self.nl_hat
 
-    def advance(self, uhat: np.ndarray, vhat: np.ndarray, nl_hat: np.ndarray):
-        """(uhat, vhat, u_phys, nl_hat) one step later."""
-        uhat_new, pv = predict_combine(
-            uhat, vhat, nl_hat, self.kh, self.kp, self.xi2_kh, self.half_kh
+    def advance(self):
+        """(uhat, vhat, u_phys, nl_hat) one step later, written over the last.
+
+        pv is taken before uhat is overwritten, and the new nl goes into the
+        spare buffer, which then swaps with nl_hat.
+        """
+        predict_combine(
+            self.uhat, self.vhat, self.nl_hat, self.kh, self.kp, self.xi2_kh,
+            self.half_kh, self._pv, self._spec_work,
         )
-        u_new = self.physical(uhat_new)
-        nl_new = self.nl_coeffs(u_new)
-        vhat_new = correct_combine(pv, nl_hat, nl_new, self.kp, self.half)
-        return uhat_new, vhat_new, u_new, nl_new
+        self._fill_physical_and_nl(self._nl_next)
+        correct_combine(self._pv, self.nl_hat, self._nl_next, self.kp, self.half, self.vhat)
+        self.nl_hat, self._nl_next = self._nl_next, self.nl_hat
+        return self.uhat, self.vhat, self.u_phys, self.nl_hat
 
 
 def _boundary_mask(grid: Grid) -> np.ndarray:
@@ -188,11 +205,9 @@ def run(config: SimConfig) -> Trajectory:
     t_blowup: float | None = None
 
     for n in range(n_steps + 1):
-        uhat, vhat, u_phys, nl_hat = (
-            stepper.advance(uhat, vhat, nl_hat) if n else stepper.start()
-        )
+        uhat, _, u_phys, _ = stepper.advance() if n else stepper.start()
         t = n * config.dt
-        top = float(np.max(np.abs(u_phys)))
+        top = float(np.max(np.abs(u_phys, out=stepper.work)))
         if n == 0 and not top < config.blowup_threshold:
             raise ConfigError(
                 f"initial amplitude {top:.3g} is not below the blow-up "

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,11 +129,11 @@ def test_emit_outputs_are_byte_identical(tmp_path):
     p2 = harness.emit_outputs(res, str(d2))
     assert [p.rsplit("/", 1)[1] for p in p1] == ["classify.csv", "classify.json"]
     for a, b in zip(p1, p2):
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
     # rerunning into the same directory rewrites the same bytes
-    before = open(p1[1], "rb").read()
+    before = Path(p1[1]).read_bytes()
     harness.emit_outputs(harness.run_classify({"n": 2, "gamma": 0.5, "p": 2.0}), str(d1))
-    assert open(p1[1], "rb").read() == before
+    assert Path(p1[1]).read_bytes() == before
 
 
 _GRID = {"dim": 1, "size": 256, "half_length": 64.0}
@@ -218,17 +219,17 @@ def test_config_echo_and_summary_lines_are_pinned(tmp_path, monkeypatch, capsys)
 def test_csv_layout(tmp_path):
     res = harness.run_classify({"n": 1, "gamma": 0.25, "p": 2.0})
     paths = harness.emit_outputs(res, str(tmp_path))
-    lines = open(paths[0], "r", encoding="utf-8").read().splitlines()
+    lines = Path(paths[0]).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "gamma,p,verdict,config_hash"
     assert lines[1].endswith("," + res["config_hash"])
     assert lines[1].startswith("0.25,2.0,BlowupSubcritical")
-    assert open(paths[0], "rb").read().endswith(b"\n")
+    assert Path(paths[0]).read_bytes().endswith(b"\n")
 
 
 def test_json_payload_schema(tmp_path):
     res = harness.run_classify({"n": 1, "gamma": 0.25, "p": 2.0})
     paths = harness.emit_outputs(res, str(tmp_path))
-    payload = json.loads(open(paths[1], "r", encoding="utf-8").read())
+    payload = json.loads(Path(paths[1]).read_text(encoding="utf-8"))
     assert payload["schema"] == 1
     assert payload["kind"] == "classify"
     assert payload["config_hash"] == res["config_hash"]
@@ -240,7 +241,7 @@ def test_json_sanitizes_nonfinite(tmp_path):
     harness.write_json(
         path, {"a": math.inf, "b": math.nan, "c": [-math.inf, 1.5]}
     )
-    back = json.loads(open(path).read())
+    back = json.loads(Path(path).read_text())
     assert back == {"a": "inf", "b": "nan", "c": ["-inf", 1.5]}
 
 
@@ -253,7 +254,7 @@ def test_field_archive_is_deterministic_and_loadable(tmp_path):
     p1, p2 = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
     harness.write_field_archive(p1, arrays)
     harness.write_field_archive(p2, arrays)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
     with np.load(p1) as loaded:
         assert sorted(loaded.files) == ["eps", "snapshots", "times"]
         assert np.array_equal(loaded["snapshots"], arrays["snapshots"])
@@ -311,8 +312,8 @@ def test_sweep_serial_and_threaded_agree(tmp_path):
     assert r1["check"]["passed"] and r2["check"]["passed"]
     for job, kind in (("j1", "classify"), ("j2", "atlas"), ("j3", "lifespan")):
         for ext in ("csv", "json"):
-            a = open(f"{d1}/{job}/{kind}.{ext}", "rb").read()
-            b = open(f"{d2}/{job}/{kind}.{ext}", "rb").read()
+            a = Path(f"{d1}/{job}/{kind}.{ext}").read_bytes()
+            b = Path(f"{d2}/{job}/{kind}.{ext}").read_bytes()
             assert a == b, (job, ext)
 
 
@@ -386,7 +387,7 @@ def test_cli_classify_flags_and_seed(tmp_path):
          "--out", out, "--seed", "7"]
     )
     assert code == 0
-    payload = json.loads(open(f"{out}/classify.json").read())
+    payload = json.loads(Path(f"{out}/classify.json").read_text())
     assert payload["config"]["seed"] == 7
     assert payload["config_hash"] == harness.config_hash(payload["config"])
     assert payload["summary"]["verdict"] == "GlobalLargeGamma"
@@ -460,12 +461,18 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
         raw = fh.read()
     nan_late = arrays["snapshots"].copy()
     nan_late[5:] = np.nan
+    # an interior inf coefficient: the mirror-plane defect divides by
+    # max|c| = inf and reads 0, so finiteness is checked on its own
+    inf_u0 = arrays["u0_coeffs"].copy()
+    inf_u0[3, 3] = np.inf
     archives = {
         "garbage": b"garbage",
         "truncated": raw[: len(raw) // 2],
         "dim_array": {**arrays, "dim": np.array([2, 2])},
         "nan_late": {**arrays, "snapshots": nan_late},
+        "inf_u0": {**arrays, "u0_coeffs": inf_u0},
     }
+    errs = {}
     for name, content in archives.items():
         path = tmp_path / f"{name}.npz"
         if isinstance(content, bytes):
@@ -477,22 +484,11 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
             "bump_grid": {"dim": 2, "size": 32, "half_length": 4.0},
         }))
         assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert str(path) in err, name
+        err = errs[name] = capsys.readouterr().err
+        # the path is named once, also where the message already holds it
+        assert err.count(str(path)) == 1, name
         assert err.startswith("config error:") and err.count("\n") == 1, name
-    # an interior inf coefficient: the mirror-plane defect divides by
-    # max|c| = inf and reads 0, so finiteness is checked on its own
-    inf_u0 = arrays["u0_coeffs"].copy()
-    inf_u0[3, 3] = np.inf
-    np.savez(tmp_path / "inf_u0.npz", **{**arrays, "u0_coeffs": inf_u0})
-    cfgp.write_text(json.dumps({
-        "fields": str(tmp_path / "inf_u0.npz"), "R_values": [4.0], "time_points": 129,
-        "bump_grid": {"dim": 2, "size": 32, "half_length": 4.0},
-    }))
-    assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "u0 has non-finite coefficients" in err
-    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "u0 has non-finite coefficients" in errs["inf_u0"]
 
 
 def test_lifespan_rel_tol_without_gamma_fails_before_stepping(tmp_path, monkeypatch, capsys):

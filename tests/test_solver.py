@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from dampedwave.accel import khat_kprime
 from dampedwave.dispersion import propagate_linear
 from dampedwave.errors import ConfigError, NumericalError
 from dampedwave.grid import Grid, SpectralField, forward_transform
@@ -53,9 +55,9 @@ def check_linear_run_matches_exact_propagator(g: Grid):
     pair = gaussian_pair(g, 0.7)
     dt, n = 0.05, 60
     stepper = Stepper(SimConfig(data=pair, p=2.0, dt=dt, t_max=n * dt, nonlinear=False))
-    uhat, vhat, _, nl_hat = stepper.start()
+    stepper.start()
     for _ in range(n):
-        uhat, vhat, _, nl_hat = stepper.advance(uhat, vhat, nl_hat)
+        uhat, vhat, _, _ = stepper.advance()
     uex, vex = propagate_linear(pair.u0, pair.u1, n * dt)
     scale = np.max(np.abs(uex.coeffs)) * pair.eps
     assert np.max(np.abs(uhat - pair.eps * uex.coeffs)) < 1e-12 * scale
@@ -191,14 +193,104 @@ def check_run_matches_repeated_step(g: Grid):
     cfg = SimConfig(data=gaussian_pair(g, 0.3), p=2.0, dt=0.02, t_max=0.2)
     traj = run(cfg)
     stepper = Stepper(cfg)
-    uhat, vhat, u_phys, nl_hat = stepper.start()
+    stepper.start()
     for _ in range(10):
-        uhat, vhat, u_phys, nl_hat = stepper.advance(uhat, vhat, nl_hat)
+        _, _, u_phys, _ = stepper.advance()
     vol = g.dx**g.dim
     l2 = math.sqrt(float(np.sum(u_phys**2)) * vol)
     assert traj.times[-1] == pytest.approx(0.2, abs=1e-12)
     assert traj.linf[-1] == pytest.approx(float(np.max(np.abs(u_phys))), rel=1e-13)
     assert traj.l2[-1] == pytest.approx(l2, rel=1e-13)
+
+
+def reference_steps(cfg: SimConfig, n: int):
+    """The step written out of place, operand for operand: yields n + 1 states."""
+    g = cfg.grid
+    axes = tuple(range(g.dim))
+    kh, kp = khat_kprime(cfg.dt, g.xi2)
+    half = 0.5 * cfg.dt
+    xi2_kh, half_kh = g.xi2 * kh, half * kh
+    inv_factor = g.phase / g.transform_scale
+    fwd_factor = g.phase * g.transform_scale * g.dealias_mask
+
+    def physical(uhat):
+        return np.fft.irfftn(uhat * inv_factor, s=g.shape, axes=axes)
+
+    def nl_coeffs(u):
+        if not cfg.nonlinear:
+            return np.zeros(kh.shape, dtype=np.complex128)
+        a = np.abs(u)
+        powered = a * a if cfg.p == 2.0 else a * a * a if cfg.p == 3.0 else a**cfg.p
+        return np.fft.rfftn(powered, axes=axes) * fwd_factor
+
+    uhat = cfg.data.eps * cfg.data.u0.coeffs
+    vhat = cfg.data.eps * cfg.data.u1.coeffs
+    u = physical(uhat)
+    nl = nl_coeffs(u)
+    yield uhat, vhat, u, nl
+    for _ in range(n):
+        unew = kp * uhat + kh * (uhat + vhat) + half_kh * nl
+        pv = kp * vhat - xi2_kh * uhat
+        u = physical(unew)
+        nl_new = nl_coeffs(u)
+        vhat = pv + half * (kp * nl + nl_new)
+        uhat, nl = unew, nl_new
+        yield uhat, vhat, u, nl
+
+
+@pytest.mark.parametrize("dim,size", [pytest.param(1, 64, id="1d"), *_MULTI_D])
+@pytest.mark.parametrize(
+    "p,nonlinear", [(2.0, True), (3.0, True), (1.71, True), (2.0, False)],
+    ids=["p2", "p3", "p1.71", "linear"],
+)
+def test_in_place_step_is_bit_identical(dim, size, p, nonlinear):
+    g = Grid(dim, size, 8.0)
+    cfg = SimConfig(data=gaussian_pair(g, 0.8), p=p, dt=0.02, t_max=1.0, nonlinear=nonlinear)
+    stepper = Stepper(cfg)
+    ref = reference_steps(cfg, 20)
+    for n, want in enumerate(ref):
+        got = stepper.advance() if n else stepper.start()
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), f"step {n}"
+
+
+@pytest.mark.parametrize(
+    "dim,size,half_length,dt",
+    [pytest.param(1, 4096, 256.0, 0.01, id="1d"),
+     pytest.param(2, 64, 8.0, 0.02, id="2d"),
+     pytest.param(3, 16, 8.0, 0.02, id="3d")],
+)
+def test_step_allocates_no_state_arrays(dim, size, half_length, dt):
+    g = Grid(dim, size, half_length)
+    cfg = SimConfig(data=gaussian_pair(g, 0.5), p=1.71, dt=dt, t_max=1.0)
+    stepper = Stepper(cfg)
+    stepper.start()
+    stepper.advance()
+    tracemalloc.start()
+    try:
+        for _ in range(50):
+            stepper.advance()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # left: NumPy's cast buffers (up to one spectrum) and irfftn's passes
+    # over the leading axes (two spectra in 3D); the out-of-place step
+    # peaked near ten spectra
+    assert peak < 3 * stepper.uhat.nbytes, peak / stepper.uhat.nbytes
+
+
+def test_run_neither_aliases_data_nor_snapshots():
+    g = Grid(1, 64, 8.0)
+    pair = gaussian_pair(g, 0.3)
+    u0, u1 = pair.u0.coeffs.copy(), pair.u1.coeffs.copy()
+    cfg = SimConfig(data=pair, p=2.0, dt=0.02, t_max=0.2, record_fields_every=1)
+    snaps = run(cfg).field_snapshots
+    assert np.array_equal(pair.u0.coeffs, u0)
+    assert np.array_equal(pair.u1.coeffs, u1)
+    assert all(not np.array_equal(a, b) for a, b in zip(snaps, snaps[1:]))
+    stepper = Stepper(cfg)
+    hand = [stepper.start()[2].copy()] + [stepper.advance()[2].copy() for _ in range(10)]
+    assert np.array_equal(snaps, np.stack(hand))
 
 
 def test_recording_cadence():

@@ -48,6 +48,22 @@ EXTRA = {
          "config": {"fields": "{out:0}/fields.npz", "R_values": [4.0],
                     "bump_grid": _BUMP_2D, "time_points": 129, "check": {}}},
     ],
+    # the solver step's other branches: |u|^p by np.power in 3D, the p = 3
+    # product with field snapshots in 2D, and a linear run in 1D
+    "sim3d_p171": [{"command": "simulate", "args": [],
+                    "config": {"grid": {"dim": 3, "size": 32, "half_length": 64.0},
+                               "profile": {"family": "power", "gamma": 1.5}, "eps": 0.5,
+                               "p": 1.71, "dt": 0.125, "t_max": 20.0}}],
+    "sim2d_p3": [{"command": "simulate", "args": [],
+                  "config": {"grid": {"dim": 2, "size": 64, "half_length": 64.0},
+                             "profile": {"family": "power", "gamma": 1.0}, "eps": 0.2,
+                             "p": 3.0, "dt": 0.0625, "t_max": 10.0,
+                             "record_fields_every": 20}}],
+    "sim1d_linear": [{"command": "simulate", "args": [],
+                      "config": {"grid": {"dim": 1, "size": 1024, "half_length": 128.0},
+                                 "profile": {"family": "power", "gamma": 0.5}, "eps": 1.0,
+                                 "p": 2.0, "nonlinear": False, "dt": 0.03125,
+                                 "t_max": 20.0}}],
 }
 
 
