@@ -712,10 +712,17 @@ def _load_fields(path: str) -> dict:
             pair = DataPair(u0=u0, u1=u1, eps=float(z["eps"]), family="stored")
             times = np.asarray(z["times"], dtype=np.float64)
             snapshots = np.asarray(z["snapshots"])
-            finite = np.isfinite(times).all() and np.isfinite(snapshots).all()
+            if snapshots.shape[1:] != grid.shape:
+                raise ConfigError(
+                    f"snapshots of shape {snapshots.shape} do not stack fields of "
+                    f"shape {grid.shape}"
+                )
+            finite = np.isfinite(times).all() and all(
+                np.isfinite(snapshots[b]).all() for b in testfunc.row_blocks(snapshots)
+            )
             fields = {"grid": grid, "pair": pair, "times": times, "snapshots": snapshots,
                       "p": float(z["p"])}
-    except ConfigError as exc:  # from Grid, SpectralField or DataPair
+    except ConfigError as exc:  # from Grid, SpectralField, DataPair or the shape check
         raise ConfigError(f"fields archive {path}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read fields archive {path}: {exc}") from exc
@@ -862,16 +869,22 @@ def write_json(path: str, payload: dict) -> None:
 def write_field_archive(path: str, arrays: dict) -> None:
     """NPZ-compatible archive with fixed zip metadata for byte-stable output.
 
-    Each array streams into the temp file: no in-memory copy is made.
+    Each member holds the bytes np.lib.format.write_array gives: the .npy
+    header, then the array's own buffer (its transpose's for a Fortran-
+    ordered array) written straight into the temp file, with no copy of a
+    C- or Fortran-contiguous array.
     """
     with _replacing(path) as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
             arr = np.asarray(arrays[name])
+            header = np.lib.format.header_data_from_array_1_0(arr)
+            data = np.ascontiguousarray(arr.T if header["fortran_order"] else arr)
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
             # zf.open picks zip64 from file_size, as writestr does from its data
             info.file_size = arr.nbytes
             with zf.open(info, "w") as member:
-                np.lib.format.write_array(member, arr)
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(memoryview(data).cast("B"))
 
 
 def emit_outputs(result: dict, out_dir: str) -> list:

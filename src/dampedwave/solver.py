@@ -191,15 +191,33 @@ def run(config: SimConfig) -> Trajectory:
     The blow-up time is the first step time where max|u| exceeds the
     threshold, so it carries a +-dt detection granularity.  The crossing
     step is recorded off cadence, but takes no field snapshot.
+
+    Field snapshots go into one array reserved before step 0 for a run
+    that reaches t_max, the last step included if it is off cadence; the
+    trajectory holds its filled rows, and rows an early blow-up never
+    writes are never touched, so they take no resident memory.  A reservation that cannot be allocated is a
+    ConfigError.
     """
     g = config.grid
     stepper = Stepper(config)
     bmask = _boundary_mask(g)
     vol = g.dx**g.dim
     n_steps = int(math.floor(config.t_max / config.dt + 1e-9))
+    every = config.record_fields_every
+    ftimes = fsnaps = None
+    if every:
+        count = n_steps // every + 1 + (n_steps % every != 0)
+        try:
+            fsnaps = np.empty((count,) + g.shape)
+        except (MemoryError, ValueError) as exc:
+            size = count * math.prod(g.shape) * 8
+            raise ConfigError(
+                f"cannot reserve {count} field snapshots ({size} bytes) for "
+                f"t_max / dt / record_fields_every"
+            ) from exc
+        ftimes = np.empty(count)
+    k = 0
     rows: list[tuple] = []
-    ftimes: list[float] = []
-    fsnaps: list[np.ndarray] = []
     boundary_ratio = 0.0
     outcome = "survived"
     t_blowup: float | None = None
@@ -230,11 +248,10 @@ def run(config: SimConfig) -> Trajectory:
         if crossed:
             outcome, t_blowup = "blewup", t
             break
-        if config.record_fields_every > 0 and (
-            n % config.record_fields_every == 0 or n == n_steps
-        ):
-            ftimes.append(t)
-            fsnaps.append(u_phys.copy())
+        if every and (n % every == 0 or n == n_steps):
+            ftimes[k] = t
+            fsnaps[k] = u_phys
+            k += 1
 
     return Trajectory(
         *(np.array(col) for col in zip(*rows)),  # times, l2, linf, hs, hdotneg
@@ -243,8 +260,8 @@ def run(config: SimConfig) -> Trajectory:
         boundary_ratio=boundary_ratio,
         boundary_flagged=boundary_ratio > _BOUNDARY_RTOL,
         steps_taken=n,
-        field_times=np.array(ftimes) if fsnaps else None,
-        field_snapshots=np.stack(fsnaps) if fsnaps else None,
+        field_times=ftimes[:k] if every else None,
+        field_snapshots=fsnaps[:k] if every else None,
     )
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "TestPair",
     "SpatialFactors",
     "spatial_factors",
+    "row_blocks",
     "i_of_r",
     "pairing",
     "WeightReport",
@@ -52,6 +53,10 @@ __all__ = [
 # cutoff transition lives on (1/2, 1); closer than this to an endpoint the
 # profile is flat to double precision and the closed forms would hit 0/0
 _EDGE = 1e-9
+
+# snapshot reductions take rows in blocks of about this many bytes, so
+# their temporaries stay small next to the snapshots themselves
+_BLOCK_BYTES = 1 << 21
 
 
 def _g(tau: np.ndarray) -> np.ndarray:
@@ -210,6 +215,26 @@ def spatial_factors(pair: TestPair, grid: Grid) -> SpatialFactors:
     return SpatialFactors(phi_r.reshape(g.shape), lap_phi_r.reshape(g.shape))
 
 
+def row_blocks(snapshots: np.ndarray):
+    """Slices that cover snapshots' rows in order, about _BLOCK_BYTES each."""
+    rows = max(1, _BLOCK_BYTES // max(1, snapshots[:1].nbytes))
+    return (slice(i, i + rows) for i in range(0, len(snapshots), rows))
+
+
+def _row_sums(snapshots: np.ndarray, weight: np.ndarray, p: float | None = None) -> np.ndarray:
+    """sum(|u|^p * weight) over space for each snapshot u; p None sums u * weight.
+
+    Each row is one pairwise sum whatever the block it falls in, so the
+    result is bit-identical to the one-shot expression.
+    """
+    axes = tuple(range(1, snapshots.ndim))
+    out = np.empty(len(snapshots))
+    for b in row_blocks(snapshots):
+        u = snapshots[b] if p is None else np.abs(snapshots[b]) ** p
+        out[b] = (u * weight).sum(axis=axes)
+    return out
+
+
 def _check_fields(times: np.ndarray, snapshots: np.ndarray, pair: TestPair) -> None:
     if times.ndim != 1 or snapshots.shape[0] != times.size:
         raise ConfigError("snapshots must stack one field per time")
@@ -239,9 +264,7 @@ def i_of_r(
         raise ConfigError("snapshot shape does not match grid")
     if factors is None:
         factors = spatial_factors(pair, grid)
-    vol = grid.dx**grid.dim
-    axes = tuple(range(1, snapshots.ndim))
-    spatial = (np.abs(snapshots) ** p * factors.phi_r).sum(axis=axes) * vol
+    spatial = _row_sums(snapshots, factors.phi_r, p) * grid.dx**grid.dim
     eta_vals = cutoff(times / pair.R**2, pair.exponent)[0]
     return float(np.trapezoid(spatial * eta_vals, times))
 
@@ -439,9 +462,8 @@ def check_bounds(
     # exact identity defect: I - (-eps P) - iint u Op(phi_R eta_R)
     eta, etap, etas = cutoff(times / R**2, pair.exponent)
     vol = grid.dx**grid.dim
-    axes = tuple(range(1, snapshots.ndim))
-    u_phi = (snapshots * factors.phi_r).sum(axis=axes) * vol
-    u_lap = (snapshots * factors.lap_phi_r).sum(axis=axes) * vol
+    u_phi = _row_sums(snapshots, factors.phi_r) * vol
+    u_lap = _row_sums(snapshots, factors.lap_phi_r) * vol
     op_series = u_phi * (etas / R**4 - etap / R**2) - u_lap * eta
     j_val = float(np.trapezoid(op_series, times))
     scale = max(abs(ival), abs(data_term), abs(j_val))

@@ -306,6 +306,55 @@ def test_recording_cadence():
     assert traj.field_snapshots.shape == (3, 64)
 
 
+def _hand_fields(cfg: SimConfig, steps: int) -> np.ndarray:
+    """u_phys of steps 0 .. steps - 1, each copied by hand."""
+    stepper = Stepper(cfg)
+    return np.stack([stepper.start()[2].copy()]
+                    + [stepper.advance()[2].copy() for _ in range(steps - 1)])
+
+
+def test_off_cadence_last_snapshot_is_kept():
+    # 10 steps at every 3rd: snapshots at steps 0, 3, 6, 9 and the last, 10
+    g = Grid(1, 64, 8.0)
+    cfg = SimConfig(data=gaussian_pair(g, 0.3), p=2.0, dt=0.02, t_max=0.2,
+                    record_every=4, record_fields_every=3)
+    traj = run(cfg)
+    assert traj.outcome == "survived" and traj.steps_taken == 10
+    kept = [0, 3, 6, 9, 10]
+    assert traj.field_times.tolist() == [n * cfg.dt for n in kept]
+    assert traj.field_snapshots.shape == (5, 64)
+    assert np.array_equal(traj.field_snapshots, _hand_fields(cfg, 11)[kept])
+
+
+def test_blowup_snapshots_match_a_hand_loop():
+    g = Grid(1, 8, 4.0)
+    cfg = SimConfig(data=constant_pair(g, 3.0, 0.0), p=2.0, dt=0.01, t_max=20.0,
+                    record_every=10_000, record_fields_every=7)
+    traj = run(cfg)
+    assert traj.outcome == "blewup"
+    # steps 0 .. steps_taken - 1 on the cadence; the crossing step takes none
+    kept = list(range(0, traj.steps_taken, 7))
+    assert np.array_equal(traj.field_times, np.array(kept) * cfg.dt)
+    assert np.array_equal(traj.field_snapshots, _hand_fields(cfg, traj.steps_taken)[kept])
+
+
+def test_snapshots_are_held_once():
+    # a run to t_max fills its reservation exactly: the traced peak is the
+    # snapshots plus the stepper, with no list of copies to stack
+    g = Grid(1, 1024, 128.0)
+    cfg = SimConfig(data=gaussian_pair(g, 1.0), p=2.0, nonlinear=False, dt=0.03125,
+                    t_max=16.0, record_every=64, record_fields_every=1)
+    tracemalloc.start()
+    try:
+        traj = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.outcome == "survived"
+    assert traj.field_snapshots.shape == (513, 1024)
+    assert peak < 1.25 * traj.field_snapshots.nbytes, peak / traj.field_snapshots.nbytes
+
+
 def test_boundary_monitor():
     g = Grid(1, 64, 8.0)
     narrow = SimConfig(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dampedwave import testfunc as testfunc_module
 from dampedwave.bump import power, self_convolve
 from dampedwave.errors import ConfigError
 from dampedwave.grid import Grid, SpectralField, forward_transform
@@ -222,3 +223,30 @@ def test_odd_derivative_fields_match_a_full_lattice_reference(dim):
         ref = np.fft.ifftn(1j * xi_d * full * phase).real / g.transform_scale
         got = SpectralField(g, 1j * _axis_xi(g, d) * bump.coeffs.coeffs).physical()
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_blocked_reductions_are_bit_identical(dim, bump5, monkeypatch):
+    # 73 snapshots, 65 of them up to R^2 = 4: neither is a multiple of the
+    # 7-row blocks, and each row's sum must not depend on its block
+    g = Grid(dim, 256 // dim**2, 32.0)
+    r2 = g.x_axis**2 if dim == 1 else g.x_abs**2
+    data = assemble_pair(forward_transform(g, np.exp(-r2)), 0.05)
+    traj = run(SimConfig(data=data, p=2.0, dt=0.03125, t_max=4.5, record_every=16,
+                         record_fields_every=2))
+    times, snaps = traj.field_times, traj.field_snapshots
+    bump = bump5 if dim == 1 else power(self_convolve(Grid(2, 32, 4.0)), 5)
+    pair = TestPair(bump, 2.0)
+    weight = weight_constant(2.0, bump, time_points=65, refine=False)
+    fac = spatial_factors(pair, g)
+    axes = tuple(range(1, dim + 1))
+    spatial = (np.abs(snaps) ** 2.0 * fac.phi_r).sum(axis=axes) * g.dx**dim
+    one_shot = float(np.trapezoid(spatial * cutoff(times / 4.0, 5)[0], times))
+
+    monkeypatch.setattr(testfunc_module, "_BLOCK_BYTES", 1 << 40)
+    whole = check_bounds(times, snaps, g, data, 2.0, pair, weight)
+    monkeypatch.setattr(testfunc_module, "_BLOCK_BYTES", 7 * snaps[0].nbytes)
+    assert len(snaps) == 73 and int(np.searchsorted(times, 4.0)) + 1 == 65
+    assert [b.start for b in testfunc_module.row_blocks(snaps)] == list(range(0, 73, 7))
+    assert i_of_r(times, snaps, g, 2.0, pair) == one_shot
+    assert check_bounds(times, snaps, g, data, 2.0, pair, weight) == whole

@@ -48,6 +48,18 @@ EXTRA = {
          "config": {"fields": "{out:0}/fields.npz", "R_values": [4.0],
                     "bump_grid": _BUMP_2D, "time_points": 129, "check": {}}},
     ],
+    # a run to t_max fills its whole snapshot reservation: 640 steps at
+    # every 3rd, so the last snapshot (step 640) is off cadence
+    "testfunc1d_full": [
+        {"command": "simulate", "args": ["--check"],
+         "config": {"grid": {"dim": 1, "size": 1024, "half_length": 128.0},
+                    "profile": {"family": "power", "gamma": 0.5}, "eps": 0.05, "p": 2.0,
+                    "dt": 0.03125, "t_max": 20.0, "record_every": 8,
+                    "record_fields_every": 3, "check": {"expect_outcome": "survived"}}},
+        {"command": "testfunc", "args": ["--check"],
+         "config": {"fields": "{out:0}/fields.npz", "R_values": [2.0, 4.0],
+                    "time_points": 129, "check": {}}},
+    ],
     # the solver step's other branches: |u|^p by np.power in 3D, the p = 3
     # product with field snapshots in 2D, and a linear run in 1D
     "sim3d_p171": [{"command": "simulate", "args": [],
