@@ -377,7 +377,9 @@ def run_lifespan(cfg: dict) -> dict:
 
     Runs the full nonlinear solver for each eps at two step sizes and
     extrapolates the threshold-crossing time.  Censored rows (survived the
-    horizon) are excluded from the fit and reported.
+    horizon) are excluded from the fit and reported.  The members run in
+    one spawned worker process per CPU this process may use, at most one
+    per member; inside a pool worker they run one after another.
     """
     c = _take(cfg, "lifespan config", {
         "grid": (None, _REQUIRED), "profile": (None, _REQUIRED), "p": (_real, _REQUIRED),
@@ -394,6 +396,8 @@ def run_lifespan(cfg: dict) -> dict:
     eps_values = c["eps_values"]
     if len(eps_values) < 3:
         raise ConfigError("need >= 3 eps values for a lifespan fit")
+    if len(set(eps_values)) < len(eps_values):
+        raise ConfigError(f"'eps_values' repeats an amplitude: {eps_values}")
     gamma = prof_resolved.get("gamma")
     predicted = (
         dataclasses.asdict(exponents.lifespan_exponents(grid.dim, float(gamma), p))
@@ -407,12 +411,18 @@ def run_lifespan(cfg: dict) -> dict:
         )
     echo = _echo("lifespan", c, grid=dataclasses.asdict(grid), profile=prof_resolved)
 
+    # smallest amplitude first: it lives longest, so it starts at once
+    ladder = sorted(eps_values)
+    sims = [
+        SimConfig(data=assemble_pair(profile, eps, family=prof_resolved["family"]),
+                  p=p, dt=c["dt"], t_max=c["t_cap"],
+                  blowup_threshold=c["blowup_threshold"], dealias=c["dealias"])
+        for eps in ladder
+    ]
+    measured = dict(zip(ladder, _map(measure_lifespan, sims, _ladder_workers())))
     rows = []
     for eps in eps_values:
-        pair = assemble_pair(profile, eps, family=prof_resolved["family"])
-        sim = SimConfig(data=pair, p=p, dt=c["dt"], t_max=c["t_cap"],
-                        blowup_threshold=c["blowup_threshold"], dealias=c["dealias"])
-        res = measure_lifespan(sim)
+        res = measured[eps]
         rows.append({"eps": eps, "t_b": res.t_blowup, "t_b_err": res.error,
                      "censored": res.censored})
 
@@ -735,6 +745,40 @@ def _load_fields(path: str) -> dict:
     return fields
 
 
+def _map(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], in up to `workers` spawned processes.
+
+    fn must be a module-level function and the items picklable.  With
+    fewer than 2 workers, or fewer than 2 items, everything runs here.
+    Each worker starts from a fresh import; an exception raised in one is
+    raised here, after the pool has cancelled what had not started and
+    joined its processes.
+    """
+    workers = min(workers, len(items))
+    if workers < 2:
+        return [fn(item) for item in items]
+    # imported here: only a parallel run pays for the pool's imports
+    import concurrent.futures
+    import multiprocessing
+
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+    ) as ex:
+        return list(ex.map(fn, items))
+
+
+def _ladder_workers() -> int:
+    """The CPUs in this process's affinity mask, or 1 inside a pool worker."""
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 RUNNERS = {
     "decay": run_decay,
     "lifespan": run_lifespan,
@@ -784,18 +828,7 @@ def run_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
 
     echo = _echo("sweep", c, jobs=[{"name": n, "kind": k} for n, k, _, _ in parsed],
                  threads=int(threads))
-    workers = min(threads, len(parsed))
-    if workers > 1:
-        # imported here: only a parallel sweep pays for the pool's imports
-        import concurrent.futures
-        import multiprocessing
-
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
-        ) as ex:
-            results = list(ex.map(_sweep_job, parsed))
-    else:
-        results = [_sweep_job(item) for item in parsed]
+    results = _map(_sweep_job, parsed, threads)
     rows = [
         {"name": name, "kind": kind, "config_hash": cfg_hash,
          "passed": check["passed"] if check else True}

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -340,7 +341,19 @@ def test_sweep_serial_and_threaded_agree(tmp_path):
 def test_sweep_pool_size_and_serial_path(tmp_path, monkeypatch):
     import concurrent.futures
 
-    built = []
+    # a real pool: a ladder given out of eps order gives the same result in
+    # worker processes as in this one
+    ladder = {**_TINY["lifespan"], "eps_values": [1.5, 2.0, 1.0]}
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pooled = harness.run_lifespan(ladder)
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = harness.run_lifespan(ladder)
+    assert pooled == serial
+    assert [r["eps"] for r in pooled["rows"]] == [1.5, 2.0, 1.0]
+    assert multiprocessing.active_children() == []
+
+    built, submitted = [], []
 
     class InlinePool:
         """Stands in for ProcessPoolExecutor: records its size, runs jobs inline."""
@@ -355,6 +368,7 @@ def test_sweep_pool_size_and_serial_path(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, items):
+            submitted.append(list(items))
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
@@ -363,6 +377,28 @@ def test_sweep_pool_size_and_serial_path(tmp_path, monkeypatch):
     assert [row["name"] for row in r["rows"]] == ["j1", "j2"]
     harness.run_sweep(_sweep_cfg(), str(tmp_path / "serial"), threads=1)
     assert built == [(2, "spawn")]
+
+    # a ladder: min(CPUs, members) workers, smallest eps submitted first
+    built.clear()
+    cpus = len(os.sched_getaffinity(0))
+    r = harness.run_lifespan(ladder)
+    assert r == serial
+    assert built == ([(min(cpus, 3), "spawn")] if cpus > 1 else [])
+    for affinity, workers in (({0, 1}, 2), (set(range(8)), 3)):
+        built.clear()
+        submitted.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, a=affinity: a)
+        harness.run_lifespan(ladder)
+        assert built == [(workers, "spawn")]
+        assert [sim.data.eps for sim in submitted[0]] == [1.0, 1.5, 2.0]
+    # no pool on one CPU, nor inside a pool worker
+    built.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    harness.run_lifespan(ladder)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(multiprocessing, "parent_process", multiprocessing.current_process)
+    harness.run_lifespan(ladder)
+    assert built == []
 
 
 def test_sweep_worker_config_error_exits_2(tmp_path, capsys):
@@ -374,6 +410,23 @@ def test_sweep_worker_config_error_exits_2(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(cfgp), "--out", out, "--threads", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "colour" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_lifespan_worker_config_error_exits_2(tmp_path, monkeypatch, capsys):
+    # eps 1e9 puts the initial amplitude past the blow-up threshold, so run()
+    # raises ConfigError inside a worker process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    cfgp = tmp_path / "lifespan.json"
+    cfgp.write_text(json.dumps({
+        "grid": _GRID, "profile": {"family": "power", "gamma": 1.0}, "p": 2.0,
+        "eps_values": [0.2, 1e9, 0.1], "dt": 0.0625, "t_cap": 1.0,
+    }))
+    assert cli.main(["lifespan", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert "blow-up threshold" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_name_and_kind_validation(tmp_path):
@@ -435,6 +488,8 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
         ("lifespan", lifespan, {"dt": "abc"}, "dt"),
         ("lifespan", lifespan, {"eps_values": 0.1}, "eps_values"),
         ("lifespan", lifespan, {"dealias": "no"}, "dealias"),
+        # repeated amplitudes leave nothing to fit a slope to: NaN, not a result
+        ("lifespan", _TINY["lifespan"], {"eps_values": [0.5, 0.5, 0.5]}, "eps_values"),
         ("simulate", simulate, {"grid": {**grid, "dim": "x"}}, "dim"),
         ("simulate", simulate, {"check": {"l2_decreasing_factor": "x"}}, "l2_decreasing_factor"),
         ("simulate", simulate, {"dealias": "no"}, "dealias"),

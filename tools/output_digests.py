@@ -76,6 +76,14 @@ EXTRA = {
                                  "profile": {"family": "power", "gamma": 0.5}, "eps": 1.0,
                                  "p": 2.0, "nonlinear": False, "dt": 0.03125,
                                  "t_max": 20.0}}],
+    # a ladder out of eps order whose smallest member outlives t_cap (its
+    # t_b is about 38.7): rows come back in config order, one censored
+    "lifespan_unsorted": [{"command": "lifespan", "args": ["--check"],
+                           "config": {"grid": {"dim": 1, "size": 512, "half_length": 64.0},
+                                      "profile": {"family": "power", "gamma": 1.0},
+                                      "p": 2.0, "eps_values": [1.0, 0.25, 2.0, 0.5],
+                                      "dt": 0.03125, "t_cap": 30.0,
+                                      "check": {"min_uncensored": 3}}}],
 }
 
 
