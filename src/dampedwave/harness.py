@@ -42,7 +42,7 @@ from .profiles import (
     log_profile,
     power_profile,
 )
-from .solver import SimConfig, measure_lifespan, run
+from .solver import SimConfig, check_start, measure_lifespan, run
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -379,7 +379,9 @@ def run_lifespan(cfg: dict) -> dict:
     extrapolates the threshold-crossing time.  Censored rows (survived the
     horizon) are excluded from the fit and reported.  The members run in
     one spawned worker process per CPU this process may use, at most one
-    per member; inside a pool worker they run one after another.
+    per member; inside a pool worker they run one after another.  Every
+    member's data passes the solver's step-0 gate here, before any member
+    is stepped or any worker starts.
     """
     c = _take(cfg, "lifespan config", {
         "grid": (None, _REQUIRED), "profile": (None, _REQUIRED), "p": (_real, _REQUIRED),
@@ -419,6 +421,7 @@ def run_lifespan(cfg: dict) -> dict:
                   blowup_threshold=c["blowup_threshold"], dealias=c["dealias"])
         for eps in ladder
     ]
+    check_start(sims)
     measured = dict(zip(ladder, _map(measure_lifespan, sims, _ladder_workers())))
     rows = []
     for eps in eps_values:

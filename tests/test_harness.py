@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import zipfile
 from pathlib import Path
@@ -414,9 +415,11 @@ def test_sweep_worker_config_error_exits_2(tmp_path, capsys):
 
 
 def test_lifespan_worker_config_error_exits_2(tmp_path, monkeypatch, capsys):
-    # eps 1e9 puts the initial amplitude past the blow-up threshold, so run()
-    # raises ConfigError inside a worker process
+    # eps 1e9 puts the initial amplitude past the blow-up threshold; with the
+    # parent's step-0 check switched off, run_stack raises ConfigError inside
+    # a worker process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(harness, "check_start", lambda sims: None)
     cfgp = tmp_path / "lifespan.json"
     cfgp.write_text(json.dumps({
         "grid": _GRID, "profile": {"family": "power", "gamma": 1.0}, "p": 2.0,
@@ -426,6 +429,26 @@ def test_lifespan_worker_config_error_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1, err
     assert "blow-up threshold" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_lifespan_step0_gate_runs_before_any_member(tmp_path, monkeypatch, capsys):
+    # two of the ladder workload's members and one past the threshold:
+    # the parent rejects it before a member steps or a worker starts
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    cfgp = tmp_path / "lifespan.json"
+    cfgp.write_text(json.dumps({
+        "grid": {"dim": 1, "size": 2048, "half_length": 256.0},
+        "profile": {"family": "power", "gamma": 1.0}, "p": 2.0,
+        "eps_values": [0.4, 0.1, 1e9], "dt": 0.03125, "t_cap": 600.0,
+        "check": {"max_slope": 4.3, "min_uncensored": 3},
+    }))
+    t0 = time.monotonic()
+    rc = cli.main(["lifespan", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    took = time.monotonic() - t0
+    assert rc == 2 and took < 1.0, took
+    err = capsys.readouterr().err
+    assert err.startswith("config error: initial amplitude") and err.count("\n") == 1, err
     assert multiprocessing.active_children() == []
 
 

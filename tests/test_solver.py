@@ -13,7 +13,14 @@ from dampedwave.dispersion import propagate_linear
 from dampedwave.errors import ConfigError, NumericalError
 from dampedwave.grid import Grid, SpectralField, forward_transform
 from dampedwave.profiles import DataPair, assemble_pair
-from dampedwave.solver import SimConfig, Stepper, measure_lifespan, run
+from dampedwave.solver import (
+    SimConfig,
+    Stepper,
+    Trajectory,
+    measure_lifespan,
+    run,
+    run_stack,
+)
 
 
 def constant_pair(grid: Grid, c0: float, c1: float, eps: float = 1.0) -> DataPair:
@@ -54,10 +61,10 @@ def test_linear_run_matches_exact_propagator_multi_d(dim, size):
 def check_linear_run_matches_exact_propagator(g: Grid):
     pair = gaussian_pair(g, 0.7)
     dt, n = 0.05, 60
-    stepper = Stepper(SimConfig(data=pair, p=2.0, dt=dt, t_max=n * dt, nonlinear=False))
+    stepper = Stepper([SimConfig(data=pair, p=2.0, dt=dt, t_max=n * dt, nonlinear=False)])
     stepper.start()
     for _ in range(n):
-        uhat, vhat, _, _ = stepper.advance()
+        uhat, vhat, _, _ = (a[0] for a in stepper.advance())
     uex, vex = propagate_linear(pair.u0, pair.u1, n * dt)
     scale = np.max(np.abs(uex.coeffs)) * pair.eps
     assert np.max(np.abs(uhat - pair.eps * uex.coeffs)) < 1e-12 * scale
@@ -192,10 +199,10 @@ def test_run_matches_repeated_step_multi_d(dim, size):
 def check_run_matches_repeated_step(g: Grid):
     cfg = SimConfig(data=gaussian_pair(g, 0.3), p=2.0, dt=0.02, t_max=0.2)
     traj = run(cfg)
-    stepper = Stepper(cfg)
+    stepper = Stepper([cfg])
     stepper.start()
     for _ in range(10):
-        _, _, u_phys, _ = stepper.advance()
+        u_phys = stepper.advance()[2][0]
     vol = g.dx**g.dim
     l2 = math.sqrt(float(np.sum(u_phys**2)) * vol)
     assert traj.times[-1] == pytest.approx(0.2, abs=1e-12)
@@ -246,12 +253,12 @@ def reference_steps(cfg: SimConfig, n: int):
 def test_in_place_step_is_bit_identical(dim, size, p, nonlinear):
     g = Grid(dim, size, 8.0)
     cfg = SimConfig(data=gaussian_pair(g, 0.8), p=p, dt=0.02, t_max=1.0, nonlinear=nonlinear)
-    stepper = Stepper(cfg)
+    stepper = Stepper([cfg])
     ref = reference_steps(cfg, 20)
     for n, want in enumerate(ref):
         got = stepper.advance() if n else stepper.start()
         for a, b in zip(got, want):
-            assert np.array_equal(a, b), f"step {n}"
+            assert np.array_equal(a[0], b), f"step {n}"
 
 
 @pytest.mark.parametrize(
@@ -263,7 +270,7 @@ def test_in_place_step_is_bit_identical(dim, size, p, nonlinear):
 def test_step_allocates_no_state_arrays(dim, size, half_length, dt):
     g = Grid(dim, size, half_length)
     cfg = SimConfig(data=gaussian_pair(g, 0.5), p=1.71, dt=dt, t_max=1.0)
-    stepper = Stepper(cfg)
+    stepper = Stepper([cfg])
     stepper.start()
     stepper.advance()
     tracemalloc.start()
@@ -273,10 +280,97 @@ def test_step_allocates_no_state_arrays(dim, size, half_length, dt):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # left: NumPy's cast buffers (up to one spectrum) and irfftn's passes
-    # over the leading axes (two spectra in 3D); the out-of-place step
-    # peaked near ten spectra
-    assert peak < 3 * stepper.uhat.nbytes, peak / stepper.uhat.nbytes
+    # left: NumPy's cast buffer for the real multipliers, min(8192, size)
+    # complex elements, which is one spectrum on these grids
+    assert peak < 1.1 * stepper.uhat.nbytes, peak / stepper.uhat.nbytes
+
+
+@pytest.mark.parametrize("dim,size", [pytest.param(1, 64, id="1d"), *_MULTI_D])
+def test_stack_rows_step_as_separate_steppers(dim, size):
+    # own data and dt per row; the middle row is dropped halfway
+    g = Grid(dim, size, 8.0)
+    cfgs = [SimConfig(data=gaussian_pair(g, eps), p=1.71, dt=dt, t_max=1.0)
+            for eps, dt in ((0.8, 0.02), (0.3, 0.01), (1.2, 0.0125))]
+    stack = Stepper(cfgs)
+    alone = [Stepper([cfg]) for cfg in cfgs]
+    rows = [0, 1, 2]
+    for n in range(40):
+        if n == 20:
+            stack.keep([0, 2])
+            rows = [0, 2]
+        got = stack.advance() if n else stack.start()
+        for i, r in enumerate(rows):
+            want = alone[r].advance() if n else alone[r].start()
+            for a, b in zip(got, want):
+                assert np.array_equal(a[i], b[0]), (n, r)
+
+
+def assert_same_trajectory(a: Trajectory, b: Trajectory) -> None:
+    for field in dataclasses.fields(Trajectory):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            assert np.array_equal(x, y, equal_nan=True), field.name
+        else:
+            assert x == y, field.name
+
+
+def test_run_stack_matches_separate_runs():
+    g = Grid(1, 64, 8.0)
+    cfgs = [
+        # loses finiteness at step 90, with no threshold to cross
+        SimConfig(data=gaussian_pair(g, 4.0), p=2.0, dt=0.02, t_max=4.0,
+                  blowup_threshold=math.inf),
+        # survives to its t_max at step 50
+        SimConfig(data=gaussian_pair(g, 0.5), p=2.0, dt=0.02, t_max=1.0,
+                  record_fields_every=3),
+        # crosses the threshold at step 253, after the rows above have ended
+        SimConfig(data=gaussian_pair(g, 2.0), p=2.0, dt=0.01, t_max=4.0,
+                  record_every=7, record_fields_every=19),
+        # survives to its t_max at step 320, the last row stepping
+        SimConfig(data=gaussian_pair(g, 0.3), p=2.0, dt=0.0125, t_max=4.0,
+                  record_every=5, record_fields_every=4, s=0.5, gamma=0.25),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = run_stack(cfgs)
+        alone = [run(cfg) for cfg in cfgs]
+    assert [t.steps_taken for t in stacked] == [90, 50, 253, 320]
+    assert [t.outcome for t in stacked] == ["blewup", "survived", "blewup", "survived"]
+    for a, b in zip(stacked, alone):
+        assert_same_trajectory(a, b)
+
+
+def test_measure_lifespan_is_richardson_of_two_runs():
+    g = Grid(1, 8, 4.0)
+    cfg = SimConfig(data=constant_pair(g, 3.0, 0.0), p=2.0, dt=0.01, t_max=20.0)
+    tc = run(cfg).t_blowup
+    tf = run(dataclasses.replace(cfg, dt=cfg.dt / 2.0)).t_blowup
+    assert tf < tc
+    res = measure_lifespan(cfg)
+    assert not res.censored
+    assert (res.t_coarse, res.t_fine) == (tc, tf)
+    assert res.t_blowup == (4.0 * tf - tc) / 3.0
+    assert res.error == abs(tf - tc) / 3.0 + cfg.dt / 2.0
+    # a horizon at the fine crossing: the coarse run survives it
+    res = measure_lifespan(dataclasses.replace(cfg, t_max=tf))
+    assert res.censored and math.isinf(res.t_blowup) and math.isnan(res.error)
+    assert (res.t_coarse, res.t_fine) == (math.inf, tf)
+
+
+def test_stack_rejects_runs_that_do_not_share_the_step():
+    g = Grid(1, 64, 8.0)
+    base = SimConfig(data=gaussian_pair(g, 0.3), p=2.0, dt=0.02, t_max=0.2)
+    others = {
+        "grid": dataclasses.replace(base, data=gaussian_pair(Grid(1, 32, 8.0), 0.3)),
+        "p": dataclasses.replace(base, p=3.0),
+        "nonlinear": dataclasses.replace(base, nonlinear=False),
+        "dealias": dataclasses.replace(base, dealias=False),
+    }
+    for name, other in others.items():
+        for stack in (Stepper, run_stack):
+            with pytest.raises(ConfigError, match=f"share {name}"):
+                stack([base, other])
+    with pytest.raises(ConfigError, match="at least one run"):
+        run_stack([])
 
 
 def test_run_neither_aliases_data_nor_snapshots():
@@ -288,8 +382,8 @@ def test_run_neither_aliases_data_nor_snapshots():
     assert np.array_equal(pair.u0.coeffs, u0)
     assert np.array_equal(pair.u1.coeffs, u1)
     assert all(not np.array_equal(a, b) for a, b in zip(snaps, snaps[1:]))
-    stepper = Stepper(cfg)
-    hand = [stepper.start()[2].copy()] + [stepper.advance()[2].copy() for _ in range(10)]
+    stepper = Stepper([cfg])
+    hand = [stepper.start()[2][0].copy()] + [stepper.advance()[2][0].copy() for _ in range(10)]
     assert np.array_equal(snaps, np.stack(hand))
 
 
@@ -308,9 +402,9 @@ def test_recording_cadence():
 
 def _hand_fields(cfg: SimConfig, steps: int) -> np.ndarray:
     """u_phys of steps 0 .. steps - 1, each copied by hand."""
-    stepper = Stepper(cfg)
-    return np.stack([stepper.start()[2].copy()]
-                    + [stepper.advance()[2].copy() for _ in range(steps - 1)])
+    stepper = Stepper([cfg])
+    return np.stack([stepper.start()[2][0].copy()]
+                    + [stepper.advance()[2][0].copy() for _ in range(steps - 1)])
 
 
 def test_off_cadence_last_snapshot_is_kept():
