@@ -1,21 +1,26 @@
 """Compactly supported bump functions with nonnegative transforms.
 
-The base construction convolves the standard mollifier with itself on a
-periodic grid: the result is smooth, supported in |x| <= 2, nonnegative,
-and has nonnegative Fourier transform because convolution squares the
-transform.  Integer powers of the base keep the first and third properties
-and gain enough boundary flatness to survive division by fractional powers
-in weighted integrals.
+The base bump is the standard mollifier convolved with itself: smooth,
+supported in |x| <= 2, nonnegative, radial, and with nonnegative Fourier
+transform because convolution squares the transform.  Integer powers of
+the base keep the first and last properties and gain enough boundary
+flatness to survive division by fractional powers in weighted integrals.
+
+RadialBump tabulates b(|x|) once per dimension by quadrature and a
+Chebyshev fit; testfunc uses it.  self_convolve builds the bump on a
+periodic grid instead: bump-check certifies that one, and the tests use
+it as the oracle for the table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .grid import Grid, SpectralField, evaluate_at, forward_transform
 
 __all__ = [
@@ -26,10 +31,30 @@ __all__ = [
     "check_conditions",
     "BumpFunction",
     "ConditionReport",
+    "RadialBump",
+    "gauss_panels",
 ]
 
 # support detection threshold, relative to the max sample
 _SUPPORT_RTOL = 1e-300
+
+# the 48-point Gauss-Legendre rule gauss_panels maps, built once at
+# import: a leggauss call goes through LAPACK, whose BLAS threads then
+# spin for about 0.1 s of CPU, so the panels need no call at run time
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+# the radial table: 48-point panels per quadrature variable, and the
+# degree of the Chebyshev series in rho = r^2 on [0, 4]
+_QUAD_PANELS = 4
+_FIT_DEGREE = 192
+
+
+def _mollifier(r2: np.ndarray) -> np.ndarray:
+    """exp(-1/(1 - r2)) where r2 < 1, zero elsewhere; r2 = |x|^2."""
+    out = np.zeros(np.shape(r2))
+    inside = r2 < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    return out
 
 
 def mollifier_samples(grid: Grid, center: float = 0.0) -> np.ndarray:
@@ -39,27 +64,28 @@ def mollifier_samples(grid: Grid, center: float = 0.0) -> np.ndarray:
     exercise failure modes of the origin-symmetry checks.
     """
     x = grid.x_axis - center
-    r2 = grid.lattice(x * x, np.add)
-    out = np.zeros(grid.shape)
-    inside = r2 < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-    return out
+    return _mollifier(grid.lattice(x * x, np.add))
 
 
 @dataclass(frozen=True)
 class BumpFunction:
-    """A convolved bump and an integer power of it.
+    """A convolved bump on a periodic grid and an integer power of it.
 
-    samples/coeffs describe the base function; power_samples holds
-    base**exponent, the function actually used as a spatial test factor.
+    samples/coeffs describe the base function; power_samples is
+    base**exponent, the function the powers of bump-check describe.
     """
 
     grid: Grid
     seed: np.ndarray
     samples: np.ndarray
     coeffs: SpectralField
-    exponent: int
-    power_samples: np.ndarray
+    exponent: int = 1
+
+    @property
+    def power_samples(self) -> np.ndarray:
+        if self.exponent == 1:
+            return self.samples
+        return np.maximum(self.samples, 0.0) ** self.exponent
 
 
 def _support_half_width(grid: Grid, samples: np.ndarray) -> float:
@@ -90,35 +116,17 @@ def self_convolve(grid: Grid, seed: np.ndarray | None = None) -> BumpFunction:
             f"(L = {grid.half_length}); convolution would wrap around"
         )
     seed_hat = forward_transform(grid, seed)
-    conv_coeffs = (2.0 * np.pi) ** (grid.dim / 2.0) * seed_hat.coeffs**2
-    coeffs = SpectralField(grid, conv_coeffs)
-    samples = coeffs.physical()
-    return BumpFunction(
-        grid=grid,
-        seed=seed,
-        samples=samples,
-        coeffs=coeffs,
-        exponent=1,
-        power_samples=samples,
-    )
+    coeffs = SpectralField(grid, (2.0 * np.pi) ** (grid.dim / 2.0) * seed_hat.coeffs**2)
+    return BumpFunction(grid, seed, coeffs.physical(), coeffs)
 
 
-def power(bump: BumpFunction, exponent: int) -> BumpFunction:
-    """Raise the base bump to an integer power >= 1."""
+def power(bump: BumpFunction | RadialBump, exponent: int) -> BumpFunction | RadialBump:
+    """Raise a grid or radial bump's base to an integer power >= 1."""
     if exponent < 1 or exponent != int(exponent):
         raise ConfigError(f"exponent must be an integer >= 1, got {exponent}")
-    exponent = int(exponent)
     if exponent == bump.exponent:
         return bump
-    psamples = np.maximum(bump.samples, 0.0) ** exponent
-    return BumpFunction(
-        grid=bump.grid,
-        seed=bump.seed,
-        samples=bump.samples,
-        coeffs=bump.coeffs,
-        exponent=exponent,
-        power_samples=psamples,
-    )
+    return replace(bump, exponent=int(exponent))
 
 
 def required_power(p: float) -> int:
@@ -211,3 +219,94 @@ def check_conditions(
         worst_fourier=worst_f,
         worst_monotone=worst_m,
     )
+
+
+def gauss_panels(a, b, panels: int = 1) -> tuple:
+    """Composite 48-point Gauss-Legendre (nodes, weights) on [a, b].
+
+    a and b broadcast; the nodes run along a new last axis.
+    """
+    t = ((np.arange(panels)[:, None] + (_GL_NODES + 1.0) / 2.0) / panels).ravel()
+    w = np.tile(_GL_WEIGHTS, panels) / (2.0 * panels)
+    width = np.asarray(b - a, dtype=np.float64)[..., None]
+    return np.asarray(a)[..., None] + width * t, width * w
+
+
+def _convolved_at(r: float, dim: int) -> float:
+    """(m * m)(x) at |x| = r, integrating over y = s w with |w| = 1.
+
+    m(y) m(x - y) vanishes unless s > r - 1 (and s > 0 off the line) and
+    |x - y|^2 = r^2 + s^2 - 2 r s mu < 1 with mu = cos(x, w), so s and
+    then the angle (2D, both sides) or mu (3D) run over that range only.
+    """
+    if dim == 1:
+        s, ws = gauss_panels(r - 1.0, 1.0, _QUAD_PANELS)
+        return float(np.sum(ws * _mollifier(s * s) * _mollifier((r - s) ** 2)))
+    s, ws = gauss_panels(max(r - 1.0, 0.0), 1.0, _QUAD_PANELS)
+    with np.errstate(divide="ignore"):  # at r = 0 every direction counts
+        mu_lo = np.clip((r * r + s * s - 1.0) / (2.0 * r * s), -1.0, 1.0)
+    if dim == 2:
+        angle, wt = gauss_panels(0.0, np.arccos(mu_lo), _QUAD_PANELS)
+        mu, shell = np.cos(angle), 2.0 * s
+    else:
+        mu, wt = gauss_panels(mu_lo, 1.0, _QUAD_PANELS)
+        shell = 2.0 * np.pi * s * s
+    col = s[:, None]
+    inner = np.sum(wt * _mollifier(r * r + col * col - 2.0 * r * col * mu), axis=1)
+    return float(np.sum(ws * shell * _mollifier(s * s) * inner))
+
+
+@lru_cache(maxsize=None)
+def _radial_fit(dim: int) -> tuple:
+    """(g, report): b(r) = g(r^2) as a Chebyshev series, and its certificate.
+
+    b is even in r, so a series in rho = r^2 has no odd part to get wrong
+    and never divides by r.  The fit is sampled for b >= 0 and
+    b' = 2 r g' <= 0 within bump-check's relative tol 1e-8; b's transform
+    is (2 pi)^(n/2) mhat^2 >= 0 by construction.
+    """
+    g = np.polynomial.Chebyshev.interpolate(
+        lambda rho: [_convolved_at(math.sqrt(q), dim) for q in rho],
+        _FIT_DEGREE, domain=[0.0, 4.0],
+    )
+    rho = np.linspace(0.0, 4.0, 4001)
+    vals, slope = g(rho), g.deriv()(rho)
+    neg = max(0.0, -float(vals.min())) / float(vals[0])
+    rise = max(0.0, float(slope.max())) / float(np.abs(slope).max())
+    report = ConditionReport(neg <= 1e-8, True, rise <= 1e-8, neg, 0.0, rise)
+    if not report.passed:
+        raise NumericalError(f"the {dim}D radial bump table fails certification: {report}")
+    return g, report
+
+
+@dataclass(frozen=True)
+class RadialBump:
+    """The base bump as a function of r = |x| in dim dimensions, and a power.
+
+    Its table is built on first use, once per dimension; report is the
+    table's certificate.
+    """
+
+    dim: int
+    exponent: int = 1
+
+    def __post_init__(self) -> None:
+        if self.dim not in (1, 2, 3):
+            raise ConfigError(f"dim must be 1, 2 or 3, got {self.dim}")
+
+    @property
+    def report(self) -> ConditionReport:
+        return _radial_fit(self.dim)[1]
+
+    def at(self, r: np.ndarray) -> tuple:
+        """(b, b', Delta b) of the base at radii r, all 0 from r = 2 on.
+
+        Delta b = b'' + (n - 1) b'/r = 2 n g' + 4 rho g'' with rho = r^2,
+        so r = 0 needs no limit; b is clamped at 0 against fit roundoff.
+        """
+        g = _radial_fit(self.dim)[0]
+        rho = np.minimum(np.asarray(r, dtype=np.float64) ** 2, 4.0)
+        g1 = np.where(rho < 4.0, g.deriv()(rho), 0.0)
+        b = np.where(rho < 4.0, np.maximum(g(rho), 0.0), 0.0)
+        lap = np.where(rho < 4.0, 2.0 * self.dim * g1 + 4.0 * rho * g.deriv(2)(rho), 0.0)
+        return b, 2.0 * np.sqrt(rho) * g1, lap

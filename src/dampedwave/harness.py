@@ -30,7 +30,7 @@ import numpy as np
 
 from . import exponents, testfunc
 from .bump import check_conditions, mollifier_samples, power as bump_power
-from .bump import required_power, self_convolve
+from .bump import RadialBump, required_power, self_convolve
 from .dispersion import propagate_linear
 from .errors import ConfigError
 from .grid import Grid, SpectralField, forward_transform
@@ -593,7 +593,7 @@ def run_classify(cfg: dict) -> dict:
     return _result("classify", _echo("classify", c), rows, summary, None, lines=lines)
 
 
-# the grid a bump is built on unless the config names one
+# the grid bump-check builds its bump on unless the config names one
 _BUMP_GRID = {"dim": 1, "size": 512, "half_length": 4.0}
 
 
@@ -658,7 +658,6 @@ def run_testfunc(cfg: dict) -> dict:
     c = _take(cfg, "testfunc config", {
         "fields": (str, _REQUIRED), "R_values": (_floats, [2.0, 4.0, 8.0]),
         "exponent": (_int, None),
-        "bump_grid": (None, _BUMP_GRID),
         "time_points": (_int, 513), "check": (None, None),
     })
     cc = _check(c, "testfunc check", {
@@ -666,19 +665,17 @@ def run_testfunc(cfg: dict) -> dict:
     })
     if not c["R_values"]:
         raise ConfigError("testfunc config: 'R_values' must not be empty")
+    if c["time_points"] < 2:
+        raise ConfigError(
+            f"testfunc config: 'time_points' must be at least 2, got {c['time_points']}"
+        )
     data = _load_fields(c["fields"])
     grid: Grid = data["grid"]
-    bgrid = build_grid(c["bump_grid"])
-    if bgrid.dim != grid.dim:
-        raise ConfigError(
-            f"testfunc config: 'bump_grid' has dim {bgrid.dim} but the fields "
-            f"archive has dim {grid.dim}"
-        )
     p = data["p"]
     l = c["exponent"] if c["exponent"] is not None else required_power(p)
-    echo = _echo("testfunc", c, exponent=l, bump_grid=dataclasses.asdict(bgrid))
+    echo = _echo("testfunc", c, exponent=l)
 
-    bump = bump_power(self_convolve(bgrid), l)
+    bump = bump_power(RadialBump(grid.dim), l)
     weight = testfunc.weight_constant(p, bump, time_points=c["time_points"])
     rows = [
         dataclasses.asdict(testfunc.check_bounds(
@@ -733,6 +730,7 @@ def _load_fields(path: str) -> dict:
             finite = np.isfinite(times).all() and all(
                 np.isfinite(snapshots[b]).all() for b in testfunc.row_blocks(snapshots)
             )
+            increasing = bool(np.all(np.diff(times) > 0.0))
             fields = {"grid": grid, "pair": pair, "times": times, "snapshots": snapshots,
                       "p": float(z["p"])}
     except ConfigError as exc:  # from Grid, SpectralField, DataPair or the shape check
@@ -745,6 +743,8 @@ def _load_fields(path: str) -> dict:
         raise ConfigError(f"fields archive {path} is malformed: {exc}") from exc
     if not finite:
         raise ConfigError(f"fields archive {path} holds non-finite times or snapshots")
+    if not increasing:
+        raise ConfigError(f"fields archive {path} holds times that do not strictly increase")
     return fields
 
 

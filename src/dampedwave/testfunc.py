@@ -1,9 +1,10 @@
 """Space-time test functions and the weighted integral bounds they witness.
 
-The spatial factor is a bump power phi = base**l dilated to radius ~2R;
-the temporal factor is a smooth cutoff eta = c**l equal to 1 on
-[0, R^2/2] and 0 beyond R^2.  Pairing a solution against such a product
-and integrating by parts turns the equation into an inequality between
+The spatial factor is a power phi = B**l of the radial bump B(|x|)
+(bump.RadialBump) dilated to radius 2R; the temporal factor is a smooth
+cutoff eta = c**l equal to 1 on [0, R^2/2] and 0 beyond R^2.  Pairing a
+solution against such a product and integrating by parts turns the
+equation into an inequality between
 
     I(R) = iint |u|^p phi_R eta_R,
 
@@ -19,7 +20,9 @@ eta = c**l the density is
 
 where D and E collect the second space and time derivatives, so only
 positive powers of the vanishing factors appear and the integrand extends
-continuously by zero whenever l > 2 p'.
+continuously by zero whenever l > 2 p'.  Since phi is radial, phi_R and
+Delta(phi_R) are table lookups at |x|/R in every dimension, and the
+weight integrals are sums over radii.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bump import BumpFunction, power, self_convolve
+from .bump import RadialBump, gauss_panels
 from .errors import ConfigError
-from .grid import Grid, SpectralField, evaluate_at
+from .grid import Grid
 from .profiles import DataPair
 
 __all__ = [
@@ -58,6 +61,11 @@ _EDGE = 1e-9
 # their temporaries stay small next to the snapshots themselves
 _BLOCK_BYTES = 1 << 21
 
+# 48-point Gauss-Legendre panels over the radii of the weight quadratures
+# (doubled to refine), and the time points they take at once
+_RADIAL_PANELS = 3
+_TIME_BLOCK = 64
+
 
 def _g(tau: np.ndarray) -> np.ndarray:
     """Bump exp(-1/((tau - 1/2)(1 - tau))) supported on (1/2, 1)."""
@@ -80,17 +88,10 @@ def _g_mass() -> float:
     return float(np.sum(weights * _g(0.75 + 0.25 * nodes))) / 4.0
 
 
-# Gauss-Legendre rule reused for the cutoff's tail integrals
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
-
-
 def _tail_integral(tau: np.ndarray) -> np.ndarray:
     """Integral of _g over [tau, 1], vectorised, spectrally accurate."""
-    tau = np.asarray(tau, dtype=np.float64)
-    half_len = (1.0 - tau) / 2.0
-    mid = (1.0 + tau) / 2.0
-    pts = mid[..., None] + half_len[..., None] * _GL_NODES
-    return (half_len[..., None] * _GL_WEIGHTS * _g(pts)).sum(axis=-1)
+    pts, weights = gauss_panels(np.asarray(tau, dtype=np.float64), 1.0)
+    return (weights * _g(pts)).sum(axis=-1)
 
 
 def cutoff(tau: np.ndarray, exponent: int) -> tuple:
@@ -121,9 +122,9 @@ def cutoff(tau: np.ndarray, exponent: int) -> tuple:
 
 @dataclass(frozen=True)
 class TestPair:
-    """A powered bump dilated to radius ~2R plus the matching time cutoff."""
+    """A powered radial bump dilated to radius 2R plus the matching time cutoff."""
 
-    bump: BumpFunction
+    bump: RadialBump
     R: float
 
     def __post_init__(self) -> None:
@@ -135,38 +136,11 @@ class TestPair:
         return self.bump.exponent
 
 
-def _lattice_points(grid: Grid) -> np.ndarray:
-    axes = np.meshgrid(*([grid.x_axis] * grid.dim), indexing="ij")
-    return np.stack([a.ravel() for a in axes], axis=1)
-
-
-def _axis_xi(grid: Grid, d: int) -> np.ndarray:
-    """The odd multiplier xi_d along axis d of the half-spectrum.
-
-    The Nyquist mode k_d = -N/2 is its own mirror, so an odd multiplier is
-    0 there, as the real part of a full-lattice inverse transform gives it.
-    """
-    shape = [1] * grid.dim
-    shape[d] = grid.spectral_shape[d]
-    xi = grid.xi_axis[: shape[d]].copy()
-    xi[grid.size // 2] = 0.0
-    return xi.reshape(shape)
-
-
-def _bump_derivatives(bump: BumpFunction, sample) -> tuple:
-    """(B, |grad B|^2, Delta B), where B is bump's base clamped at 0.
-
-    sample maps a SpectralField on the bump's grid to the values wanted,
-    e.g. its physical samples or its interpolant at chosen points.
-    """
-    g = bump.grid
-    B = np.maximum(sample(bump.coeffs), 0.0)
-    grad2 = np.zeros_like(B)
-    for d in range(g.dim):
-        gr = sample(SpectralField(g, 1j * _axis_xi(g, d) * bump.coeffs.coeffs))
-        grad2 += gr * gr
-    lap = sample(SpectralField(g, -g.xi2 * bump.coeffs.coeffs))
-    return B, grad2, lap
+def _power_terms(bump: RadialBump, r: np.ndarray) -> tuple:
+    """(B, D) at radii r, with Delta(B^l) = B^(l-2) D."""
+    l = bump.exponent
+    B, slope, lap = bump.at(r)
+    return B, l * (l - 1) * slope * slope + l * B * lap
 
 
 @dataclass
@@ -182,37 +156,25 @@ class SpatialFactors:
 
 
 def spatial_factors(pair: TestPair, grid: Grid) -> SpatialFactors:
-    """Sample phi_R(x) = base(x/R)**l and Delta(phi_R) on grid's lattice.
+    """Sample phi_R(x) = B(|x|/R)**l and Delta(phi_R) on grid's lattice.
 
-    The bump lives on its own small periodic grid; values at x/R come from
-    trig interpolation there, restricted to points inside the bump support
-    so the periodic interpolant is never read outside its own box.
+    Both are lookups in the radial bump's table at |x|/R, taken only
+    inside the support |x| < 2R.
     """
-    g = grid
-    b = pair.bump
     l = pair.exponent
     R = pair.R
-    if 2.0 * R > g.half_length - 2.0 * g.dx:
+    if 2.0 * R > grid.half_length - 2.0 * grid.dx:
         raise ConfigError(
             f"dilated support radius 2R = {2 * R:.3g} does not fit the box "
-            f"(L = {g.half_length})"
+            f"(L = {grid.half_length})"
         )
-    pts = _lattice_points(g) / R
-    support = 2.0 + 2.0 * b.grid.dx
-    inside = np.max(np.abs(pts), axis=1) <= support
-    sel = pts[inside]
-
-    base_vals, grad2, lap = _bump_derivatives(b, lambda f: evaluate_at(f, sel))
-    # Delta(base**l) = l(l-1) base^(l-2) |grad base|^2 + l base^(l-1) lap
-    lap_base_pow = (
-        l * (l - 1) * base_vals ** (l - 2) * grad2 + l * base_vals ** (l - 1) * lap
-    )
-
-    phi_r = np.zeros(g.size**g.dim)
-    lap_phi_r = np.zeros(g.size**g.dim)
-    phi_r[inside] = base_vals**l
-    lap_phi_r[inside] = lap_base_pow / (R * R)
-    return SpatialFactors(phi_r.reshape(g.shape), lap_phi_r.reshape(g.shape))
+    inside = grid.x_abs < 2.0 * R
+    B, D = _power_terms(pair.bump, grid.x_abs[inside] / R)
+    phi_r = np.zeros(grid.shape)
+    lap_phi_r = np.zeros(grid.shape)
+    phi_r[inside] = B**l
+    lap_phi_r[inside] = B ** (l - 2) * D / (R * R)
+    return SpatialFactors(phi_r, lap_phi_r)
 
 
 def row_blocks(snapshots: np.ndarray):
@@ -305,14 +267,16 @@ class WeightReport:
 
 
 def _weight_integrals(
-    bump: BumpFunction, p: float, R: float | None, time_points: int
+    bump: RadialBump, p: float, R: float, time_points: int, radial_panels: int
 ) -> tuple[float, float]:
     """(dominating, literal) weighted integrals of bump's test function.
 
-    R = None computes the unit-scale constants (every term at weight one);
-    a float R applies the dilation factors R^-4 / R^-2 and the volume
+    R = 1 gives the unit-scale constants (every term at weight one); a
+    larger R applies the dilation factors R^-4 / R^-2 and the volume
     factor R^(n+2).  dominating sums the absolute values of the three
-    terms, literal takes the absolute value of their signed sum.
+    terms, literal takes the absolute value of their signed sum.  Space
+    is a Gauss-Legendre sum over radii in [0, 2] with weight
+    |S^(n-1)| r^(n-1), time a trapezoid sum over [0, 1].
     """
     l = bump.exponent
     pprime = p / (p - 1.0)
@@ -322,56 +286,48 @@ def _weight_integrals(
             f"exponent {l} is too small for p' = {pprime:.4g}: need l > 2p' "
             f"for an integrable weight"
         )
-    g = bump.grid
-    B, grad2, lap = _bump_derivatives(bump, SpectralField.physical)
-    D = l * (l - 1) * grad2 + l * B * lap  # Delta(B^l) = B^(l-2) D
+    n = bump.dim
+    r, weights = gauss_panels(0.0, 2.0, radial_panels)
+    rw = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0) * r ** (n - 1) * weights
+    B, D = _power_terms(bump, r)
 
     tau = np.linspace(0.0, 1.0, time_points)
     c, cp, cs = cutoff(tau, 1)
     E = l * (l - 1) * cp * cp + l * c * cs  # (c^l)'' = c^(l-2) E
 
-    r4 = 1.0 if R is None else R**-4
-    r2 = 1.0 if R is None else R**-2
-    vol_factor = 1.0 if R is None else R ** (g.dim + 2)
-
-    vol = g.dx**g.dim
-    tw = np.full(time_points, (tau[1] - tau[0]))
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
-
+    r4, r2 = R**-4, R**-2
     B2 = B * B
-    dominating = 0.0
-    literal = 0.0
-    for j in range(time_points):
-        cj, Ej, cpj = c[j], E[j], cp[j]
-        vanish = (B * cj) ** surplus
+    dom_t, lit_t = np.empty(time_points), np.empty(time_points)
+    # (time, radius) blocks of _TIME_BLOCK rows keep the temporaries small
+    for j in range(0, time_points, _TIME_BLOCK):
+        b = slice(j, j + _TIME_BLOCK)
+        cj, cpj, Ej = c[b, None], cp[b, None], E[b, None]
+        vanish = (B * cj) ** surplus * rw
         dom = r4 * B2 * np.abs(Ej) + r2 * B2 * (l * cj * np.abs(cpj)) + (
             r2 * cj * cj * np.abs(D)
         )
         lit = np.abs(r4 * B2 * Ej - r2 * B2 * (l * cj * cpj) - r2 * cj * cj * D)
-        dominating += tw[j] * float((vanish * dom**pprime).sum()) * vol
-        literal += tw[j] * float((vanish * lit**pprime).sum()) * vol
-    return dominating * vol_factor, literal * vol_factor
+        dom_t[b] = (vanish * dom**pprime).sum(axis=1)
+        lit_t[b] = (vanish * lit**pprime).sum(axis=1)
+    vol_factor = R ** (n + 2)
+    return (float(np.trapezoid(dom_t, tau)) * vol_factor,
+            float(np.trapezoid(lit_t, tau)) * vol_factor)
 
 
 def weight_constant(
-    p: float, bump: BumpFunction, time_points: int = 513, refine: bool = True
+    p: float, bump: RadialBump, time_points: int = 513, refine: bool = True
 ) -> WeightReport:
     """Unit-scale weighted integral of bump's test function.
 
-    Refinement doubles the bump grid's size (same box) and the time
-    points, and reports the finer values with their relative change.
+    Refinement doubles the radial panels and the time intervals, and
+    reports the finer values with their relative change.
     """
-    dom, lit = _weight_integrals(bump, p, None, time_points)
+    dom, lit = _weight_integrals(bump, p, 1.0, time_points, _RADIAL_PANELS)
     rel_d = math.nan
     rel_l = math.nan
     if refine:
-        g = bump.grid
-        fine_bump = power(
-            self_convolve(Grid(g.dim, 2 * g.size, g.half_length)), bump.exponent
-        )
         fine_t = 2 * (time_points - 1) + 1
-        dom2, lit2 = _weight_integrals(fine_bump, p, None, fine_t)
+        dom2, lit2 = _weight_integrals(bump, p, 1.0, fine_t, 2 * _RADIAL_PANELS)
         rel_d = abs(dom2 - dom) / dom2 if dom2 else math.nan
         rel_l = abs(lit2 - lit) / lit2 if lit2 else math.nan
         dom, lit = dom2, lit2
@@ -385,7 +341,7 @@ def weight_constant(
 
 
 def scaled_weight(
-    p: float, bump: BumpFunction, R: float, time_points: int = 513
+    p: float, bump: RadialBump, R: float, time_points: int = 513
 ) -> float:
     """Dominating weighted integral of the scaled test function phi_R eta_R.
 
@@ -393,7 +349,7 @@ def scaled_weight(
     R^(n + 2 - 2 p'), which is what the absorbed bound uses; the ratio of
     the two measures the slack.
     """
-    return _weight_integrals(bump, p, float(R), time_points)[0]
+    return _weight_integrals(bump, p, float(R), time_points, _RADIAL_PANELS)[0]
 
 
 # ---------------------------------------------------------------------

@@ -1,17 +1,23 @@
-"""Convolved bump: certification conditions, powers, transform identity."""
+"""Convolved bump: certification conditions, powers, transform identity,
+and the radial table against the grid bump."""
+
+import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from dampedwave import bump as bump_module
 from dampedwave.bump import (
+    RadialBump,
     check_conditions,
     mollifier_samples,
     power,
     required_power,
     self_convolve,
 )
-from dampedwave.errors import ConfigError
-from dampedwave.grid import Grid, forward_transform
+from dampedwave.errors import ConfigError, NumericalError
+from dampedwave.grid import Grid, SpectralField, evaluate_at, forward_transform
 
 GRID = Grid(1, 512, 4.0)
 
@@ -105,3 +111,67 @@ def test_power_requires_valid_exponent(base):
         power(base, -2)
     # exponent 1 is the base itself
     assert power(base, 1) is base
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 512, 4.0), Grid(2, 256, 3.0)])
+def test_radial_table_matches_the_grid_bump_along_an_axis(grid):
+    # b, b' and the axis second derivative by trig interpolation of the
+    # certified grid bump; off the origin b'' = Delta b - (n - 1) b'/r.
+    # The 2D grid bump's own derivatives are good to about 5e-8: a 512^2
+    # grid moves its b'' at r = 1.9 from 1.472e-7 to 1.238e-7, the table's
+    n = grid.dim
+    coeffs = self_convolve(grid).coeffs.coeffs
+    xi = grid.xi_axis[: grid.spectral_shape[0]].reshape((-1,) + (1,) * (n - 1))
+    r = np.linspace(0.0, 2.2, 111)
+    pts = np.zeros((r.size, n))
+    pts[:, 0] = r
+    want = [evaluate_at(SpectralField(grid, m * coeffs), pts)
+            for m in (1.0, 1j * xi, -xi * xi, -grid.xi2)]
+    b, slope, lap = RadialBump(n).at(r)
+    second = lap / n
+    second[1:] = lap[1:] - (n - 1) * slope[1:] / r[1:]
+    for got, ref, tol in zip((b, slope, second, lap), want, (1e-9, 1e-8, 1e-7, 1e-7)):
+        assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radial_table_exact_identities(dim):
+    # b(0) = int m^2 and int b = (int m)^2, each a radial integral
+    sphere = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+
+    def radial(f, upper):
+        return sphere * quad(lambda r: f(r) * r ** (dim - 1), 0.0, upper,
+                             epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    m_sq = radial(lambda s: math.exp(-2.0 / (1.0 - s * s)), 1.0)
+    m_int = radial(lambda s: math.exp(-1.0 / (1.0 - s * s)), 1.0)
+    bump = RadialBump(dim)
+    b_int = radial(lambda r: float(bump.at(np.array([r]))[0][0]), 2.0)
+    assert bump.at(np.zeros(1))[0][0] == pytest.approx(m_sq, rel=1e-11)
+    assert b_int == pytest.approx(m_int**2, rel=1e-11)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radial_table_is_certified(dim):
+    rep = RadialBump(dim).report
+    assert rep.passed
+    assert rep.worst_negative <= 1e-12 and rep.worst_monotone <= 1e-10
+    b, slope, lap = power(RadialBump(dim), 5).at(np.array([2.0, 2.5]))
+    assert not b.any() and not slope.any() and not lap.any()
+
+
+def test_an_uncertified_table_is_refused(monkeypatch):
+    # a degree-12 series cannot follow b's flat tail: it dips below 0 and rises
+    monkeypatch.setattr(bump_module, "_FIT_DEGREE", 12)
+    bump_module._radial_fit.cache_clear()
+    with pytest.raises(NumericalError, match="fails certification"):
+        RadialBump(1).at(np.zeros(1))
+
+
+def test_radial_bump_validation():
+    for dim, exponent in ((0, 1), (4, 1), (1, 0), (1, 2.5)):
+        with pytest.raises(ConfigError):
+            power(RadialBump(dim), exponent)
+    # the table is shared: a power keeps the base's dimension and certificate
+    assert power(RadialBump(2), 5) == RadialBump(2, 5)
+    assert power(RadialBump(2), 5).report is RadialBump(2).report

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dampedwave import cli, exponents, harness, testfunc
+from dampedwave import cli, exponents, harness
 from dampedwave.errors import ConfigError, NumericalError
 from dampedwave.grid import Grid, full_of
 
@@ -188,7 +188,7 @@ def test_config_echo_and_summary_lines_are_pinned(tmp_path, monkeypatch, capsys)
         "atlas": "43ecfea5bc52",
         "decay": "eaf73c27762c",
         "simulate": "5a5df60964b4",
-        "testfunc": "f59d1209f12c",
+        "testfunc": "a27a9dd9c7f7",
         "lifespan": "6184dcc7ae81",
         "bump-check": "bfdd3abe7bbb",
         "sweep": "2bf468e09fbc",
@@ -530,6 +530,13 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
         # an empty R list would pass --check with nothing checked; the fields
         # path does not exist, so the error must come before it is read
         ("testfunc", {"fields": str(tmp_path / "none.npz")}, {"R_values": []}, "R_values"),
+        # the trapezoid weights need two time points; checked before the read
+        ("testfunc", {"fields": str(tmp_path / "none.npz")}, {"time_points": 1}, "time_points"),
+        ("testfunc", {"fields": str(tmp_path / "none.npz")}, {"time_points": 0}, "time_points"),
+        ("testfunc", {"fields": str(tmp_path / "none.npz")}, {"time_points": -3}, "time_points"),
+        # the bump is the radial table in every dimension: no grid to name
+        ("testfunc", {"fields": str(tmp_path / "none.npz")},
+         {"bump_grid": {"dim": 1, "size": 512, "half_length": 4.0}}, "bump_grid"),
         # JSON NaN and Infinity are not numbers a run can use; the base
         # configs run as given
         ("simulate", _TINY["simulate"], {"profile": {**_POWER, "scale": math.nan}}, "scale"),
@@ -566,6 +573,9 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
     # max|c| = inf and reads 0, so finiteness is checked on its own
     inf_u0 = arrays["u0_coeffs"].copy()
     inf_u0[3, 3] = np.inf
+    # check_bounds' searchsorted and trapezoid need increasing times
+    unsorted = arrays["times"].copy()
+    unsorted[[10, 20]] = unsorted[[20, 10]]
     archives = {
         "garbage": b"garbage",
         "truncated": raw[: len(raw) // 2],
@@ -575,6 +585,7 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
         "scalar_snapshots": {**arrays, "snapshots": np.array(1.0)},
         "flat_snapshots": {**arrays, "snapshots": arrays["snapshots"][:, 0]},
         "inf_u0": {**arrays, "u0_coeffs": inf_u0},
+        "unsorted_times": {**arrays, "times": unsorted},
     }
     errs = {}
     for name, content in archives.items():
@@ -585,7 +596,6 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
             np.savez(path, **content)
         cfgp.write_text(json.dumps({
             "fields": str(path), "R_values": [4.0], "time_points": 129,
-            "bump_grid": {"dim": 2, "size": 32, "half_length": 4.0},
         }))
         assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
         err = errs[name] = capsys.readouterr().err
@@ -595,6 +605,7 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
     assert "u0 has non-finite coefficients" in errs["inf_u0"]
     assert "non-finite times or snapshots" in errs["nan_last"]
     assert "do not stack fields of shape (128, 128)" in errs["scalar_snapshots"]
+    assert "times that do not strictly increase" in errs["unsorted_times"]
 
 
 def test_impossible_snapshot_reservation_exits_2(tmp_path, monkeypatch, capsys):
@@ -645,40 +656,36 @@ def fields_2d(tmp_path_factory):
     return str(out / "fields.npz")
 
 
-def test_testfunc_2d_run_passes_the_weak_form_check(fields_2d, tmp_path, capsys):
-    # R = 4 because the target grid has dx = 1: at R = 2 phi_R spans only 4
-    # cells per radius, and the spatial quadrature error alone puts
-    # identity_rel near 0.75
+@pytest.fixture(scope="module")
+def fields_2d_fine(tmp_path_factory):
+    # dx = 0.5: phi_R's radius 2R = 8 at R = 4 spans 16 cells
+    out = tmp_path_factory.mktemp("sim2d_fine")
+    cfgp = out / "simulate.cfg.json"
+    cfgp.write_text(json.dumps({
+        "grid": {"dim": 2, "size": 256, "half_length": 64.0},
+        "profile": {"family": "power", "gamma": 1.0},
+        "eps": 0.05, "p": 2.0, "dt": 0.0625, "t_max": 17.0, "record_fields_every": 4,
+    }))
+    assert cli.main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
+    return str(out / "fields.npz")
+
+
+def test_testfunc_2d_run_passes_the_weak_form_check(fields_2d_fine, tmp_path, capsys):
+    # at 8 cells per radius (dx = 1) the spatial quadrature error alone puts
+    # identity_rel near 0.06 with the certified bump; 16 cells bring it to
+    # about 1e-4
     cfgp = tmp_path / "testfunc.json"
     cfgp.write_text(json.dumps({
-        "fields": fields_2d, "R_values": [4.0],
-        "bump_grid": {"dim": 2, "size": 32, "half_length": 4.0},
-        "time_points": 129, "check": {},
+        "fields": fields_2d_fine, "R_values": [4.0], "time_points": 129, "check": {},
     }))
     out = str(tmp_path / "o")
     assert cli.main(["testfunc", "--config", str(cfgp), "--out", out, "--check"]) == 0
     stdout = capsys.readouterr().out
     assert "check: pass" in stdout
-    # phi_R's radius 2R = 8 spans 8 cells of dx = 1
-    assert "R=4 cells_per_radius=8 " in stdout
+    assert "R=4 cells_per_radius=16 " in stdout
     with open(f"{out}/testfunc.json", encoding="utf-8") as fh:
         (row,) = json.load(fh)["rows"]
     assert row["identity_rel"] < 0.01
-
-
-def test_testfunc_bump_dim_mismatch_fails_before_weights(fields_2d, tmp_path, monkeypatch,
-                                                        capsys):
-    def building(*args, **kwargs):
-        raise AssertionError("a bump or weight was built before the check was rejected")
-
-    monkeypatch.setattr(testfunc, "weight_constant", building)
-    monkeypatch.setattr(harness, "self_convolve", building)
-    cfgp = tmp_path / "testfunc.json"
-    # the default bump_grid is 1D
-    cfgp.write_text(json.dumps({"fields": fields_2d, "R_values": [4.0]}))
-    assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "'bump_grid' has dim 1" in err and "archive has dim 2" in err
 
 
 def test_testfunc_rejects_full_lattice_coefficients(fields_2d, tmp_path, capsys):
@@ -691,7 +698,6 @@ def test_testfunc_rejects_full_lattice_coefficients(fields_2d, tmp_path, capsys)
     cfgp = tmp_path / "testfunc.json"
     cfgp.write_text(json.dumps({
         "fields": old, "R_values": [4.0],
-        "bump_grid": {"dim": 2, "size": 32, "half_length": 4.0},
     }))
     assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -709,7 +715,6 @@ def test_testfunc_rejects_an_imaginary_zero_mode(fields_2d, tmp_path, capsys):
     cfgp = tmp_path / "testfunc.json"
     cfgp.write_text(json.dumps({
         "fields": bad, "R_values": [4.0],
-        "bump_grid": {"dim": 2, "size": 32, "half_length": 4.0},
     }))
     assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

@@ -20,8 +20,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 from dampedwave import cli  # noqa: E402
 
-_BUMP_2D = {"dim": 2, "size": 32, "half_length": 4.0}
-
 # name -> steps, each run with its own args; "{out:0}" is the first step's --out
 EXTRA = {
     "classify": [{"command": "classify", "args": [],
@@ -32,21 +30,32 @@ EXTRA = {
     "bump1d": [{"command": "bump-check", "args": ["--check"],
                 "config": {"shifted_center": 0.3}}],
     # no --check: on 32^2 the monotone check misses tol 1e-8 (worst 1.2e-4)
-    "bump2d": [{"command": "bump-check", "args": [], "config": {"grid": _BUMP_2D}}],
+    "bump2d": [{"command": "bump-check", "args": [],
+                "config": {"grid": {"dim": 2, "size": 32, "half_length": 4.0}}}],
     # the decay example in README.md
     "decay": [{"command": "decay", "args": ["--check"],
                "config": {"grid": {"dim": 1, "size": 4096, "half_length": 3200.0},
                           "profile": {"family": "power", "gamma": 0.5},
                           "times": {"start": 100.0, "ratio": 2.0, "count": 5},
                           "check": {"l2_tol": 0.05, "seminorm_tol": 0.1}}}],
+    # the weak-form check in 2D and 3D: 16 cells per radius of phi_R (2R / dx)
     "testfunc2d": [
         {"command": "simulate", "args": [],
-         "config": {"grid": {"dim": 2, "size": 128, "half_length": 64.0},
+         "config": {"grid": {"dim": 2, "size": 256, "half_length": 64.0},
                     "profile": {"family": "power", "gamma": 1.0}, "eps": 0.05, "p": 2.0,
-                    "dt": 0.0625, "t_max": 20.0, "record_fields_every": 2}},
+                    "dt": 0.0625, "t_max": 20.0, "record_fields_every": 4}},
         {"command": "testfunc", "args": ["--check"],
          "config": {"fields": "{out:0}/fields.npz", "R_values": [4.0],
-                    "bump_grid": _BUMP_2D, "time_points": 129, "check": {}}},
+                    "time_points": 129, "check": {}}},
+    ],
+    "testfunc3d": [
+        {"command": "simulate", "args": [],
+         "config": {"grid": {"dim": 3, "size": 64, "half_length": 8.0},
+                    "profile": {"family": "laplacian_gaussian", "k": 1}, "eps": 1.0,
+                    "p": 2.0, "dt": 0.03125, "t_max": 4.25, "record_fields_every": 4}},
+        {"command": "testfunc", "args": ["--check"],
+         "config": {"fields": "{out:0}/fields.npz", "R_values": [2.0],
+                    "time_points": 129, "check": {}}},
     ],
     # a run to t_max fills its whole snapshot reservation: 640 steps at
     # every 3rd, so the last snapshot (step 640) is off cadence
