@@ -124,13 +124,12 @@ def correct_combine(
     nlhat_n: np.ndarray,
     nlhat_p: np.ndarray,
     kp: np.ndarray,
-    half_dt: np.ndarray,
+    half_dt: float,
     out: np.ndarray,
 ) -> None:
     """Trapezoid source update for the velocity component, into out.
 
     out = pv + half_dt * (kp * nlhat_n + nlhat_p); out must not be an input.
-    half_dt is dt/2 per row of a stack, shaped to broadcast against out.
     """
     np.add(np.multiply(kp, nlhat_n, out=out), nlhat_p, out=out)
     np.add(pv, np.multiply(half_dt, out, out=out), out=out)

@@ -702,9 +702,12 @@ def run_testfunc(cfg: dict) -> dict:
         )
         check = {"passed": bool(passed), "details": {"rows": len(rows)}}
 
-    # phi_R reaches radius 2R: few cells there leave the spatial sums coarse
+    # phi_R reaches radius 2R and eta(t / R^2) ends at t = R^2: few cells or
+    # archive times there leave the sums coarse
+    times = data["times"]
     lines = [
         f"R={r['R']:g} cells_per_radius={2.0 * r['R'] / grid.dx:g} "
+        f"intervals_per_window={np.searchsorted(times, r['R'] ** 2, side='right') - 1} "
         f"margin_holder={r['margin_holder']:.4e} "
         f"margin_absorbed={r['margin_absorbed']:.4e} identity_rel={r['identity_rel']:.3e}"
         for r in rows

@@ -1,35 +1,33 @@
 """Time integration of the damped wave equation with power nonlinearity.
 
 Works entirely on Fourier coefficients.  One step (Stepper.advance, the
-single step body: run_stack() drives it, and a Stepper steps by hand)
-applies the exact linear propagator and a trapezoid rule to the memory
-integral of the nonlinear term; the kernel vanishing at zero time lag
-makes the displacement update explicit, and a predicted endpoint closes
-the velocity update.  The predicted nonlinearity is reused as the next
-step's left endpoint, so each step costs one real inverse and one real
-forward transform, made one axis at a time: in n dimensions that is
-n - 1 complex ifft calls and one irfft, then one rfft and n - 1 complex
-fft calls.  A Stepper steps a stack of runs that share grid, p and the
-nonlinear and dealias settings, one row per run with its own data and
-dt; the transforms and combines take the whole stack in one call each.
-The Stepper owns its state and workspace: every combine and transform of
-a step writes into them in place, with the operand order of the
-out-of-place expressions.  Inside a step only NumPy's cast buffers for
-the real multipliers allocate.  Fields are real, and every spectral
-array here is the half-spectrum that SpectralField holds (last axis
-k = 0 .. N/2, as np.fft.rfftn returns it).  run_stack() is one loop over
-steps: step 0 is the eps-scaled data, and it goes through the same
-finiteness and threshold gate as every later step; run() is a stack of
-one, and measure_lifespan() stacks its dt and dt/2 runs.
+single step body: run() and measure_lifespan() drive it, and a Stepper
+steps by hand) applies the exact linear propagator and a trapezoid rule
+to the memory integral of the nonlinear term; the kernel vanishing at
+zero time lag makes the displacement update explicit, and a predicted
+endpoint closes the velocity update.  The predicted nonlinearity is
+reused as the next step's left endpoint, so each step costs one real
+inverse and one real forward transform, made one axis at a time: in n
+dimensions that is n - 1 complex ifft calls and one irfft, then one rfft
+and n - 1 complex fft calls.  The Stepper owns its state and workspace:
+every combine and transform of a step writes into them in place, with
+the operand order of the out-of-place expressions.  Inside a step only
+NumPy's cast buffers for the real multipliers allocate.  Fields are real,
+and every spectral array here is the half-spectrum that SpectralField
+holds (last axis k = 0 .. N/2, as np.fft.rfftn returns it).
 
-Second order accurate in dt.  The step size must resolve the fastest
-resolved oscillation, dt <= 1/(2 xi_max).
+run() is one loop over steps of dt: step 0 is the eps-scaled data, and
+it goes through the same finiteness and threshold gate as every later
+step.  measure_lifespan() steps one run whose step halves as max|u|
+grows, so that it stays a fixed fraction of the ODE blow-up time scale
+max|u|^(-(p-1)/2), and reads the blow-up time off an integer clock.
+
+Second order accurate in the step.  The step size must resolve the
+fastest resolved oscillation, dt <= 1/(2 xi_max).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -48,7 +46,6 @@ __all__ = [
     "LifespanResult",
     "Stepper",
     "check_start",
-    "run_stack",
     "run",
     "measure_lifespan",
 ]
@@ -56,6 +53,15 @@ __all__ = [
 # physical samples within this many cells of the box face count as boundary
 _BOUNDARY_CELLS = 2.5
 _BOUNDARY_RTOL = 1e-8
+
+# measure_lifespan's steps: h = dt / 2**k stays at or below this fraction
+# of the ODE blow-up time scale max|u|^(-(p-1)/2), with k at most _MAX_LEVEL
+_STEP_FRACTION = 0.25
+_MAX_LEVEL = 20
+
+# a state that overflows is a handled outcome (blow-up, or an error at step
+# 0), so the arithmetic that reaches it stays quiet
+_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -122,111 +128,95 @@ class Trajectory:
 
 
 class Stepper:
-    """Steps a stack of runs on the half-spectrum, multipliers computed once.
+    """Steps one run on the half-spectrum, multipliers computed once per step size.
 
-    The runs share grid, p, nonlinear and dealias; each has its own data
-    and dt.  Every state, scratch and multiplier array has a leading row
-    axis, and row r belongs to configs[r].  The stepper owns these arrays,
-    allocated once here, and a step creates no arrays of its own.  start()
-    fills the state at t = 0 and advance() moves each row one step of its
-    own dt; each returns the stepper's own (uhat, vhat, u_phys, nl_hat),
-    which the next advance() overwrites, so a caller copies what it keeps.
-    keep() drops the rows that have finished.  run_stack() is the loop over
-    all three.  work is the real scratch array: |u|^p inside a step, free
+    The stepper owns its state and workspace, allocated once here, and a
+    step creates no arrays of its own.  start() fills the state at t = 0
+    and advance(level) moves it one step of dt / 2**level; each returns the
+    stepper's own (uhat, vhat, u_phys, nl_hat), which the next advance()
+    overwrites, so a caller copies what it keeps.  The multipliers of
+    level 0 are built here, those of any other level on its first use,
+    and each is kept for the stepper's life.  run() is the loop over steps
+    of level 0.  work is the real scratch array: |u|^p inside a step, free
     between steps.
 
-    A step transforms the whole stack once each way, one call per axis, in
-    the axis order of np.fft.irfftn and rfftn: ifft over each leading axis
-    and irfft over the last, then rfft over the last and fft over each
-    leading axis.  The calls look np.fft up when they run, and the
-    complex ones write in place.  Each row is transformed on its own, so a
-    row steps bit for bit as it would in a stack of one.
+    A step transforms once each way, one call per axis, in the axis order
+    of np.fft.irfftn and rfftn: ifft over each leading axis and irfft over
+    the last, then rfft over the last and fft over each leading axis.  The
+    calls look np.fft up when they run, and the complex ones write in
+    place.
     """
 
-    # the arrays with a row axis, which keep() compacts
-    _ROWS = ("kh", "kp", "half", "xi2_kh", "half_kh", "uhat", "vhat", "nl_hat",
-             "_nl_next", "_pv", "_spec_work", "u_phys", "work")
-
-    def __init__(self, configs: Sequence[SimConfig]) -> None:
-        configs = list(configs)
-        if not configs:
-            raise ConfigError("a stack needs at least one run")
-        first = configs[0]
-        for config in configs[1:]:
-            for name in ("grid", "p", "nonlinear", "dealias"):
-                mine, theirs = getattr(config, name), getattr(first, name)
-                if mine != theirs:
-                    raise ConfigError(f"stacked runs must share {name}: {theirs} != {mine}")
-        grid = first.grid
-        self.data = [config.data for config in configs]
+    def __init__(self, config: SimConfig) -> None:
+        grid = config.grid
+        self.data = config.data
+        self.dt = config.dt
+        self.xi2 = grid.xi2
         self.dim, self.size = grid.dim, grid.size
-        self.p = first.p
-        self.nonlinear = first.nonlinear
-        pairs = [khat_kprime(config.dt, grid.xi2) for config in configs]
-        self.kh = np.stack([kh for kh, _ in pairs])
-        self.kp = np.stack([kp for _, kp in pairs])
-        dts = np.array([config.dt for config in configs])
-        self.half = (0.5 * dts).reshape((-1,) + (1,) * grid.dim)
-        self.xi2_kh = grid.xi2 * self.kh
-        self.half_kh = self.half * self.kh
+        self.p = config.p
+        self.nonlinear = config.nonlinear
+        self._levels: dict[int, tuple] = {}
+        kh = self._level(0)[0]
         self.inv_factor = grid.phase / grid.transform_scale
         self.fwd_factor = grid.phase * grid.transform_scale
-        if first.dealias:
+        if config.dealias:
             self.fwd_factor = self.fwd_factor * grid.dealias_mask
         # linear runs keep both nl buffers at zero
         self.uhat, self.vhat, self.nl_hat, self._nl_next, self._pv, self._spec_work = (
-            np.zeros(self.kh.shape, dtype=np.complex128) for _ in range(6)
+            np.zeros(kh.shape, dtype=np.complex128) for _ in range(6)
         )
-        self.u_phys = np.empty((len(configs),) + grid.shape)
-        self.work = np.empty(self.u_phys.shape)
+        self.u_phys = np.empty(grid.shape)
+        self.work = np.empty(grid.shape)
+
+    def _level(self, level: int) -> tuple:
+        """(kh, kp, xi2 * kh, h/2 * kh, h/2) for h = dt / 2**level, built once."""
+        mult = self._levels.get(level)
+        if mult is None:
+            h = self.dt / 2**level
+            half = 0.5 * h
+            kh, kp = khat_kprime(h, self.xi2)
+            mult = self._levels[level] = (kh, kp, self.xi2 * kh, half * kh, half)
+        return mult
 
     def _fill_physical_and_nl(self, nl_out: np.ndarray) -> None:
         """u_phys from uhat, then the dealiased coefficients of |u|^p into nl_out."""
         spec = self._spec_work
         np.multiply(self.uhat, self.inv_factor, out=spec)
-        for axis in range(1, self.dim):
+        for axis in range(self.dim - 1):
             np.fft.ifft(spec, axis=axis, out=spec)
         np.fft.irfft(spec, n=self.size, axis=-1, out=self.u_phys)
         if self.nonlinear:
             np.fft.rfft(abs_pow(self.u_phys, self.p, self.work), axis=-1, out=nl_out)
-            for axis in range(self.dim - 1, 0, -1):
+            for axis in range(self.dim - 2, -1, -1):
                 np.fft.fft(nl_out, axis=axis, out=nl_out)
             np.multiply(nl_out, self.fwd_factor, out=nl_out)
 
     def start(self):
-        """(uhat, vhat, u_phys, nl_hat) of each row's eps-scaled data at t = 0."""
-        for row, data in enumerate(self.data):
-            np.multiply(data.eps, data.u0.coeffs, out=self.uhat[row])
-            np.multiply(data.eps, data.u1.coeffs, out=self.vhat[row])
+        """(uhat, vhat, u_phys, nl_hat) of the eps-scaled data at t = 0."""
+        np.multiply(self.data.eps, self.data.u0.coeffs, out=self.uhat)
+        np.multiply(self.data.eps, self.data.u1.coeffs, out=self.vhat)
         self._fill_physical_and_nl(self.nl_hat)
         return self.uhat, self.vhat, self.u_phys, self.nl_hat
 
-    def advance(self):
-        """(uhat, vhat, u_phys, nl_hat) one step later, written over the last.
+    def advance(self, level: int = 0):
+        """(uhat, vhat, u_phys, nl_hat) one step of dt / 2**level later, written over the last.
 
         pv is taken before uhat is overwritten, and the new nl goes into the
         spare buffer, which then swaps with nl_hat.
         """
+        kh, kp, xi2_kh, half_kh, half = self._level(level)
         predict_combine(
-            self.uhat, self.vhat, self.nl_hat, self.kh, self.kp, self.xi2_kh,
-            self.half_kh, self._pv, self._spec_work,
+            self.uhat, self.vhat, self.nl_hat, kh, kp, xi2_kh, half_kh, self._pv,
+            self._spec_work,
         )
         self._fill_physical_and_nl(self._nl_next)
-        correct_combine(self._pv, self.nl_hat, self._nl_next, self.kp, self.half, self.vhat)
+        correct_combine(self._pv, self.nl_hat, self._nl_next, kp, half, self.vhat)
         self.nl_hat, self._nl_next = self._nl_next, self.nl_hat
         return self.uhat, self.vhat, self.u_phys, self.nl_hat
 
-    def row_max(self) -> np.ndarray:
-        """max|u| of each row, NaN where the row holds one; overwrites work."""
-        np.abs(self.u_phys, out=self.work)
-        return np.maximum.reduce(self.work, axis=tuple(range(1, self.dim + 1)))
-
-    def keep(self, rows: Sequence[int]) -> None:
-        """Keep only these rows, renumbered 0, 1, ... in this order; each steps on."""
-        rows = list(rows)
-        self.data = [self.data[row] for row in rows]
-        for name in self._ROWS:
-            setattr(self, name, getattr(self, name)[rows])
+    def top(self) -> float:
+        """max|u| of the current state, NaN if it holds one; overwrites work."""
+        return float(np.max(np.abs(self.u_phys, out=self.work)))
 
 
 def _boundary_mask(grid: Grid) -> np.ndarray:
@@ -243,178 +233,167 @@ def _start_gate(config: SimConfig, top: float) -> None:
         )
 
 
-def check_start(configs: Sequence[SimConfig]) -> None:
-    """run_stack()'s step-0 gate alone, without advancing any run.
+def _ended(config: SimConfig, t: float, top: float) -> bool:
+    """True if a state at step time t whose max|u| is top ends the run.
 
-    Each config's eps-scaled data goes through a stack of one in turn;
-    the first whose max|u| is not below its threshold is a ConfigError.
+    A nonlinear run ends past the threshold or on losing finiteness; a
+    linear run must stay finite, else NumericalError.
+    """
+    if math.isfinite(top):
+        return top > config.blowup_threshold
+    if not config.nonlinear:
+        raise NumericalError(f"linear run lost finiteness at t = {t:.6g}")
+    return True
+
+
+def check_start(configs: Sequence[SimConfig]) -> None:
+    """The step-0 gate of run() and measure_lifespan() alone, stepping nothing.
+
+    Each config's eps-scaled data goes through Stepper.start in turn; the
+    first whose max|u| is not below its threshold is a ConfigError.
     """
     for config in configs:
-        stepper = Stepper([config])
-        stepper.start()
-        _start_gate(config, float(stepper.row_max()[0]))
-
-
-class _Recorder:
-    """One run's gate, norm rows and field snapshots while a stack steps it."""
-
-    def __init__(self, config: SimConfig, bmask: np.ndarray) -> None:
-        g = config.grid
-        self.config = config
-        self.bmask = bmask
-        self.vol = g.dx**g.dim
-        self.n_steps = int(math.floor(config.t_max / config.dt + 1e-9))
-        self.every = every = config.record_fields_every
-        self.ftimes = self.fsnaps = None
-        if every:
-            count = self.n_steps // every + 1 + (self.n_steps % every != 0)
-            try:
-                self.fsnaps = np.empty((count,) + g.shape)
-            except (MemoryError, ValueError) as exc:
-                size = count * math.prod(g.shape) * 8
-                raise ConfigError(
-                    f"cannot reserve {count} field snapshots ({size} bytes) for "
-                    f"t_max / dt / record_fields_every"
-                ) from exc
-            self.ftimes = np.empty(count)
-        self.k = 0
-        self.rows: list[tuple] = []
-        self.boundary_ratio = 0.0
-        self.outcome = "survived"
-        self.t_blowup: float | None = None
-        self.steps_taken = 0
-
-    def record(self, n: int, top: float, uhat: np.ndarray, u_phys: np.ndarray) -> bool:
-        """Gate and record step n, whose max|u| is top; True once the run has ended."""
-        config = self.config
-        self.steps_taken = n
-        t = n * config.dt
-        if n == 0:
-            _start_gate(config, top)
-        if not math.isfinite(top):
-            if not config.nonlinear:
-                raise NumericalError(f"linear run lost finiteness at t = {t:.6g}")
-            self.outcome, self.t_blowup = "blewup", t
-            return True
-        crossed = top > config.blowup_threshold
-        if crossed or n % config.record_every == 0 or n == self.n_steps:
-            g = config.grid
-            fld = SpectralField(g, uhat)
-            l2 = math.sqrt(np.sum(u_phys * u_phys) * self.vol)
-            hneg = hdotneg_norm(fld, config.gamma, config.norm_policy)
-            self.rows.append((t, l2, top, hs_norm(fld, config.s), hneg))
-            if top > 0.0:
-                ratio = float(np.max(np.abs(u_phys[self.bmask]))) / top
-                self.boundary_ratio = max(self.boundary_ratio, ratio)
-        if crossed:
-            self.outcome, self.t_blowup = "blewup", t
-            return True
-        every = self.every
-        if every and (n % every == 0 or n == self.n_steps):
-            self.ftimes[self.k] = t
-            self.fsnaps[self.k] = u_phys
-            self.k += 1
-        return n == self.n_steps
-
-    def trajectory(self) -> Trajectory:
-        """The trajectory recorded so far."""
-        k = self.k
-        return Trajectory(
-            *(np.array(col) for col in zip(*self.rows)),  # times, l2, linf, hs, hdotneg
-            outcome=self.outcome,
-            t_blowup=self.t_blowup,
-            boundary_ratio=self.boundary_ratio,
-            boundary_flagged=self.boundary_ratio > _BOUNDARY_RTOL,
-            steps_taken=self.steps_taken,
-            field_times=self.ftimes[:k] if self.every else None,
-            field_snapshots=self.fsnaps[:k] if self.every else None,
-        )
-
-
-def run_stack(configs: Sequence[SimConfig]) -> list[Trajectory]:
-    """Integrate each run up to its t_max or its first threshold crossing.
-
-    The runs step together as the rows of one Stepper, so they must share
-    grid, p, nonlinear and dealias (else ConfigError).  Step n of a row is
-    at t = n * its dt.  A row that has ended is dropped from the stack,
-    and the loop ends with the last row.  Each row's trajectory is the one
-    run() gives for its config alone, bit for bit.
-
-    Step 0 is the eps-scaled data, every later step one Stepper.advance,
-    and each goes through the same gate on max|u|.  At step 0 an amplitude
-    not below the threshold, NaN and inf included, is a ConfigError.  Later
-    on, nonlinear runs treat a non-finite state as blow-up at that step;
-    linear runs must stay finite, anything else raises NumericalError.
-    The blow-up time is the first step time where max|u| exceeds the
-    threshold, so it carries a +-dt detection granularity.  The crossing
-    step is recorded off cadence, but takes no field snapshot.
-
-    Field snapshots go into one array per run reserved before step 0 for a
-    run that reaches t_max, the last step included if it is off cadence;
-    the trajectory holds its filled rows, and rows an early blow-up never
-    writes are never touched, so they take no resident memory.  A
-    reservation that cannot be allocated is a ConfigError.
-    """
-    stepper = Stepper(configs)
-    bmask = _boundary_mask(configs[0].grid)
-    recorders = [_Recorder(config, bmask) for config in configs]
-    live = recorders
-    for n in itertools.count():
-        uhat, _, u_phys, _ = stepper.advance() if n else stepper.start()
-        tops = stepper.row_max()
-        ended = [rec.record(n, float(tops[i]), uhat[i], u_phys[i]) for i, rec in enumerate(live)]
-        if any(ended):
-            kept = [i for i, done in enumerate(ended) if not done]
-            if not kept:
-                break
-            stepper.keep(kept)
-            live = [live[i] for i in kept]
-    return [rec.trajectory() for rec in recorders]
+        stepper = Stepper(config)
+        with np.errstate(**_QUIET):
+            stepper.start()
+        _start_gate(config, stepper.top())
 
 
 def run(config: SimConfig) -> Trajectory:
-    """One run alone: run_stack([config])[0]."""
-    return run_stack([config])[0]
+    """Integrate up to t_max or the first threshold crossing.
+
+    Step n is at t = n * dt.  Step 0 is the eps-scaled data, every later
+    step one Stepper.advance, and each goes through the same gate on
+    max|u|.  At step 0 an amplitude not below the threshold, NaN and inf
+    included, is a ConfigError.  Later on, nonlinear runs treat a
+    non-finite state as blow-up at that step; linear runs must stay
+    finite, anything else raises NumericalError.  The blow-up time is the
+    first step time where max|u| exceeds the threshold, so it carries a
+    +-dt detection granularity.  The crossing step is recorded off
+    cadence, but takes no field snapshot.
+
+    Field snapshots go into one array reserved before step 0 for a run
+    that reaches t_max, the last step included if it is off cadence; the
+    trajectory holds its filled rows, and rows an early blow-up never
+    writes are never touched, so they take no resident memory.  A
+    reservation that cannot be allocated is a ConfigError.
+    """
+    g = config.grid
+    stepper = Stepper(config)
+    bmask = _boundary_mask(g)
+    vol = g.dx**g.dim
+    n_steps = int(math.floor(config.t_max / config.dt + 1e-9))
+    every = config.record_fields_every
+    ftimes = fsnaps = None
+    if every:
+        count = n_steps // every + 1 + (n_steps % every != 0)
+        try:
+            fsnaps = np.empty((count,) + g.shape)
+        except (MemoryError, ValueError) as exc:
+            size = count * math.prod(g.shape) * 8
+            raise ConfigError(
+                f"cannot reserve {count} field snapshots ({size} bytes) for "
+                f"t_max / dt / record_fields_every"
+            ) from exc
+        ftimes = np.empty(count)
+    k = 0
+    rows: list[tuple] = []
+    boundary_ratio = 0.0
+    outcome = "survived"
+    t_blowup: float | None = None
+
+    with np.errstate(**_QUIET):
+        for n in range(n_steps + 1):
+            uhat, _, u_phys, _ = stepper.advance() if n else stepper.start()
+            t = n * config.dt
+            top = stepper.top()
+            if n == 0:
+                _start_gate(config, top)
+            if _ended(config, t, top):
+                outcome, t_blowup = "blewup", t
+                if not math.isfinite(top):
+                    break
+            if t_blowup is not None or n % config.record_every == 0 or n == n_steps:
+                fld = SpectralField(g, uhat)
+                l2 = math.sqrt(np.sum(u_phys * u_phys) * vol)
+                hneg = hdotneg_norm(fld, config.gamma, config.norm_policy)
+                rows.append((t, l2, top, hs_norm(fld, config.s), hneg))
+                if top > 0.0:
+                    ratio = float(np.max(np.abs(u_phys[bmask]))) / top
+                    boundary_ratio = max(boundary_ratio, ratio)
+            if t_blowup is not None:
+                break
+            if every and (n % every == 0 or n == n_steps):
+                ftimes[k] = t
+                fsnaps[k] = u_phys
+                k += 1
+
+    return Trajectory(
+        *(np.array(col) for col in zip(*rows)),  # times, l2, linf, hs, hdotneg
+        outcome=outcome,
+        t_blowup=t_blowup,
+        boundary_ratio=boundary_ratio,
+        boundary_flagged=boundary_ratio > _BOUNDARY_RTOL,
+        steps_taken=n,
+        field_times=ftimes[:k] if every else None,
+        field_snapshots=fsnaps[:k] if every else None,
+    )
 
 
 @dataclass
 class LifespanResult:
-    """Blow-up time with step-halving extrapolation and its error bar."""
+    """Blow-up time of one adapted run and its error bar."""
 
     t_blowup: float
     error: float
     censored: bool
-    t_coarse: float
-    t_fine: float
+
+
+def _step_level(config: SimConfig, top: float) -> int:
+    """The k whose step dt / 2**k is at most _STEP_FRACTION * top^(-(p-1)/2).
+
+    Worked in log space, since top**((p-1)/2) can overflow: max|u| = 0
+    gives 0, a non-finite max|u| or exponent gives _MAX_LEVEL.
+    """
+    if top == 0.0:
+        return 0
+    k = math.log2(config.dt / _STEP_FRACTION) + 0.5 * (config.p - 1.0) * math.log2(top)
+    if not k < _MAX_LEVEL:  # also inf and NaN
+        return _MAX_LEVEL
+    return math.ceil(k) if k > 0.0 else 0  # also -inf
 
 
 def measure_lifespan(config: SimConfig) -> LifespanResult:
-    """Detect the blow-up time at dt and dt/2 and extrapolate.
+    """The first time one run's max|u| exceeds the threshold or stops being finite.
 
-    The two runs step as the two rows of one run_stack.  The detector is
-    first-order in the step (threshold crossing between samples), the
-    scheme second order, so Richardson with ratio 4 is slightly
-    optimistic; the reported error adds the fine-run granularity on top
-    of the extrapolation difference.  Surviving the horizon at either
-    step size censors the measurement.
+    The run steps at dt while it is quiet.  Before each step it takes the
+    level k of _step_level and steps h = dt / 2**k, so that h stays a fixed
+    fraction of the ODE blow-up time scale max|u|^(-(p-1)/2) as the
+    solution grows.  The clock counts ticks of dt / 2**_MAX_LEVEL, so the
+    blow-up time is exact and reproducible.  Step 0 passes the same gate
+    as run()'s.  The error bar is dt/2 + h for the step h that crossed:
+    the detection granularity of that step plus half a quiet step for the
+    scheme's own error.  A run that has not crossed by t_max, with run()'s
+    tolerance of 1e-9 dt, is censored.
     """
-    lean = dataclasses.replace(
-        config,
-        record_every=max(1, int(round(config.t_max / config.dt)) // 4),
-        record_fields_every=0,
-    )
-    coarse, fine = run_stack([lean, dataclasses.replace(lean, dt=config.dt / 2.0)])
-    if coarse.outcome != "blewup" or fine.outcome != "blewup":
-        return LifespanResult(
-            t_blowup=math.inf,
-            error=math.nan,
-            censored=True,
-            t_coarse=coarse.t_blowup if coarse.t_blowup is not None else math.inf,
-            t_fine=fine.t_blowup if fine.t_blowup is not None else math.inf,
-        )
-    tc, tf = coarse.t_blowup, fine.t_blowup
-    t_star = (4.0 * tf - tc) / 3.0
-    err = abs(tf - tc) / 3.0 + config.dt / 2.0
-    return LifespanResult(
-        t_blowup=t_star, error=err, censored=False, t_coarse=tc, t_fine=tf
-    )
+    stepper = Stepper(config)
+    scale = 2**_MAX_LEVEL
+    tick = config.dt / scale
+    horizon = math.floor((config.t_max / config.dt + 1e-9) * scale)
+    ticks = 0
+    with np.errstate(**_QUIET):
+        stepper.start()
+        top = stepper.top()
+        _start_gate(config, top)
+        while True:
+            level = _step_level(config, top)
+            ticks += scale >> level
+            if ticks > horizon:
+                return LifespanResult(t_blowup=math.inf, error=math.nan, censored=True)
+            stepper.advance(level)
+            top = stepper.top()
+            t = ticks * tick
+            if _ended(config, t, top):
+                return LifespanResult(
+                    t_blowup=t, error=config.dt / 2.0 + config.dt / 2**level, censored=False
+                )

@@ -416,8 +416,8 @@ def test_sweep_worker_config_error_exits_2(tmp_path, capsys):
 
 def test_lifespan_worker_config_error_exits_2(tmp_path, monkeypatch, capsys):
     # eps 1e9 puts the initial amplitude past the blow-up threshold; with the
-    # parent's step-0 check switched off, run_stack raises ConfigError inside
-    # a worker process
+    # parent's step-0 check switched off, measure_lifespan raises ConfigError
+    # inside a worker process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(harness, "check_start", lambda sims: None)
     cfgp = tmp_path / "lifespan.json"
@@ -682,7 +682,8 @@ def test_testfunc_2d_run_passes_the_weak_form_check(fields_2d_fine, tmp_path, ca
     assert cli.main(["testfunc", "--config", str(cfgp), "--out", out, "--check"]) == 0
     stdout = capsys.readouterr().out
     assert "check: pass" in stdout
-    assert "R=4 cells_per_radius=16 " in stdout
+    # fields every 0.25 up to t = 17: 64 intervals in [0, R^2]
+    assert "R=4 cells_per_radius=16 intervals_per_window=64 " in stdout
     with open(f"{out}/testfunc.json", encoding="utf-8") as fh:
         (row,) = json.load(fh)["rows"]
     assert row["identity_rel"] < 0.01
@@ -742,6 +743,39 @@ def test_cli_check_failure_and_numerical_error(tmp_path, monkeypatch):
 
     monkeypatch.setitem(harness.RUNNERS, "atlas", exploding)
     assert cli.main(["atlas", "--config", str(cfgp), "--out", out]) == 3
+
+
+_QUICK_LADDER = {
+    "grid": _GRID, "profile": {"family": "power", "gamma": 1.0}, "p": 2.0,
+    "eps_values": [1.0, 0.8, 0.6], "dt": 0.0625, "t_cap": 60.0,
+}
+
+
+@pytest.mark.parametrize("kind,cfg,code", [
+    # every member ends by losing finiteness
+    pytest.param("lifespan", dict(_QUICK_LADDER, blowup_threshold=1e300), 0, id="threshold"),
+    # eps * data overflows at step 0, before the config error
+    pytest.param("lifespan", dict(_QUICK_LADDER, eps_values=[1.0, 0.8, 1e300]), 2, id="eps"),
+    pytest.param("simulate", {"grid": _GRID, "profile": {"family": "power", "gamma": 1.0},
+                              "eps": 1e300, "p": 2.0, "dt": 0.0625, "t_max": 2.0}, 2,
+                 id="simulate-eps"),
+    # |u|^p overflows at once where max|u| > 1, and the step level
+    # max|u|^((p-1)/2) would overflow a float
+    pytest.param("lifespan", dict(_QUICK_LADDER, p=1e9, eps_values=[2.0, 4.0, 8.0]), 0,
+                 id="p"),
+])
+def test_cli_overflow_is_quiet(tmp_path, kind, cfg, code):
+    # a fresh process, so NumPy's warnings reach its stderr as a user sees them
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "dampedwave.cli", kind, "--config", str(cfgp),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert out.returncode == code, out.stderr
+    assert "RuntimeWarning" not in out.stderr and "Traceback" not in out.stderr, out.stderr
 
 
 def test_cli_import_loads_no_scipy():

@@ -12,14 +12,13 @@ from dampedwave.accel import khat_kprime
 from dampedwave.dispersion import propagate_linear
 from dampedwave.errors import ConfigError, NumericalError
 from dampedwave.grid import Grid, SpectralField, forward_transform
-from dampedwave.profiles import DataPair, assemble_pair
+from dampedwave.profiles import DataPair, assemble_pair, power_profile
 from dampedwave.solver import (
     SimConfig,
     Stepper,
-    Trajectory,
+    _step_level,
     measure_lifespan,
     run,
-    run_stack,
 )
 
 
@@ -61,10 +60,10 @@ def test_linear_run_matches_exact_propagator_multi_d(dim, size):
 def check_linear_run_matches_exact_propagator(g: Grid):
     pair = gaussian_pair(g, 0.7)
     dt, n = 0.05, 60
-    stepper = Stepper([SimConfig(data=pair, p=2.0, dt=dt, t_max=n * dt, nonlinear=False)])
+    stepper = Stepper(SimConfig(data=pair, p=2.0, dt=dt, t_max=n * dt, nonlinear=False))
     stepper.start()
     for _ in range(n):
-        uhat, vhat, _, _ = (a[0] for a in stepper.advance())
+        uhat, vhat, _, _ = stepper.advance()
     uex, vex = propagate_linear(pair.u0, pair.u1, n * dt)
     scale = np.max(np.abs(uex.coeffs)) * pair.eps
     assert np.max(np.abs(uhat - pair.eps * uex.coeffs)) < 1e-12 * scale
@@ -149,20 +148,32 @@ def test_lifespan_extrapolation_brackets_ode_time():
     )
     res = measure_lifespan(cfg)
     assert not res.censored
-    assert res.t_fine <= res.t_coarse + cfg.dt
-    assert abs(res.t_blowup - res.t_fine) <= abs(res.t_fine - res.t_coarse) + 1e-12
+    assert abs(res.t_blowup - ode_threshold_time(cfg)) <= res.error + cfg.dt
 
+
+def ode_threshold_time(cfg: SimConfig) -> float:
+    """When u'' + u' = |u|^p from (3, 0) first reaches cfg's threshold."""
     def rhs(t, y):
-        return [y[1], -y[1] + abs(y[0]) ** p]
+        return [y[1], -y[1] + abs(y[0]) ** cfg.p]
 
     def hit(t, y):
         return y[0] - cfg.blowup_threshold
 
     hit.terminal = True
-    sol = solve_ivp(rhs, (0.0, 20.0), [3.0, 0.0], method="DOP853",
+    sol = solve_ivp(rhs, (0.0, cfg.t_max), [3.0, 0.0], method="DOP853",
                     rtol=1e-12, atol=1e-12, events=hit)
-    t_hit = sol.t_events[0][0]
-    assert abs(res.t_blowup - t_hit) <= res.error + cfg.dt
+    return sol.t_events[0][0]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_lifespan_error_bar_covers_ode_time(p):
+    # at dt = 1/32, Richardson of a dt and a dt/2 run missed the ODE time
+    # by 0.0169 at p = 1.5 (bar 0.0156) and 0.0316 at p = 3 (bar 0.0260)
+    g = Grid(1, 8, 4.0)
+    cfg = SimConfig(data=constant_pair(g, 3.0, 0.0), p=p, dt=1 / 32, t_max=20.0)
+    res = measure_lifespan(cfg)
+    assert not res.censored
+    assert abs(res.t_blowup - ode_threshold_time(cfg)) <= res.error
 
 
 def test_lifespan_censoring():
@@ -199,10 +210,10 @@ def test_run_matches_repeated_step_multi_d(dim, size):
 def check_run_matches_repeated_step(g: Grid):
     cfg = SimConfig(data=gaussian_pair(g, 0.3), p=2.0, dt=0.02, t_max=0.2)
     traj = run(cfg)
-    stepper = Stepper([cfg])
+    stepper = Stepper(cfg)
     stepper.start()
     for _ in range(10):
-        u_phys = stepper.advance()[2][0]
+        u_phys = stepper.advance()[2]
     vol = g.dx**g.dim
     l2 = math.sqrt(float(np.sum(u_phys**2)) * vol)
     assert traj.times[-1] == pytest.approx(0.2, abs=1e-12)
@@ -253,12 +264,12 @@ def reference_steps(cfg: SimConfig, n: int):
 def test_in_place_step_is_bit_identical(dim, size, p, nonlinear):
     g = Grid(dim, size, 8.0)
     cfg = SimConfig(data=gaussian_pair(g, 0.8), p=p, dt=0.02, t_max=1.0, nonlinear=nonlinear)
-    stepper = Stepper([cfg])
+    stepper = Stepper(cfg)
     ref = reference_steps(cfg, 20)
     for n, want in enumerate(ref):
         got = stepper.advance() if n else stepper.start()
         for a, b in zip(got, want):
-            assert np.array_equal(a[0], b), f"step {n}"
+            assert np.array_equal(a, b), f"step {n}"
 
 
 @pytest.mark.parametrize(
@@ -270,7 +281,7 @@ def test_in_place_step_is_bit_identical(dim, size, p, nonlinear):
 def test_step_allocates_no_state_arrays(dim, size, half_length, dt):
     g = Grid(dim, size, half_length)
     cfg = SimConfig(data=gaussian_pair(g, 0.5), p=1.71, dt=dt, t_max=1.0)
-    stepper = Stepper([cfg])
+    stepper = Stepper(cfg)
     stepper.start()
     stepper.advance()
     tracemalloc.start()
@@ -285,92 +296,73 @@ def test_step_allocates_no_state_arrays(dim, size, half_length, dt):
     assert peak < 1.1 * stepper.uhat.nbytes, peak / stepper.uhat.nbytes
 
 
-@pytest.mark.parametrize("dim,size", [pytest.param(1, 64, id="1d"), *_MULTI_D])
-def test_stack_rows_step_as_separate_steppers(dim, size):
-    # own data and dt per row; the middle row is dropped halfway
-    g = Grid(dim, size, 8.0)
-    cfgs = [SimConfig(data=gaussian_pair(g, eps), p=1.71, dt=dt, t_max=1.0)
-            for eps, dt in ((0.8, 0.02), (0.3, 0.01), (1.2, 0.0125))]
-    stack = Stepper(cfgs)
-    alone = [Stepper([cfg]) for cfg in cfgs]
-    rows = [0, 1, 2]
-    for n in range(40):
-        if n == 20:
-            stack.keep([0, 2])
-            rows = [0, 2]
-        got = stack.advance() if n else stack.start()
-        for i, r in enumerate(rows):
-            want = alone[r].advance() if n else alone[r].start()
-            for a, b in zip(got, want):
-                assert np.array_equal(a[i], b[0]), (n, r)
-
-
-def assert_same_trajectory(a: Trajectory, b: Trajectory) -> None:
-    for field in dataclasses.fields(Trajectory):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-            assert np.array_equal(x, y, equal_nan=True), field.name
-        else:
-            assert x == y, field.name
-
-
-def test_run_stack_matches_separate_runs():
-    g = Grid(1, 64, 8.0)
-    cfgs = [
-        # loses finiteness at step 90, with no threshold to cross
-        SimConfig(data=gaussian_pair(g, 4.0), p=2.0, dt=0.02, t_max=4.0,
-                  blowup_threshold=math.inf),
-        # survives to its t_max at step 50
-        SimConfig(data=gaussian_pair(g, 0.5), p=2.0, dt=0.02, t_max=1.0,
-                  record_fields_every=3),
-        # crosses the threshold at step 253, after the rows above have ended
-        SimConfig(data=gaussian_pair(g, 2.0), p=2.0, dt=0.01, t_max=4.0,
-                  record_every=7, record_fields_every=19),
-        # survives to its t_max at step 320, the last row stepping
-        SimConfig(data=gaussian_pair(g, 0.3), p=2.0, dt=0.0125, t_max=4.0,
-                  record_every=5, record_fields_every=4, s=0.5, gamma=0.25),
-    ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        stacked = run_stack(cfgs)
-        alone = [run(cfg) for cfg in cfgs]
-    assert [t.steps_taken for t in stacked] == [90, 50, 253, 320]
-    assert [t.outcome for t in stacked] == ["blewup", "survived", "blewup", "survived"]
-    for a, b in zip(stacked, alone):
-        assert_same_trajectory(a, b)
-
-
-def test_measure_lifespan_is_richardson_of_two_runs():
+def test_measure_lifespan_is_one_adapted_run():
+    # dt = 0.01 is not a power of two, so a step time off the tick clock
+    # would show as a mismatch below
     g = Grid(1, 8, 4.0)
     cfg = SimConfig(data=constant_pair(g, 3.0, 0.0), p=2.0, dt=0.01, t_max=20.0)
-    tc = run(cfg).t_blowup
-    tf = run(dataclasses.replace(cfg, dt=cfg.dt / 2.0)).t_blowup
-    assert tf < tc
     res = measure_lifespan(cfg)
     assert not res.censored
-    assert (res.t_coarse, res.t_fine) == (tc, tf)
-    assert res.t_blowup == (4.0 * tf - tc) / 3.0
-    assert res.error == abs(tf - tc) / 3.0 + cfg.dt / 2.0
-    # a horizon at the fine crossing: the coarse run survives it
-    res = measure_lifespan(dataclasses.replace(cfg, t_max=tf))
+    # the same run by hand: level k = ceil(log2(dt / 0.25) + (p - 1)/2 log2 max|u|)
+    stepper = Stepper(cfg)
+    stepper.start()
+    top = stepper.top()
+    levels = []
+    while top <= cfg.blowup_threshold:
+        k = min(20, max(0, math.ceil(math.log2(cfg.dt / 0.25) + 0.5 * math.log2(top))))
+        stepper.advance(k)
+        levels.append(k)
+        top = stepper.top()
+    assert levels[0] == 0 and levels[-1] == 6 and levels == sorted(levels)
+    tick = cfg.dt / 2**20
+    ticks = sum(2 ** (20 - k) for k in levels)
+    assert res.t_blowup == ticks * tick
+    assert res.error == cfg.dt / 2 + cfg.dt / 2 ** levels[-1]
+    # a horizon at the crossing keeps it; one tick below censors the member
+    assert measure_lifespan(dataclasses.replace(cfg, t_max=res.t_blowup)) == res
+    res = measure_lifespan(dataclasses.replace(cfg, t_max=(ticks - 1) * tick))
     assert res.censored and math.isinf(res.t_blowup) and math.isnan(res.error)
-    assert (res.t_coarse, res.t_fine) == (math.inf, tf)
 
 
-def test_stack_rejects_runs_that_do_not_share_the_step():
+def test_step_level_is_worked_in_log_space():
+    g = Grid(1, 8, 4.0)
+    cfg = SimConfig(data=constant_pair(g, 1.0, 0.0), p=2.0, dt=1 / 32, t_max=1.0)
+    # h = dt / 2**k at most a quarter of max|u|^(-1/2): k = ceil(-3 + log2(top) / 2)
+    assert [_step_level(cfg, top) for top in (0.0, 1.0, 64.0, 65.0, 1e6)] == [0, 0, 0, 1, 7]
+    for top in (1e300, math.inf, math.nan):
+        assert _step_level(cfg, top) == 20
+    # max|u|^((p-1)/2) overflows a float here, its logarithm does not
+    huge = dataclasses.replace(cfg, p=1e308)
+    assert [_step_level(huge, top) for top in (0.5, 1.0, 2.0)] == [0, 0, 20]
+
+
+def test_stepper_levels_step_by_a_halved_dt():
+    # advance(k) is a step of dt / 2**k: a step of level 1 is bit for bit a
+    # step of a stepper built at dt/2
     g = Grid(1, 64, 8.0)
-    base = SimConfig(data=gaussian_pair(g, 0.3), p=2.0, dt=0.02, t_max=0.2)
-    others = {
-        "grid": dataclasses.replace(base, data=gaussian_pair(Grid(1, 32, 8.0), 0.3)),
-        "p": dataclasses.replace(base, p=3.0),
-        "nonlinear": dataclasses.replace(base, nonlinear=False),
-        "dealias": dataclasses.replace(base, dealias=False),
-    }
-    for name, other in others.items():
-        for stack in (Stepper, run_stack):
-            with pytest.raises(ConfigError, match=f"share {name}"):
-                stack([base, other])
-    with pytest.raises(ConfigError, match="at least one run"):
-        run_stack([])
+    cfg = SimConfig(data=gaussian_pair(g, 0.8), p=1.71, dt=0.02, t_max=1.0)
+    coarse = Stepper(cfg)
+    fine = Stepper(dataclasses.replace(cfg, dt=0.01))
+    coarse.start()
+    fine.start()
+    for _ in range(6):
+        got, want = coarse.advance(1), fine.advance()
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_lifespan_agrees_with_converged_richardson():
+    # a small 1D power-profile member: the adapted run at dt against
+    # Richardson of two fixed runs at dt/4 and dt/8
+    g = Grid(1, 512, 64.0)
+    cfg = SimConfig(data=assemble_pair(power_profile(g, 1.0), 1.0), p=2.0, dt=1 / 32,
+                    t_max=200.0, record_every=10**6)
+    res = measure_lifespan(cfg)
+    t4 = run(dataclasses.replace(cfg, dt=cfg.dt / 4)).t_blowup
+    t8 = run(dataclasses.replace(cfg, dt=cfg.dt / 8)).t_blowup
+    converged = (4.0 * t8 - t4) / 3.0
+    assert not res.censored
+    assert abs(res.t_blowup - converged) <= res.error
 
 
 def test_run_neither_aliases_data_nor_snapshots():
@@ -382,8 +374,8 @@ def test_run_neither_aliases_data_nor_snapshots():
     assert np.array_equal(pair.u0.coeffs, u0)
     assert np.array_equal(pair.u1.coeffs, u1)
     assert all(not np.array_equal(a, b) for a, b in zip(snaps, snaps[1:]))
-    stepper = Stepper([cfg])
-    hand = [stepper.start()[2][0].copy()] + [stepper.advance()[2][0].copy() for _ in range(10)]
+    stepper = Stepper(cfg)
+    hand = [stepper.start()[2].copy()] + [stepper.advance()[2].copy() for _ in range(10)]
     assert np.array_equal(snaps, np.stack(hand))
 
 
@@ -402,9 +394,9 @@ def test_recording_cadence():
 
 def _hand_fields(cfg: SimConfig, steps: int) -> np.ndarray:
     """u_phys of steps 0 .. steps - 1, each copied by hand."""
-    stepper = Stepper([cfg])
-    return np.stack([stepper.start()[2][0].copy()]
-                    + [stepper.advance()[2][0].copy() for _ in range(steps - 1)])
+    stepper = Stepper(cfg)
+    return np.stack([stepper.start()[2].copy()]
+                    + [stepper.advance()[2].copy() for _ in range(steps - 1)])
 
 
 def test_off_cadence_last_snapshot_is_kept():

@@ -93,8 +93,8 @@ EXTRA = {
                                       "p": 2.0, "eps_values": [1.0, 0.25, 2.0, 0.5],
                                       "dt": 0.03125, "t_cap": 30.0,
                                       "check": {"min_uncensored": 3}}}],
-    # a 2D ladder: each member's dt and dt/2 runs step as one stack through
-    # the per-axis transforms; the eps 0.03 member outlives t_cap
+    # a 2D ladder: each member steps one adapted run through the per-axis
+    # transforms; the eps 0.03 member outlives t_cap
     "lifespan2d": [{"command": "lifespan", "args": ["--check"],
                     "config": {"grid": {"dim": 2, "size": 64, "half_length": 64.0},
                                "profile": {"family": "power", "gamma": 1.0},
