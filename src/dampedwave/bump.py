@@ -38,6 +38,9 @@ __all__ = [
 # support detection threshold, relative to the max sample
 _SUPPORT_RTOL = 1e-300
 
+# relative violation of a bump condition that certification allows
+CERTIFY_TOL = 1e-8
+
 # the 48-point Gauss-Legendre rule gauss_panels maps, built once at
 # import: a leggauss call goes through LAPACK, whose BLAS threads then
 # spin for about 0.1 s of CPU, so the panels need no call at run time
@@ -173,7 +176,7 @@ def _ray_directions(dim: int) -> np.ndarray:
 
 
 def check_conditions(
-    bump: BumpFunction, tol: float = 1e-8, ray_points: int = 80
+    bump: BumpFunction, tol: float = CERTIFY_TOL, ray_points: int = 80
 ) -> ConditionReport:
     """Verify the three hypotheses the test-function estimates rely on.
 
@@ -262,7 +265,7 @@ def _radial_fit(dim: int) -> tuple:
 
     b is even in r, so a series in rho = r^2 has no odd part to get wrong
     and never divides by r.  The fit is sampled for b >= 0 and
-    b' = 2 r g' <= 0 within bump-check's relative tol 1e-8; b's transform
+    b' = 2 r g' <= 0 within the relative CERTIFY_TOL; b's transform
     is (2 pi)^(n/2) mhat^2 >= 0 by construction.
     """
     g = np.polynomial.Chebyshev.interpolate(
@@ -273,7 +276,7 @@ def _radial_fit(dim: int) -> tuple:
     vals, slope = g(rho), g.deriv()(rho)
     neg = max(0.0, -float(vals.min())) / float(vals[0])
     rise = max(0.0, float(slope.max())) / float(np.abs(slope).max())
-    report = ConditionReport(neg <= 1e-8, True, rise <= 1e-8, neg, 0.0, rise)
+    report = ConditionReport(neg <= CERTIFY_TOL, True, rise <= CERTIFY_TOL, neg, 0.0, rise)
     if not report.passed:
         raise NumericalError(f"the {dim}D radial bump table fails certification: {report}")
     return g, report

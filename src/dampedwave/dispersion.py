@@ -32,18 +32,21 @@ def khat_kprime(t: float, xi2) -> tuple[np.ndarray, np.ndarray]:
     return accel.khat_kprime(float(t), np.asarray(xi2, dtype=np.float64))
 
 
+def _one_of(which: int, t: float, xi2):
+    """khat_kprime(t, xi2)[which]; scalar in, scalar out."""
+    scalar = np.isscalar(xi2)
+    out = khat_kprime(t, np.atleast_1d(np.asarray(xi2, dtype=np.float64)))[which]
+    return float(out[0]) if scalar else out.reshape(np.shape(xi2))
+
+
 def khat(t: float, xi2):
     """K multiplier at time t; scalar in, scalar out."""
-    scalar = np.isscalar(xi2)
-    kh, _ = khat_kprime(t, np.atleast_1d(np.asarray(xi2, dtype=np.float64)))
-    return float(kh[0]) if scalar else kh.reshape(np.shape(xi2))
+    return _one_of(0, t, xi2)
 
 
 def kprimehat(t: float, xi2):
     """d_t K multiplier at time t; scalar in, scalar out."""
-    scalar = np.isscalar(xi2)
-    _, kp = khat_kprime(t, np.atleast_1d(np.asarray(xi2, dtype=np.float64)))
-    return float(kp[0]) if scalar else kp.reshape(np.shape(xi2))
+    return _one_of(1, t, xi2)
 
 
 def propagate_linear(

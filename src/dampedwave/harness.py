@@ -30,7 +30,7 @@ import numpy as np
 
 from . import exponents, testfunc
 from .bump import check_conditions, mollifier_samples, power as bump_power
-from .bump import RadialBump, required_power, self_convolve
+from .bump import CERTIFY_TOL, RadialBump, required_power, self_convolve
 from .dispersion import propagate_linear
 from .errors import ConfigError
 from .grid import Grid, SpectralField, forward_transform
@@ -42,6 +42,7 @@ from .profiles import (
     log_profile,
     power_profile,
 )
+from .solver import DEALIAS, HS_ORDER, NORM_POLICY
 from .solver import SimConfig, check_start, measure_lifespan, run
 
 __all__ = [
@@ -212,7 +213,7 @@ def build_profile(grid: Grid, cfg: dict) -> tuple[SpectralField, dict]:
 
 def build_pair(grid: Grid, profile_cfg: dict, eps: float) -> tuple[DataPair, dict]:
     fld, resolved = build_profile(grid, profile_cfg)
-    return assemble_pair(fld, eps, family=resolved["family"]), resolved
+    return assemble_pair(fld, eps), resolved
 
 
 # ---------------------------------------------------------------------
@@ -292,13 +293,6 @@ def _axis(cfg) -> dict:
     return a
 
 
-def _weight_gamma(c: dict, profile: dict) -> float:
-    """The norm weight: c's weight_gamma, else the profile's gamma, else 0.5."""
-    if c["weight_gamma"] is not None:
-        return c["weight_gamma"]
-    return float(profile.get("gamma", 0.5))
-
-
 def run_decay(cfg: dict) -> dict:
     """Norm decay of the linear flow from a low-frequency profile.
 
@@ -308,17 +302,16 @@ def run_decay(cfg: dict) -> dict:
     """
     c = _take(cfg, "decay config", {
         "grid": (None, _REQUIRED), "profile": (None, _REQUIRED),
-        "times": (_ladder_times, _REQUIRED), "s": (_real, 1.0), "weight_gamma": (_real, None),
-        "policy": (None, "exclude"), "check": (None, None),
+        "times": (_ladder_times, _REQUIRED), "s": (_real, 1.0), "check": (None, None),
     })
     cc = _check(c, "decay check", {"l2_tol": (_real, 0.05), "seminorm_tol": (_real, 0.1)})
     grid = build_grid(c["grid"])
     profile, prof_resolved = build_profile(grid, c["profile"])
     times = c["times"]
     s = c["s"]
-    gamma = _weight_gamma(c, prof_resolved)
+    gamma = float(prof_resolved.get("gamma", 0.5))
     echo = _echo("decay", c, grid=dataclasses.asdict(grid), profile=prof_resolved,
-                 weight_gamma=gamma)
+                 weight_gamma=gamma, policy=NORM_POLICY)
 
     rows = []
     for t in times:
@@ -329,7 +322,7 @@ def run_decay(cfg: dict) -> dict:
                 "l2": lp_norm(uh, 2.0),
                 "linf": lp_norm(uh, math.inf),
                 "hs": hs_norm(uh, s),
-                "hdotneg": hdotneg_norm(uh, gamma, c["policy"]),
+                "hdotneg": hdotneg_norm(uh, gamma, NORM_POLICY),
                 "seminorm": seminorm_hs(uh, s),
             }
         )
@@ -375,9 +368,10 @@ def run_decay(cfg: dict) -> dict:
 def run_lifespan(cfg: dict) -> dict:
     """Blow-up time versus data amplitude, with power-law fit.
 
-    Runs the full nonlinear solver for each eps at two step sizes and
-    extrapolates the threshold-crossing time.  Censored rows (survived the
-    horizon) are excluded from the fit and reported.  The members run in
+    Measures each eps's threshold-crossing time with one run of the full
+    nonlinear solver, whose step halves as max|u| grows (see
+    solver.measure_lifespan).  Censored rows (survived the horizon) are
+    excluded from the fit and reported.  The members run in
     one spawned worker process per CPU this process may use, at most one
     per member; inside a pool worker they run one after another.  Every
     member's data passes the solver's step-0 gate here, before any member
@@ -387,7 +381,7 @@ def run_lifespan(cfg: dict) -> dict:
         "grid": (None, _REQUIRED), "profile": (None, _REQUIRED), "p": (_real, _REQUIRED),
         "eps_values": (_floats, _REQUIRED), "dt": (_real, _REQUIRED),
         "t_cap": (_real, _REQUIRED), "blowup_threshold": (_real, 1e6),
-        "dealias": (_flag, True), "check": (None, None),
+        "check": (None, None),
     })
     cc = _check(c, "lifespan check", {
         "rel_tol": (_real, None), "max_slope": (_real, None), "min_uncensored": (_int, 3),
@@ -411,14 +405,14 @@ def run_lifespan(cfg: dict) -> dict:
         raise ConfigError(
             "rel_tol check needs a profile gamma and a predicted lifespan exponent"
         )
-    echo = _echo("lifespan", c, grid=dataclasses.asdict(grid), profile=prof_resolved)
+    echo = _echo("lifespan", c, grid=dataclasses.asdict(grid), profile=prof_resolved,
+                 dealias=DEALIAS)
 
     # smallest amplitude first: it lives longest, so it starts at once
     ladder = sorted(eps_values)
     sims = [
-        SimConfig(data=assemble_pair(profile, eps, family=prof_resolved["family"]),
-                  p=p, dt=c["dt"], t_max=c["t_cap"],
-                  blowup_threshold=c["blowup_threshold"], dealias=c["dealias"])
+        SimConfig(data=assemble_pair(profile, eps), p=p, dt=c["dt"], t_max=c["t_cap"],
+                  blowup_threshold=c["blowup_threshold"])
         for eps in ladder
     ]
     check_start(sims)
@@ -467,25 +461,21 @@ def run_simulate(cfg: dict) -> dict:
     c = _take(cfg, "simulate config", {
         "grid": (None, _REQUIRED), "profile": (None, _REQUIRED), "eps": (_real, _REQUIRED),
         "p": (_real, _REQUIRED), "dt": (_real, _REQUIRED), "t_max": (_real, _REQUIRED),
-        "blowup_threshold": (_real, 1e6), "dealias": (_flag, True),
-        "nonlinear": (_flag, True), "record_every": (_int, 1),
-        "record_fields_every": (_int, 0), "s": (_real, 1.0), "weight_gamma": (_real, None),
-        "policy": (None, "exclude"), "check": (None, None),
+        "blowup_threshold": (_real, 1e6), "nonlinear": (_flag, True),
+        "record_every": (_int, 1), "record_fields_every": (_int, 0), "check": (None, None),
     })
     cc = _check(c, "simulate check", {
         "expect_outcome": (_outcome, None), "l2_decreasing_factor": (_real, None),
     })
     grid = build_grid(c["grid"])
     pair, prof_resolved = build_pair(grid, c["profile"], c["eps"])
-    gamma = _weight_gamma(c, prof_resolved)
+    gamma = float(prof_resolved.get("gamma", 0.5))
     # the keys that are SimConfig fields of the same name
-    sim_keys = ("p", "dt", "t_max", "blowup_threshold", "dealias", "nonlinear",
-                "record_every", "record_fields_every", "s")
-    sim = SimConfig(
-        data=pair, gamma=gamma, norm_policy=c["policy"], **{k: c[k] for k in sim_keys}
-    )
+    sim_keys = ("p", "dt", "t_max", "blowup_threshold", "nonlinear",
+                "record_every", "record_fields_every")
+    sim = SimConfig(data=pair, gamma=gamma, **{k: c[k] for k in sim_keys})
     echo = _echo("simulate", c, grid=dataclasses.asdict(grid), profile=prof_resolved,
-                 weight_gamma=gamma)
+                 dealias=DEALIAS, s=HS_ORDER, weight_gamma=gamma, policy=NORM_POLICY)
 
     traj = run(sim)
     rows = [
@@ -602,16 +592,15 @@ def run_bump_check(cfg: dict) -> dict:
     c = _take(cfg, "bump-check config", {
         "grid": (None, _BUMP_GRID),
         "exponents": (lambda ls: [_int(l) for l in ls], [3, 5, 7]),
-        "tol": (_real, 1e-8), "shifted_center": (_real, None),
+        "shifted_center": (_real, None),
     })
     if not c["exponents"]:
         raise ConfigError("bump-check config: 'exponents' must not be empty")
     grid = build_grid(c["grid"])
-    tol = c["tol"]
     exps = c["exponents"]
 
     base = self_convolve(grid)
-    rep = check_conditions(base, tol=tol)
+    rep = check_conditions(base)
     vol = grid.dx**grid.dim
     refold = forward_transform(grid, base.samples)
     transform_residual = float(np.max(np.abs(refold.coeffs - base.coeffs.coeffs)))
@@ -637,7 +626,7 @@ def run_bump_check(cfg: dict) -> dict:
 
     if c["shifted_center"] is not None:
         shifted = self_convolve(grid, mollifier_samples(grid, c["shifted_center"]))
-        srep = check_conditions(shifted, tol=tol)
+        srep = check_conditions(shifted)
         summary["shifted"] = {
             "monotone_ok": srep.monotone_ok,
             "worst_monotone": srep.worst_monotone,
@@ -649,7 +638,7 @@ def run_bump_check(cfg: dict) -> dict:
         f"nonneg={rep.nonneg_ok} fourier={rep.fourier_ok} monotone={rep.monotone_ok} "
         f"transform_residual={transform_residual:.3e}"
     ]
-    echo = _echo("bump-check", c, grid=dataclasses.asdict(grid))
+    echo = _echo("bump-check", c, grid=dataclasses.asdict(grid), tol=CERTIFY_TOL)
     return _result("bump-check", echo, rows, summary, check, lines=lines)
 
 
@@ -657,7 +646,6 @@ def run_testfunc(cfg: dict) -> dict:
     """Evaluate the weak-solution inequalities on stored fields."""
     c = _take(cfg, "testfunc config", {
         "fields": (str, _REQUIRED), "R_values": (_floats, [2.0, 4.0, 8.0]),
-        "exponent": (_int, None),
         "time_points": (_int, 513), "check": (None, None),
     })
     cc = _check(c, "testfunc check", {
@@ -672,7 +660,7 @@ def run_testfunc(cfg: dict) -> dict:
     data = _load_fields(c["fields"])
     grid: Grid = data["grid"]
     p = data["p"]
-    l = c["exponent"] if c["exponent"] is not None else required_power(p)
+    l = required_power(p)
     echo = _echo("testfunc", c, exponent=l)
 
     bump = bump_power(RadialBump(grid.dim), l)
@@ -722,7 +710,7 @@ def _load_fields(path: str) -> dict:
             grid = Grid(int(z["dim"]), int(z["size"]), float(z["half_length"]))
             u0 = SpectralField(grid, np.ascontiguousarray(z["u0_coeffs"]))
             u1 = SpectralField(grid, np.ascontiguousarray(z["u1_coeffs"]))
-            pair = DataPair(u0=u0, u1=u1, eps=float(z["eps"]), family="stored")
+            pair = DataPair(u0=u0, u1=u1, eps=float(z["eps"]))
             times = np.asarray(z["times"], dtype=np.float64)
             snapshots = np.asarray(z["snapshots"])
             if snapshots.shape[1:] != grid.shape:

@@ -117,7 +117,6 @@ class DataPair:
     u0: SpectralField
     u1: SpectralField
     eps: float
-    family: str
 
     def __post_init__(self) -> None:
         for name in ("u0", "u1"):
@@ -133,9 +132,7 @@ class DataPair:
                 )
 
 
-def assemble_pair(
-    field: SpectralField, eps: float, family: str = "custom"
-) -> DataPair:
+def assemble_pair(field: SpectralField, eps: float) -> DataPair:
     """Use one profile as both displacement and velocity shape.
 
     Validates that the transformed sum u0hat + u1hat is real and
@@ -153,4 +150,4 @@ def assemble_pair(
         raise ConfigError(
             "u0hat + u1hat must be real and nonnegative for this data family"
         )
-    return DataPair(u0=field, u1=field.copy(), eps=eps, family=family)
+    return DataPair(u0=field, u1=field.copy(), eps=eps)

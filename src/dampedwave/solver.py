@@ -59,6 +59,12 @@ _BOUNDARY_RTOL = 1e-8
 _STEP_FRACTION = 0.25
 _MAX_LEVEL = 20
 
+# each step's 2/3-rule dealiasing, and the H^s order and zero-mode policy of
+# the norms run() records; the runners' config echoes read them from here
+DEALIAS = True
+HS_ORDER = 1.0
+NORM_POLICY = "exclude"
+
 # a state that overflows is a handled outcome (blow-up, or an error at step
 # 0), so the arithmetic that reaches it stays quiet
 _QUIET = {"over": "ignore", "invalid": "ignore"}
@@ -68,9 +74,9 @@ _QUIET = {"over": "ignore", "invalid": "ignore"}
 class SimConfig:
     """Everything a simulation run needs besides the clock.
 
-    Norm parameters (s, gamma, norm_policy) only affect what the trajectory
-    records, not the dynamics.  record_fields_every = 0 disables physical
-    snapshots.
+    gamma, the order of the recorded negative norm, only affects what the
+    trajectory records, not the dynamics.  record_fields_every = 0 disables
+    physical snapshots.
     """
 
     data: DataPair
@@ -78,13 +84,10 @@ class SimConfig:
     dt: float
     t_max: float
     blowup_threshold: float = 1e6
-    dealias: bool = True
     nonlinear: bool = True
     record_every: int = 1
     record_fields_every: int = 0
-    s: float = 1.0
     gamma: float = 0.5
-    norm_policy: str = "exclude"
 
     def __post_init__(self) -> None:
         g = self.grid
@@ -158,9 +161,7 @@ class Stepper:
         self._levels: dict[int, tuple] = {}
         kh = self._level(0)[0]
         self.inv_factor = grid.phase / grid.transform_scale
-        self.fwd_factor = grid.phase * grid.transform_scale
-        if config.dealias:
-            self.fwd_factor = self.fwd_factor * grid.dealias_mask
+        self.fwd_factor = grid.phase * grid.transform_scale * grid.dealias_mask
         # linear runs keep both nl buffers at zero
         self.uhat, self.vhat, self.nl_hat, self._nl_next, self._pv, self._spec_work = (
             np.zeros(kh.shape, dtype=np.complex128) for _ in range(6)
@@ -316,8 +317,8 @@ def run(config: SimConfig) -> Trajectory:
             if t_blowup is not None or n % config.record_every == 0 or n == n_steps:
                 fld = SpectralField(g, uhat)
                 l2 = math.sqrt(np.sum(u_phys * u_phys) * vol)
-                hneg = hdotneg_norm(fld, config.gamma, config.norm_policy)
-                rows.append((t, l2, top, hs_norm(fld, config.s), hneg))
+                hneg = hdotneg_norm(fld, config.gamma, NORM_POLICY)
+                rows.append((t, l2, top, hs_norm(fld, HS_ORDER), hneg))
                 if top > 0.0:
                     ratio = float(np.max(np.abs(u_phys[bmask]))) / top
                     boundary_ratio = max(boundary_ratio, ratio)

@@ -197,7 +197,7 @@ def _row_sums(snapshots: np.ndarray, weight: np.ndarray, p: float | None = None)
     return out
 
 
-def _check_fields(times: np.ndarray, snapshots: np.ndarray, pair: TestPair) -> None:
+def _check_fields(times: np.ndarray, snapshots: np.ndarray, grid: Grid, pair: TestPair) -> None:
     if times.ndim != 1 or snapshots.shape[0] != times.size:
         raise ConfigError("snapshots must stack one field per time")
     if times[-1] < pair.R**2 * (1.0 - 1e-9):
@@ -205,6 +205,14 @@ def _check_fields(times: np.ndarray, snapshots: np.ndarray, pair: TestPair) -> N
             f"fields end at t = {times[-1]:.6g}, before the cutoff window "
             f"closes at R^2 = {pair.R ** 2:.6g}"
         )
+    if snapshots.shape[1:] != grid.shape:
+        raise ConfigError("snapshot shape does not match grid")
+
+
+def _i_value(times, snapshots, grid: Grid, p: float, phi_r, eta) -> float:
+    """I(R) from checked fields, phi_R's samples and eta_R at times."""
+    spatial = _row_sums(snapshots, phi_r, p) * grid.dx**grid.dim
+    return float(np.trapezoid(spatial * eta, times))
 
 
 def i_of_r(
@@ -221,14 +229,11 @@ def i_of_r(
     quadrature is a Riemann sum in space, trapezoid in time.
     """
     times = np.asarray(times, dtype=np.float64)
-    _check_fields(times, snapshots, pair)
-    if snapshots.shape[1:] != grid.shape:
-        raise ConfigError("snapshot shape does not match grid")
+    _check_fields(times, snapshots, grid, pair)
     if factors is None:
         factors = spatial_factors(pair, grid)
-    spatial = _row_sums(snapshots, factors.phi_r, p) * grid.dx**grid.dim
-    eta_vals = cutoff(times / pair.R**2, pair.exponent)[0]
-    return float(np.trapezoid(spatial * eta_vals, times))
+    eta = cutoff(times / pair.R**2, pair.exponent)[0]
+    return _i_value(times, snapshots, grid, p, factors.phi_r, eta)
 
 
 def pairing(
@@ -394,7 +399,7 @@ def check_bounds(
     quadrature up to R^2.
     """
     times = np.asarray(times, dtype=np.float64)
-    _check_fields(times, snapshots, pair)
+    _check_fields(times, snapshots, grid, pair)
     if weight.exponent != pair.exponent:
         raise ConfigError("weight constant was computed for a different exponent")
     pprime = p / (p - 1.0)
@@ -405,7 +410,8 @@ def check_bounds(
     times, snapshots = times[:stop], snapshots[:stop]
 
     factors = spatial_factors(pair, grid)
-    ival = i_of_r(times, snapshots, grid, p, pair, factors)
+    eta, etap, etas = cutoff(times / R**2, pair.exponent)
+    ival = _i_value(times, snapshots, grid, p, factors.phi_r, eta)
     pair_val = pairing(data, pair, factors)
     data_term = -data.eps * pair_val
 
@@ -416,7 +422,6 @@ def check_bounds(
     absorbed_rhs = pprime * data_term + W * R ** (n + 2.0 - 2.0 * pprime)
 
     # exact identity defect: I - (-eps P) - iint u Op(phi_R eta_R)
-    eta, etap, etas = cutoff(times / R**2, pair.exponent)
     vol = grid.dx**grid.dim
     u_phi = _row_sums(snapshots, factors.phi_r) * vol
     u_lap = _row_sums(snapshots, factors.lap_phi_r) * vol

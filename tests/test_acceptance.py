@@ -103,7 +103,7 @@ def test_c03_ode_oracle_and_convergence_order(p, horizon):
     g = Grid(1, 8, 4.0)
     u0c = forward_transform(g, np.full(g.shape, 1.0))
     u1c = forward_transform(g, np.full(g.shape, 0.5))
-    pair = DataPair(u0=u0c, u1=u1c, eps=1.0, family="constant")
+    pair = DataPair(u0=u0c, u1=u1c, eps=1.0)
 
     def rhs(t, y):
         return [y[1], -y[1] + abs(y[0]) ** p]

@@ -517,6 +517,15 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
         ("simulate", simulate, {"check": {"l2_decreasing_factor": "x"}}, "l2_decreasing_factor"),
         ("simulate", simulate, {"dealias": "no"}, "dealias"),
         ("simulate", simulate, {"nonlinear": 0}, "nonlinear"),
+        # settings every run shares are not config keys: setting one is an
+        # unknown key, even to the value the run uses
+        ("simulate", _TINY["simulate"], {"s": 1.0}, "s"),
+        ("simulate", _TINY["simulate"], {"weight_gamma": 0.5}, "weight_gamma"),
+        ("simulate", _TINY["simulate"], {"policy": "exclude"}, "policy"),
+        ("decay", _TINY["decay"], {"weight_gamma": 0.5}, "weight_gamma"),
+        ("decay", _TINY["decay"], {"policy": "exclude"}, "policy"),
+        ("testfunc", {"fields": str(tmp_path / "none.npz")}, {"exponent": 5}, "exponent"),
+        ("bump-check", {}, {"tol": 1e-8}, "tol"),
         # integer keys reject non-integral values instead of truncating them
         ("simulate", simulate, {"grid": {**grid, "dim": 1.7}}, "dim"),
         ("simulate", simulate, {"record_every": 1.9}, "record_every"),

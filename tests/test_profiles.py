@@ -109,9 +109,8 @@ def test_laplacian_gaussian_guards():
 def test_assemble_pair_basics():
     g = Grid(1, 512, 100.0)
     fld = power_profile(g, 0.4)
-    pair = assemble_pair(fld, 0.25, family="power")
+    pair = assemble_pair(fld, 0.25)
     assert pair.eps == 0.25
-    assert pair.family == "power"
     assert pair.u0 is fld
     assert pair.u1 is not fld
     assert np.array_equal(pair.u0.coeffs, pair.u1.coeffs)
@@ -155,8 +154,8 @@ def test_data_pair_rejects_coefficients_of_no_real_field():
                 *(SpectralField(Grid(1, 64, 8.0), c) for c in infs)):
         for u0, u1 in ((bad, real), (real, bad)):
             with pytest.raises(ConfigError, match="u0" if u0 is bad else "u1"):
-                DataPair(u0=u0, u1=u1, eps=0.1, family="custom")
-    DataPair(u0=real, u1=real, eps=0.1, family="custom")
+                DataPair(u0=u0, u1=u1, eps=0.1)
+    DataPair(u0=real, u1=real, eps=0.1)
 
 
 def test_physical_data_is_real_and_even():

@@ -26,7 +26,7 @@ def constant_pair(grid: Grid, c0: float, c1: float, eps: float = 1.0) -> DataPai
     """Spatially constant data; the PDE collapses to u'' + u' = |u|^p."""
     u0 = forward_transform(grid, np.full(grid.shape, c0))
     u1 = forward_transform(grid, np.full(grid.shape, c1))
-    return DataPair(u0=u0, u1=u1, eps=eps, family="constant")
+    return DataPair(u0=u0, u1=u1, eps=eps)
 
 
 def gaussian_pair(grid: Grid, eps: float) -> DataPair:
@@ -450,7 +450,7 @@ def test_boundary_monitor():
     assert not traj.boundary_flagged
     # periodization makes this spectrum dip negative, so bypass assemble_pair
     wide_field = forward_transform(g, np.exp(-((g.x_axis / 4.0) ** 2)))
-    wide_pair = DataPair(u0=wide_field, u1=wide_field, eps=1.0, family="wide")
+    wide_pair = DataPair(u0=wide_field, u1=wide_field, eps=1.0)
     wide = SimConfig(data=wide_pair, p=2.0, dt=0.02, t_max=0.1, nonlinear=False)
     traj = run(wide)
     assert traj.boundary_flagged
@@ -528,7 +528,7 @@ def test_linear_overflow_raises_numerical_error():
     g = Grid(1, 8, 4.0)
     # finite data whose u + v overflows in the first step's combine
     u0 = forward_transform(g, np.full(g.shape, 2e307))
-    pair = DataPair(u0=u0, u1=SpectralField(g, 2.5 * u0.coeffs), eps=1.0, family="huge")
+    pair = DataPair(u0=u0, u1=SpectralField(g, 2.5 * u0.coeffs), eps=1.0)
     cfg = SimConfig(
         data=pair, p=2.0, dt=0.01, t_max=1.0, nonlinear=False,
         blowup_threshold=math.inf,
