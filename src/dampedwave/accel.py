@@ -79,9 +79,10 @@ def khat_kprime(t: float, xi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def abs_pow(u: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
     """|u|^p elementwise for real u, written into out and returned."""
-    a = np.abs(u, out=out)
     if p == 2.0:
-        return np.multiply(a, a, out=a)
+        # u u is |u| |u| bit for bit: rounding ignores the signs
+        return np.multiply(u, u, out=out)
+    a = np.abs(u, out=out)
     if p == 3.0:
         # (|u| u) u: the signs cancel, and rounding ignores them, so this is
         # |u| |u| |u| bit for bit without a second buffer

@@ -175,25 +175,23 @@ def _ray_directions(dim: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def check_conditions(
-    bump: BumpFunction, tol: float = CERTIFY_TOL, ray_points: int = 80
-) -> ConditionReport:
+def check_conditions(bump: BumpFunction) -> ConditionReport:
     """Verify the three hypotheses the test-function estimates rely on.
 
     (i)  base >= 0 pointwise,
     (ii) its transform is real and >= 0,
     (iii) R -> base(R x) is non-increasing in R > 0 for every x, checked
-         along axis and diagonal rays by trig interpolation.
+         at 80 radii along axis and diagonal rays by trig interpolation.
 
     Violations are measured relative to the max of the base (or of the
-    transform); anything beyond tol fails.
+    transform); anything beyond CERTIFY_TOL fails.
     """
     top = float(np.max(bump.samples))
     if top <= 0.0:
         raise ConfigError("bump has no positive part")
 
     worst_neg = max(0.0, -float(np.min(bump.samples)) / top)
-    nonneg_ok = worst_neg <= tol
+    nonneg_ok = worst_neg <= CERTIFY_TOL
 
     c = bump.coeffs.coeffs
     ctop = float(np.max(np.abs(c)))
@@ -201,18 +199,18 @@ def check_conditions(
         float(np.max(np.abs(c.imag))) / ctop,
         max(0.0, -float(np.min(c.real)) / ctop),
     )
-    fourier_ok = worst_f <= tol
+    fourier_ok = worst_f <= CERTIFY_TOL
 
     g = bump.grid
     reach = min(2.0 * _support_half_width(g, bump.seed) + 3.0 * g.dx, g.half_length)
-    radii = np.linspace(0.0, reach, ray_points + 1)[1:]
+    radii = np.linspace(0.0, reach, 81)[1:]
     worst_m = 0.0
     for direction in _ray_directions(g.dim):
         pts = radii[:, None] * direction[None, :]
         vals = evaluate_at(bump.coeffs, pts)
         rise = float(np.max(np.diff(vals)))
         worst_m = max(worst_m, rise / top)
-    monotone_ok = worst_m <= tol
+    monotone_ok = worst_m <= CERTIFY_TOL
 
     return ConditionReport(
         nonneg_ok=nonneg_ok,

@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
 import zipfile
 
@@ -372,8 +373,8 @@ def run_lifespan(cfg: dict) -> dict:
     nonlinear solver, whose step halves as max|u| grows (see
     solver.measure_lifespan).  Censored rows (survived the horizon) are
     excluded from the fit and reported.  The members run in
-    one spawned worker process per CPU this process may use, at most one
-    per member; inside a pool worker they run one after another.  Every
+    one worker process per CPU this process may use (see _map), at most
+    one per member; inside a pool worker they run one after another.  Every
     member's data passes the solver's step-0 gate here, before any member
     is stepped or any worker starts.
     """
@@ -740,13 +741,13 @@ def _load_fields(path: str) -> dict:
 
 
 def _map(fn, items: list, workers: int) -> list:
-    """[fn(item) for item in items], in up to `workers` spawned processes.
+    """[fn(item) for item in items], in up to `workers` worker processes.
 
     fn must be a module-level function and the items picklable.  With
     fewer than 2 workers, or fewer than 2 items, everything runs here.
-    Each worker starts from a fresh import; an exception raised in one is
-    raised here, after the pool has cancelled what had not started and
-    joined its processes.
+    Workers are forked on Linux and spawned elsewhere; an exception raised
+    in one is raised here, after the pool has cancelled what had not
+    started and joined its processes.
     """
     workers = min(workers, len(items))
     if workers < 2:
@@ -755,8 +756,9 @@ def _map(fn, items: list, workers: int) -> list:
     import concurrent.futures
     import multiprocessing
 
+    method = "fork" if sys.platform == "linux" else "spawn"
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        max_workers=workers, mp_context=multiprocessing.get_context(method)
     ) as ex:
         return list(ex.map(fn, items))
 
@@ -796,8 +798,8 @@ def run_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     """Run a list of named jobs, each into its own subdirectory.
 
     With threads > 1 the jobs run in up to that many worker processes
-    (spawned, so each starts from a fresh import); each worker writes its
-    job's outputs itself and sends back only the job's config hash and check.
+    (see _map); each worker writes its job's outputs itself and sends back
+    only the job's config hash and check.
     A ConfigError or NumericalError raised in a worker is raised here.
     """
     if threads < 1:

@@ -11,10 +11,10 @@ inverse and one real forward transform, made one axis at a time: in n
 dimensions that is n - 1 complex ifft calls and one irfft, then one rfft
 and n - 1 complex fft calls.  The Stepper owns its state and workspace:
 every combine and transform of a step writes into them in place, with
-the operand order of the out-of-place expressions.  Inside a step only
-NumPy's cast buffers for the real multipliers allocate.  Fields are real,
-and every spectral array here is the half-spectrum that SpectralField
-holds (last axis k = 0 .. N/2, as np.fft.rfftn returns it).
+the operand order of the out-of-place expressions.  Multipliers are held
+as complex128, so a step allocates nothing.  Fields are real, and every
+spectral array here is the half-spectrum that SpectralField holds (last
+axis k = 0 .. N/2, as np.fft.rfftn returns it).
 
 run() is one loop over steps of dt: step 0 is the eps-scaled data, and
 it goes through the same finiteness and threshold gate as every later
@@ -160,8 +160,8 @@ class Stepper:
         self.nonlinear = config.nonlinear
         self._levels: dict[int, tuple] = {}
         kh = self._level(0)[0]
-        self.inv_factor = grid.phase / grid.transform_scale
-        self.fwd_factor = grid.phase * grid.transform_scale * grid.dealias_mask
+        self.inv_factor = (grid.phase / grid.transform_scale).astype(complex)
+        self.fwd_factor = (grid.phase * grid.transform_scale * grid.dealias_mask).astype(complex)
         # linear runs keep both nl buffers at zero
         self.uhat, self.vhat, self.nl_hat, self._nl_next, self._pv, self._spec_work = (
             np.zeros(kh.shape, dtype=np.complex128) for _ in range(6)
@@ -176,7 +176,8 @@ class Stepper:
             h = self.dt / 2**level
             half = 0.5 * h
             kh, kp = khat_kprime(h, self.xi2)
-            mult = self._levels[level] = (kh, kp, self.xi2 * kh, half * kh, half)
+            arrays = (kh, kp, self.xi2 * kh, half * kh)
+            mult = self._levels[level] = (*(a.astype(complex) for a in arrays), half)
         return mult
 
     def _fill_physical_and_nl(self, nl_out: np.ndarray) -> None:

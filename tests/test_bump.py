@@ -28,14 +28,14 @@ def base():
 
 
 def test_base_passes_all_conditions(base):
-    rep = check_conditions(base, tol=1e-8)
+    rep = check_conditions(base)
     assert rep.nonneg_ok and rep.fourier_ok and rep.monotone_ok
     assert rep.passed
 
 
 def test_powers_pass_conditions(base):
     for l in (3, 5, 7):
-        rep = check_conditions(power(base, l), tol=1e-8)
+        rep = check_conditions(power(base, l))
         assert rep.passed, f"power {l}: {rep}"
 
 
@@ -71,7 +71,7 @@ def test_fourier_side_nonnegative(base):
 
 def test_shifted_seed_fails_certification():
     shifted = self_convolve(GRID, mollifier_samples(GRID, 0.8))
-    rep = check_conditions(shifted, tol=1e-8)
+    rep = check_conditions(shifted)
     assert not rep.passed
     assert not rep.fourier_ok
     assert not rep.monotone_ok
@@ -100,7 +100,7 @@ def test_required_power_values():
 
 def test_certification_in_two_dimensions():
     g = Grid(2, 256, 3.0)
-    rep = check_conditions(self_convolve(g), tol=1e-8)
+    rep = check_conditions(self_convolve(g))
     assert rep.passed
 
 

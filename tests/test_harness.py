@@ -339,6 +339,10 @@ def test_sweep_serial_and_threaded_agree(tmp_path):
             assert a == b, (job, ext)
 
 
+# the start method harness._map gives its pool
+_START = "fork" if sys.platform == "linux" else "spawn"
+
+
 def test_sweep_pool_size_and_serial_path(tmp_path, monkeypatch):
     import concurrent.futures
 
@@ -374,23 +378,23 @@ def test_sweep_pool_size_and_serial_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     r = harness.run_sweep(_sweep_cfg(), str(tmp_path / "wide"), threads=64)
-    assert built == [(2, "spawn")]
+    assert built == [(2, _START)]
     assert [row["name"] for row in r["rows"]] == ["j1", "j2"]
     harness.run_sweep(_sweep_cfg(), str(tmp_path / "serial"), threads=1)
-    assert built == [(2, "spawn")]
+    assert built == [(2, _START)]
 
     # a ladder: min(CPUs, members) workers, smallest eps submitted first
     built.clear()
     cpus = len(os.sched_getaffinity(0))
     r = harness.run_lifespan(ladder)
     assert r == serial
-    assert built == ([(min(cpus, 3), "spawn")] if cpus > 1 else [])
+    assert built == ([(min(cpus, 3), _START)] if cpus > 1 else [])
     for affinity, workers in (({0, 1}, 2), (set(range(8)), 3)):
         built.clear()
         submitted.clear()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, a=affinity: a)
         harness.run_lifespan(ladder)
-        assert built == [(workers, "spawn")]
+        assert built == [(workers, _START)]
         assert [sim.data.eps for sim in submitted[0]] == [1.0, 1.5, 2.0]
     # no pool on one CPU, nor inside a pool worker
     built.clear()
@@ -400,6 +404,27 @@ def test_sweep_pool_size_and_serial_path(tmp_path, monkeypatch):
     monkeypatch.setattr(multiprocessing, "parent_process", multiprocessing.current_process)
     harness.run_lifespan(ladder)
     assert built == []
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="spawned workers need a main guard")
+def test_pool_runs_from_a_script_without_a_main_guard(tmp_path, monkeypatch):
+    # forked workers do not re-import the script that started the pool
+    script = tmp_path / "ladder.py"
+    script.write_text(
+        "import json, os, sys\n"
+        "from dampedwave import harness\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "print(json.dumps(harness.run_lifespan(json.loads(sys.argv[1]))['rows']))\n"
+    )
+    ladder = _TINY["lifespan"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    out = subprocess.run(
+        [sys.executable, str(script), json.dumps(ladder)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert json.loads(out.stdout) == harness.run_lifespan(ladder)["rows"]
 
 
 def test_sweep_worker_config_error_exits_2(tmp_path, capsys):
