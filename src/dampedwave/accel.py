@@ -10,11 +10,14 @@ The dispersion multiplier is evaluated piecewise in D = 1/4 - |xi|^2:
 and the time derivative is kprimehat = -khat/2 + e^{-t/2} cosh(t sqrt(D))
 (cos in the oscillatory branch, even series in the window).  The shifted
 exponential form never overflows because sqrt(D) <= 1/2 on the real lattice.
+khat_kprime is the multiplier's one entry point, dispersion's as well.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ConfigError
 
 __all__ = ["DELTA", "khat_kprime", "abs_pow", "predict_combine", "correct_combine"]
 
@@ -27,8 +30,11 @@ def khat_kprime(t: float, xi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dispersion multiplier and its time derivative at time t >= 0.
 
     xi2 is an array of squared frequencies; returns float64 arrays of the
-    same shape.
+    same shape.  An integer t is taken as a float.
     """
+    if t < 0:
+        raise ConfigError(f"t must be >= 0, got {t}")
+    t = float(t)
     xi2 = np.ascontiguousarray(xi2, dtype=np.float64)
     D = 0.25 - xi2
     kh = np.empty_like(D)

@@ -66,7 +66,8 @@ def mollifier_samples(grid: Grid, center: float = 0.0) -> np.ndarray:
     center shifts every axis by the same amount; nonzero centers exist to
     exercise failure modes of the origin-symmetry checks.
     """
-    x = grid.x_axis - center
+    # |x| >= 1 on any axis is outside; clipping there keeps x * x finite
+    x = np.minimum(np.abs(grid.x_axis - center), 1.0)
     return _mollifier(grid.lattice(x * x, np.add))
 
 

@@ -11,25 +11,19 @@ data (f, g) is
 
 which is what propagate_linear computes.  Identities khat(0) = 0,
 kprimehat(0) = 1 and the mode equation hold to roundoff; |khat(t)| <= t
-everywhere.
+everywhere.  khat_kprime is accel.khat_kprime itself, the same function
+the solver steps with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import accel
+from .accel import khat_kprime
 from .errors import ConfigError
 from .grid import Grid, SpectralField
 
 __all__ = ["khat", "kprimehat", "khat_kprime", "propagate_linear"]
-
-
-def khat_kprime(t: float, xi2) -> tuple[np.ndarray, np.ndarray]:
-    """Multiplier and its time derivative on an array of squared frequencies."""
-    if t < 0:
-        raise ConfigError(f"t must be >= 0, got {t}")
-    return accel.khat_kprime(float(t), np.asarray(xi2, dtype=np.float64))
 
 
 def _one_of(which: int, t: float, xi2):

@@ -669,7 +669,7 @@ def run_testfunc(cfg: dict) -> dict:
     rows = [
         dataclasses.asdict(testfunc.check_bounds(
             data["times"], data["snapshots"], grid, data["pair"], p,
-            testfunc.TestPair(bump=bump, R=float(R)), weight,
+            bump, float(R), weight,
         ))
         for R in c["R_values"]
     ]

@@ -11,7 +11,8 @@ equation into an inequality between
 its p-th root, a data pairing, and a weighted integral of the test
 function alone.  Everything here is deterministic quadrature, and each
 weak-form quantity is computed once: cutoff gives eta, eta' and eta''
-from one evaluation of c, and check_bounds derives every reported number.
+from one evaluation of c, spatial_factors phi_R and Delta(phi_R) from
+one lookup, and check_bounds derives every reported number.
 
 Weighted integrands are evaluated in a factored form: with phi = B**l and
 eta = c**l the density is
@@ -40,11 +41,8 @@ from .profiles import DataPair
 
 __all__ = [
     "cutoff",
-    "TestPair",
-    "SpatialFactors",
     "spatial_factors",
     "row_blocks",
-    "i_of_r",
     "pairing",
     "WeightReport",
     "weight_constant",
@@ -120,22 +118,6 @@ def cutoff(tau: np.ndarray, exponent: int) -> tuple:
     return c**l, l * c ** (l - 1) * cp, second
 
 
-@dataclass(frozen=True)
-class TestPair:
-    """A powered radial bump dilated to radius 2R plus the matching time cutoff."""
-
-    bump: RadialBump
-    R: float
-
-    def __post_init__(self) -> None:
-        if not (self.R >= 1.0):
-            raise ConfigError(f"scale R must be >= 1, got {self.R}")
-
-    @property
-    def exponent(self) -> int:
-        return self.bump.exponent
-
-
 def _power_terms(bump: RadialBump, r: np.ndarray) -> tuple:
     """(B, D) at radii r, with Delta(B^l) = B^(l-2) D."""
     l = bump.exponent
@@ -143,38 +125,27 @@ def _power_terms(bump: RadialBump, r: np.ndarray) -> tuple:
     return B, l * (l - 1) * slope * slope + l * B * lap
 
 
-@dataclass
-class SpatialFactors:
-    """phi_R and its Laplacian sampled on a target grid.
+def spatial_factors(bump: RadialBump, R: float, grid: Grid) -> tuple:
+    """(phi_R, Delta(phi_R)) on grid's lattice, phi_R(x) = B(|x|/R)**l.
 
-    lap_phi_r contains the 1/R^2 dilation factor, i.e. it is Delta(phi_R)
-    itself.
+    Both are lookups in the bump's table at |x|/R, taken only inside the
+    support |x| < 2R; the Laplacian carries the 1/R^2 dilation factor.
     """
-
-    phi_r: np.ndarray
-    lap_phi_r: np.ndarray
-
-
-def spatial_factors(pair: TestPair, grid: Grid) -> SpatialFactors:
-    """Sample phi_R(x) = B(|x|/R)**l and Delta(phi_R) on grid's lattice.
-
-    Both are lookups in the radial bump's table at |x|/R, taken only
-    inside the support |x| < 2R.
-    """
-    l = pair.exponent
-    R = pair.R
+    if not (R >= 1.0):
+        raise ConfigError(f"scale R must be >= 1, got {R}")
+    l = bump.exponent
     if 2.0 * R > grid.half_length - 2.0 * grid.dx:
         raise ConfigError(
             f"dilated support radius 2R = {2 * R:.3g} does not fit the box "
             f"(L = {grid.half_length})"
         )
     inside = grid.x_abs < 2.0 * R
-    B, D = _power_terms(pair.bump, grid.x_abs[inside] / R)
+    B, D = _power_terms(bump, grid.x_abs[inside] / R)
     phi_r = np.zeros(grid.shape)
     lap_phi_r = np.zeros(grid.shape)
     phi_r[inside] = B**l
     lap_phi_r[inside] = B ** (l - 2) * D / (R * R)
-    return SpatialFactors(phi_r, lap_phi_r)
+    return phi_r, lap_phi_r
 
 
 def row_blocks(snapshots: np.ndarray):
@@ -197,57 +168,15 @@ def _row_sums(snapshots: np.ndarray, weight: np.ndarray, p: float | None = None)
     return out
 
 
-def _check_fields(times: np.ndarray, snapshots: np.ndarray, grid: Grid, pair: TestPair) -> None:
-    if times.ndim != 1 or snapshots.shape[0] != times.size:
-        raise ConfigError("snapshots must stack one field per time")
-    if times[-1] < pair.R**2 * (1.0 - 1e-9):
-        raise ConfigError(
-            f"fields end at t = {times[-1]:.6g}, before the cutoff window "
-            f"closes at R^2 = {pair.R ** 2:.6g}"
-        )
-    if snapshots.shape[1:] != grid.shape:
-        raise ConfigError("snapshot shape does not match grid")
-
-
-def _i_value(times, snapshots, grid: Grid, p: float, phi_r, eta) -> float:
-    """I(R) from checked fields, phi_R's samples and eta_R at times."""
-    spatial = _row_sums(snapshots, phi_r, p) * grid.dx**grid.dim
-    return float(np.trapezoid(spatial * eta, times))
-
-
-def i_of_r(
-    times: np.ndarray,
-    snapshots: np.ndarray,
-    grid: Grid,
-    p: float,
-    pair: TestPair,
-    factors: SpatialFactors | None = None,
-) -> float:
-    """I(R): space-time integral of |u|^p against phi_R eta_R.
-
-    times must reach R^2, where the cutoff has fully switched off;
-    quadrature is a Riemann sum in space, trapezoid in time.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    _check_fields(times, snapshots, grid, pair)
-    if factors is None:
-        factors = spatial_factors(pair, grid)
-    eta = cutoff(times / pair.R**2, pair.exponent)[0]
-    return _i_value(times, snapshots, grid, p, factors.phi_r, eta)
-
-
-def pairing(
-    data: DataPair, pair: TestPair, factors: SpatialFactors | None = None
-) -> float:
+def pairing(data: DataPair, phi_r: np.ndarray) -> float:
     """Data pairing integral (u0 + u1, phi_R) for the unit-amplitude profile.
 
-    Multiply by eps for the actual data term.
+    phi_r holds phi_R's samples on the data's grid; multiply by eps for
+    the actual data term.
     """
     g = data.u0.grid
-    if factors is None:
-        factors = spatial_factors(pair, g)
     total = data.u0.physical() + data.u1.physical()
-    return float((total * factors.phi_r).sum() * g.dx**g.dim)
+    return float((total * phi_r).sum() * g.dx**g.dim)
 
 
 # ---------------------------------------------------------------------
@@ -389,31 +318,39 @@ def check_bounds(
     grid: Grid,
     data: DataPair,
     p: float,
-    pair: TestPair,
+    bump: RadialBump,
+    R: float,
     weight: WeightReport,
 ) -> BoundReport:
     """Evaluate both weak-solution inequalities on recorded fields.
 
     snapshots must be the signed solution u of a run with amplitude
     data.eps and nonlinearity p, recorded densely enough for time
-    quadrature up to R^2.
+    quadrature up to R^2; phi_R is bump dilated to radius 2R.
     """
+    phi_r, lap_phi_r = spatial_factors(bump, R, grid)
     times = np.asarray(times, dtype=np.float64)
-    _check_fields(times, snapshots, grid, pair)
-    if weight.exponent != pair.exponent:
+    if times.ndim != 1 or snapshots.shape[0] != times.size:
+        raise ConfigError("snapshots must stack one field per time")
+    if times[-1] < R**2 * (1.0 - 1e-9):
+        raise ConfigError(
+            f"fields end at t = {times[-1]:.6g}, before the cutoff window "
+            f"closes at R^2 = {R ** 2:.6g}"
+        )
+    if snapshots.shape[1:] != grid.shape:
+        raise ConfigError("snapshot shape does not match grid")
+    if weight.exponent != bump.exponent:
         raise ConfigError("weight constant was computed for a different exponent")
     pprime = p / (p - 1.0)
     n = grid.dim
-    R = pair.R
     # eta(t/R^2) is 0 past R^2: keep the snapshots up to the first at or past it
     stop = int(np.searchsorted(times, R * R)) + 1
     times, snapshots = times[:stop], snapshots[:stop]
 
-    factors = spatial_factors(pair, grid)
-    eta, etap, etas = cutoff(times / R**2, pair.exponent)
-    ival = _i_value(times, snapshots, grid, p, factors.phi_r, eta)
-    pair_val = pairing(data, pair, factors)
-    data_term = -data.eps * pair_val
+    vol = grid.dx**grid.dim
+    eta, etap, etas = cutoff(times / R**2, bump.exponent)
+    ival = float(np.trapezoid(_row_sums(snapshots, phi_r, p) * vol * eta, times))
+    data_term = -data.eps * pairing(data, phi_r)
 
     W = weight.dominating
     holder_rhs = data_term + W ** (1.0 / pprime) * ival ** (1.0 / p) * R ** (
@@ -422,9 +359,8 @@ def check_bounds(
     absorbed_rhs = pprime * data_term + W * R ** (n + 2.0 - 2.0 * pprime)
 
     # exact identity defect: I - (-eps P) - iint u Op(phi_R eta_R)
-    vol = grid.dx**grid.dim
-    u_phi = _row_sums(snapshots, factors.phi_r) * vol
-    u_lap = _row_sums(snapshots, factors.lap_phi_r) * vol
+    u_phi = _row_sums(snapshots, phi_r) * vol
+    u_lap = _row_sums(snapshots, lap_phi_r) * vol
     op_series = u_phi * (etas / R**4 - etap / R**2) - u_lap * eta
     j_val = float(np.trapezoid(op_series, times))
     scale = max(abs(ival), abs(data_term), abs(j_val))

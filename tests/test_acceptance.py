@@ -379,7 +379,7 @@ def test_c12_weak_solution_bounds_on_recorded_fields(tmp_path):
     bump = power(RadialBump(1), 5)
     band = []
     for R in (4.0, 8.0, 16.0, 32.0):
-        val = testfunc.pairing(pair, testfunc.TestPair(bump=bump, R=R))
+        val = testfunc.pairing(pair, testfunc.spatial_factors(bump, R, g)[0])
         band.append(val / R**0.25)
     ratio = max(band) / min(band)
     el = time.perf_counter() - t0

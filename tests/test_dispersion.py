@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from dampedwave import accel
 from dampedwave.accel import DELTA
 from dampedwave.dispersion import khat, khat_kprime, kprimehat, propagate_linear
+from dampedwave.errors import ConfigError
 from dampedwave.grid import Grid, forward_transform
 
 # spot values computed from the closed forms with mpmath at 50 digits
@@ -110,6 +112,19 @@ def test_no_overflow_at_large_time():
     kh, kp = khat_kprime(5000.0, np.array([0.0, 0.2, 0.25, 0.3, 100.0]))
     assert np.all(np.isfinite(kh)) and np.all(np.isfinite(kp))
     assert kh[0] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_integer_time_matches_float_time_through_both_imports():
+    # the solver's and dispersion's multiplier are one function; xi2 = 1/4
+    # sits in the series window, which starts its sums from t itself
+    assert khat_kprime is accel.khat_kprime
+    xi2 = np.array([0.0, 0.2, 0.25, 0.25 + 0.5 * DELTA, 0.3, 100.0])
+    for fn in (khat_kprime, accel.khat_kprime):
+        for whole, real in zip(fn(3, xi2), fn(3.0, xi2)):
+            assert whole.dtype == np.float64
+            assert np.array_equal(whole, real)
+        with pytest.raises(ConfigError):
+            fn(-1, xi2)
 
 
 def test_propagate_identity_and_semigroup():

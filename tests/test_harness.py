@@ -797,6 +797,8 @@ _QUICK_LADDER = {
     # max|u|^((p-1)/2) would overflow a float
     pytest.param("lifespan", dict(_QUICK_LADDER, p=1e9, eps_values=[2.0, 4.0, 8.0]), 0,
                  id="p"),
+    # the shifted seed's |x - c|^2 would overflow before it is found empty
+    pytest.param("bump-check", {"shifted_center": 1e160}, 2, id="bump-center"),
 ])
 def test_cli_overflow_is_quiet(tmp_path, kind, cfg, code):
     # a fresh process, so NumPy's warnings reach its stderr as a user sees them

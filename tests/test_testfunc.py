@@ -13,20 +13,15 @@ from dampedwave.grid import Grid, forward_transform
 from dampedwave.profiles import assemble_pair
 from dampedwave.solver import SimConfig, run
 from dampedwave.testfunc import (
-    TestPair,
     _g,
     _g_mass,
     check_bounds,
     cutoff,
-    i_of_r,
     pairing,
     scaled_weight,
     spatial_factors,
     weight_constant,
 )
-
-# a library dataclass, not a test container
-TestPair.__test__ = False
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +61,8 @@ def test_cutoff_and_pair_validation(bump5):
     for bad in (0, 2.5):
         with pytest.raises(ConfigError):
             cutoff(np.array([0.7]), bad)
-    with pytest.raises(ConfigError):
-        TestPair(bump5, 0.5)
+    with pytest.raises(ConfigError, match="scale R must be >= 1"):
+        spatial_factors(bump5, 0.5, Grid(1, 64, 8.0))
 
 
 def test_weight_requires_integrable_surplus():
@@ -102,24 +97,24 @@ def test_scaled_weight_asymptotic_ratio(bump5):
 
 def test_spatial_factors_values_and_laplacian(bump5):
     g = Grid(1, 256, 16.0)
-    pair = TestPair(bump5, 2.0)
-    fac = spatial_factors(pair, g)
-    assert fac.phi_r.shape == g.shape
+    R = 2.0
+    phi_r, lap_phi_r = spatial_factors(bump5, R, g)
+    assert phi_r.shape == g.shape
     center = g.size // 2
     assert g.x_axis[center] == 0.0
     peak = float(bump5.at(np.zeros(1))[0][0]) ** 5
-    assert fac.phi_r[center] == pytest.approx(peak, rel=1e-10)
+    assert phi_r[center] == pytest.approx(peak, rel=1e-10)
     # support of phi_R sits inside |x| <= 2R
-    outside = np.abs(g.x_axis) > 2.0 * pair.R + 2.0 * g.dx
-    assert np.max(np.abs(fac.phi_r[outside])) < 1e-12 * peak
+    outside = np.abs(g.x_axis) > 2.0 * R + 2.0 * g.dx
+    assert np.max(np.abs(phi_r[outside])) < 1e-12 * peak
     # Laplacian factor agrees with the target grid's spectral Laplacian
     from dampedwave.grid import SpectralField
 
-    hat = forward_transform(g, fac.phi_r)
+    hat = forward_transform(g, phi_r)
     lap_grid = SpectralField(g, -g.xi2 * hat.coeffs).physical()
     scale = np.max(np.abs(lap_grid))
     # limited by the target grid resolving the clamped interpolant
-    assert np.max(np.abs(fac.lap_phi_r - lap_grid)) < 5e-4 * scale
+    assert np.max(np.abs(lap_phi_r - lap_grid)) < 5e-4 * scale
 
 
 @pytest.mark.parametrize("dim, size, half_length, R, tol", [
@@ -129,15 +124,14 @@ def test_spatial_factors_laplacian_matches_finite_differences(dim, size, half_le
     # Richardson-extrapolated central differences of phi_R on N and 2N
     # lattices over the same box are O(dx^4) from Delta(phi_R); the
     # uncorrected N-lattice difference is off by 4% (2D) and 15% (3D)
-    pair = TestPair(power(RadialBump(dim), 5), R)
+    bump = power(RadialBump(dim), 5)
 
     def laplacians(n):
         g = Grid(dim, n, half_length)
-        fac = spatial_factors(pair, g)
-        phi = fac.phi_r
+        phi, lap = spatial_factors(bump, R, g)
         fd = sum(np.roll(phi, 1, axis=a) - 2.0 * phi + np.roll(phi, -1, axis=a)
                  for a in range(dim)) / g.dx**2
-        return fac.lap_phi_r, fd
+        return lap, fd
 
     lap, fd = laplacians(size)
     _, fd_fine = laplacians(2 * size)
@@ -148,26 +142,31 @@ def test_spatial_factors_laplacian_matches_finite_differences(dim, size, half_le
 def test_spatial_factors_fit_guard(bump5):
     g = Grid(1, 64, 8.0)
     with pytest.raises(ConfigError):
-        spatial_factors(TestPair(bump5, 4.0), g)
+        spatial_factors(bump5, 4.0, g)
 
 
 def test_i_of_r_window_and_scaling(bump5):
     g = Grid(1, 64, 16.0)
-    pair = TestPair(bump5, 2.0)
+    data = assemble_pair(forward_transform(g, np.exp(-g.x_axis**2)), 0.05)
+    weight = weight_constant(2.0, bump5, time_points=65, refine=False)
     times = np.linspace(0.0, 5.0, 161)
     rng = np.random.default_rng(7)
     snaps = rng.standard_normal((times.size, g.size))
-    base = i_of_r(times, snaps, g, 2.0, pair)
-    doubled = i_of_r(times, 2.0 * snaps, g, 2.0, pair)
+
+    def i_value(times, snaps):
+        return check_bounds(times, snaps, g, data, 2.0, bump5, 2.0, weight).i_value
+
+    base = i_value(times, snaps)
+    doubled = i_value(times, 2.0 * snaps)
     assert doubled == pytest.approx(4.0 * base, rel=1e-12)
     # fields supported after the cutoff closes contribute nothing
     late = np.where(times[:, None] >= 4.0, snaps, 0.0)
-    assert i_of_r(times, late, g, 2.0, pair) == 0.0
+    assert i_value(times, late) == 0.0
     # times must reach R^2
     with pytest.raises(ConfigError):
-        i_of_r(times[:100], snaps[:100], g, 2.0, pair)
+        i_value(times[:100], snaps[:100])
     with pytest.raises(ConfigError):
-        i_of_r(times, snaps[:, :32], g, 2.0, pair)
+        i_value(times, snaps[:, :32])
 
 
 def test_pairing_ignores_eps(bump5):
@@ -175,10 +174,9 @@ def test_pairing_ignores_eps(bump5):
     field = forward_transform(g, np.exp(-g.x_axis**2))
     small = assemble_pair(field, 1e-3)
     big = assemble_pair(field, 10.0)
-    pair = TestPair(bump5, 2.0)
-    fac = spatial_factors(pair, g)
-    assert pairing(small, pair, fac) == pairing(big, pair, fac)
-    assert pairing(small, pair, fac) > 0.0
+    phi_r = spatial_factors(bump5, 2.0, g)[0]
+    assert pairing(small, phi_r) == pairing(big, phi_r)
+    assert pairing(small, phi_r) > 0.0
 
 
 def test_check_bounds_on_small_run(bump5):
@@ -191,10 +189,9 @@ def test_check_bounds_on_small_run(bump5):
     )
     traj = run(cfg)
     assert traj.outcome == "survived"
-    pair = TestPair(bump5, 2.0)
     weight = weight_constant(2.0, bump5)
     rep = check_bounds(
-        traj.field_times, traj.field_snapshots, g, data, 2.0, pair, weight
+        traj.field_times, traj.field_snapshots, g, data, 2.0, bump5, 2.0, weight
     )
     assert rep.i_value > 0.0
     assert rep.margin_holder > 0.0
@@ -205,7 +202,7 @@ def test_check_bounds_on_small_run(bump5):
     other = weight_constant(2.5, bump7, time_points=65, refine=False)
     with pytest.raises(ConfigError):
         check_bounds(
-            traj.field_times, traj.field_snapshots, g, data, 2.0, pair, other
+            traj.field_times, traj.field_snapshots, g, data, 2.0, bump5, 2.0, other
         )
 
 
@@ -217,16 +214,19 @@ def test_check_bounds_ignores_snapshots_past_the_window(bump5):
     traj = run(SimConfig(data=data, p=2.0, dt=0.03125, t_max=4.5, record_every=16,
                          record_fields_every=2))
     times, snaps = traj.field_times, traj.field_snapshots
-    pair = TestPair(bump5, 2.0)
     weight = weight_constant(2.0, bump5, time_points=65, refine=False)
-    rep = check_bounds(times, snaps, g, data, 2.0, pair, weight)
+    rep = check_bounds(times, snaps, g, data, 2.0, bump5, 2.0, weight)
     first_past = int(np.argmax(times >= 4.0))
     assert first_past + 1 < times.size
     poisoned = snaps.copy()
     poisoned[first_past + 1:] = np.nan
-    again = check_bounds(times, poisoned, g, data, 2.0, pair, weight)
+    again = check_bounds(times, poisoned, g, data, 2.0, bump5, 2.0, weight)
     assert again == rep
-    assert rep.i_value == pytest.approx(i_of_r(times, snaps, g, 2.0, pair), rel=1e-14)
+    # the one-shot I(R) over every snapshot, as in the blocked-reduction test
+    phi_r = spatial_factors(bump5, 2.0, g)[0]
+    spatial = (np.abs(snaps) ** 2.0 * phi_r).sum(axis=(1,)) * g.dx
+    one_shot = float(np.trapezoid(spatial * cutoff(times / 4.0, 5)[0], times))
+    assert rep.i_value == pytest.approx(one_shot, rel=1e-14)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -240,17 +240,17 @@ def test_blocked_reductions_are_bit_identical(dim, monkeypatch):
                          record_fields_every=2))
     times, snaps = traj.field_times, traj.field_snapshots
     bump = power(RadialBump(dim), 5)
-    pair = TestPair(bump, 2.0)
     weight = weight_constant(2.0, bump, time_points=65, refine=False)
-    fac = spatial_factors(pair, g)
+    phi_r = spatial_factors(bump, 2.0, g)[0]
     axes = tuple(range(1, dim + 1))
-    spatial = (np.abs(snaps) ** 2.0 * fac.phi_r).sum(axis=axes) * g.dx**dim
+    spatial = (np.abs(snaps) ** 2.0 * phi_r).sum(axis=axes) * g.dx**dim
     one_shot = float(np.trapezoid(spatial * cutoff(times / 4.0, 5)[0], times))
 
     monkeypatch.setattr(testfunc_module, "_BLOCK_BYTES", 1 << 40)
-    whole = check_bounds(times, snaps, g, data, 2.0, pair, weight)
+    whole = check_bounds(times, snaps, g, data, 2.0, bump, 2.0, weight)
     monkeypatch.setattr(testfunc_module, "_BLOCK_BYTES", 7 * snaps[0].nbytes)
     assert len(snaps) == 73 and int(np.searchsorted(times, 4.0)) + 1 == 65
     assert [b.start for b in testfunc_module.row_blocks(snaps)] == list(range(0, 73, 7))
-    assert i_of_r(times, snaps, g, 2.0, pair) == one_shot
-    assert check_bounds(times, snaps, g, data, 2.0, pair, weight) == whole
+    blocked = check_bounds(times, snaps, g, data, 2.0, bump, 2.0, weight)
+    assert blocked.i_value == one_shot
+    assert blocked == whole
