@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -44,7 +46,7 @@ from .profiles import (
     power_profile,
 )
 from .solver import DEALIAS, HS_ORDER, NORM_POLICY
-from .solver import SimConfig, check_start, measure_lifespan, run
+from .solver import SimConfig, Spool, check_start, measure_lifespan, run
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -65,6 +67,10 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+# field archive members are copied and read in pieces of this many bytes,
+# the read buffer np.lib.format uses
+_CHUNK_BYTES = 1 << 18
 
 
 # ---------------------------------------------------------------------
@@ -498,10 +504,10 @@ def run_simulate(cfg: dict) -> dict:
     }
 
     arrays = None
-    if traj.field_snapshots is not None:
+    if traj.field_spool is not None:
         arrays = {
             "times": traj.field_times,
-            "snapshots": traj.field_snapshots,
+            "snapshots": traj.field_spool,
             "u0_coeffs": pair.u0.coeffs,
             "u1_coeffs": pair.u1.coeffs,
             "eps": np.array(pair.eps),
@@ -658,7 +664,7 @@ def run_testfunc(cfg: dict) -> dict:
         raise ConfigError(
             f"testfunc config: 'time_points' must be at least 2, got {c['time_points']}"
         )
-    data = _load_fields(c["fields"])
+    data = _load_fields(c["fields"], max(c["R_values"]) ** 2)
     grid: Grid = data["grid"]
     p = data["p"]
     l = required_power(p)
@@ -704,7 +710,24 @@ def run_testfunc(cfg: dict) -> dict:
     return _result("testfunc", echo, rows, summary, check, lines=lines)
 
 
-def _load_fields(path: str) -> dict:
+def _read_into(member, out: np.ndarray) -> np.ndarray:
+    """out filled from member's next out.nbytes bytes, _CHUNK_BYTES at a time."""
+    view = out.reshape(-1).view(np.uint8)
+    for i in range(0, view.size, _CHUNK_BYTES):
+        part = view[i : i + _CHUNK_BYTES]
+        if member.readinto(part) < part.size:
+            raise ValueError("the snapshots member ends early")
+    return out
+
+
+def _load_fields(path: str, t_end: float) -> dict:
+    """Grid, data pair, p, and the times and snapshots up to the first time at or past t_end.
+
+    The snapshots member is read in bounded pieces, never mapped.  The
+    rows in that window are kept; each later block of rows is read into
+    one reused buffer, checked for finiteness and dropped.  Every archive
+    error is a ConfigError that names path.
+    """
     try:
         # np.load leaves a file it opened itself open when the zip is corrupt
         with open(path, "rb") as fh, np.load(fh) as z:
@@ -713,19 +736,32 @@ def _load_fields(path: str) -> dict:
             u1 = SpectralField(grid, np.ascontiguousarray(z["u1_coeffs"]))
             pair = DataPair(u0=u0, u1=u1, eps=float(z["eps"]))
             times = np.asarray(z["times"], dtype=np.float64)
-            snapshots = np.asarray(z["snapshots"])
-            if snapshots.shape[1:] != grid.shape:
-                raise ConfigError(
-                    f"snapshots of shape {snapshots.shape} do not stack fields of "
-                    f"shape {grid.shape}"
-                )
-            finite = np.isfinite(times).all() and all(
-                np.isfinite(snapshots[b]).all() for b in testfunc.row_blocks(snapshots)
-            )
+            with z.zip.open("snapshots.npy") as member:
+                fmt = np.lib.format
+                read_header = (fmt.read_array_header_1_0 if fmt.read_magic(member)[0] == 1
+                               else fmt.read_array_header_2_0)
+                shape, fortran_order, dtype = read_header(member)
+                if shape[1:] != grid.shape:
+                    raise ConfigError(
+                        f"snapshots of shape {shape} do not stack fields of "
+                        f"shape {grid.shape}"
+                    )
+                if times.ndim != 1 or not times.size or shape[0] != times.size:
+                    raise ConfigError("snapshots must stack one field per time")
+                if fortran_order or dtype.hasobject:
+                    raise ValueError("snapshots must be a C-ordered array of numbers")
+                stop = min(times.size, int(np.searchsorted(times, t_end)) + 1)
+                block = max(1, _CHUNK_BYTES // max(1, math.prod(grid.shape) * dtype.itemsize))
+                snapshots = np.empty((stop, *grid.shape), dtype)
+                spare = np.empty((block, *grid.shape), dtype)
+                finite = np.isfinite(times).all()
+                for i in (*range(0, stop, block), *range(stop, times.size, block)):
+                    rows = snapshots[i : i + block] if i < stop else spare[: times.size - i]
+                    finite = finite and np.isfinite(_read_into(member, rows)).all()
             increasing = bool(np.all(np.diff(times) > 0.0))
-            fields = {"grid": grid, "pair": pair, "times": times, "snapshots": snapshots,
-                      "p": float(z["p"])}
-    except ConfigError as exc:  # from Grid, SpectralField, DataPair or the shape check
+            fields = {"grid": grid, "pair": pair, "times": times[:stop],
+                      "snapshots": snapshots, "p": float(z["p"])}
+    except ConfigError as exc:  # from Grid, SpectralField, DataPair or the shape checks
         raise ConfigError(f"fields archive {path}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read fields archive {path}: {exc}") from exc
@@ -870,11 +906,10 @@ def _replacing(path: str):
 def write_csv(path: str, rows: list, cfg_hash: str) -> None:
     """rows under a header of the first row's keys, each stamped with cfg_hash."""
     keys = list(rows[0])
-    lines = [",".join(keys + ["config_hash"])]
-    for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in keys) + "," + cfg_hash)
-    with _replacing(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    with _replacing(path) as fh, io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        text.write(",".join(keys + ["config_hash"]) + "\n")
+        for row in rows:
+            text.write(",".join(_fmt(row[k]) for k in keys) + "," + cfg_hash + "\n")
 
 
 def _sanitize(obj):
@@ -890,9 +925,10 @@ def _sanitize(obj):
 
 
 def write_json(path: str, payload: dict) -> None:
-    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2)
-    with _replacing(path) as fh:
-        fh.write((text + "\n").encode("utf-8"))
+    """payload as indented JSON, written as it is encoded."""
+    with _replacing(path) as fh, io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        json.dump(_sanitize(payload), text, sort_keys=True, indent=2)
+        text.write("\n")
 
 
 def write_field_archive(path: str, arrays: dict) -> None:
@@ -901,19 +937,30 @@ def write_field_archive(path: str, arrays: dict) -> None:
     Each member holds the bytes np.lib.format.write_array gives: the .npy
     header, then the array's own buffer (its transpose's for a Fortran-
     ordered array) written straight into the temp file, with no copy of a
-    C- or Fortran-contiguous array.
+    C- or Fortran-contiguous array.  A Spool member is the C-ordered
+    float64 array of its shape, copied from its file _CHUNK_BYTES at a time.
     """
     with _replacing(path) as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
-            arr = np.asarray(arrays[name])
-            header = np.lib.format.header_data_from_array_1_0(arr)
-            data = np.ascontiguousarray(arr.T if header["fortran_order"] else arr)
+            value = arrays[name]
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            if isinstance(value, Spool):
+                descr = np.lib.format.dtype_to_descr(np.dtype(np.float64))
+                header = {"descr": descr, "fortran_order": False, "shape": value.shape}
+                info.file_size = math.prod(value.shape) * 8
+                value.file.seek(0)
+                chunks = iter(functools.partial(value.file.read, _CHUNK_BYTES), b"")
+            else:
+                arr = np.asarray(value)
+                header = np.lib.format.header_data_from_array_1_0(arr)
+                data = np.ascontiguousarray(arr.T if header["fortran_order"] else arr)
+                info.file_size = arr.nbytes
+                chunks = [memoryview(data).cast("B")]
             # zf.open picks zip64 from file_size, as writestr does from its data
-            info.file_size = arr.nbytes
             with zf.open(info, "w") as member:
                 np.lib.format.write_array_header_1_0(member, header)
-                member.write(memoryview(data).cast("B"))
+                for chunk in chunks:
+                    member.write(chunk)
 
 
 def emit_outputs(result: dict, out_dir: str) -> list:

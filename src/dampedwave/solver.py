@@ -29,6 +29,9 @@ fastest resolved oscillation, dt <= 1/(2 xi_max).
 from __future__ import annotations
 
 import math
+import os
+import tempfile
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -42,6 +45,7 @@ from .profiles import DataPair
 
 __all__ = [
     "SimConfig",
+    "Spool",
     "Trajectory",
     "LifespanResult",
     "Stepper",
@@ -112,6 +116,30 @@ class SimConfig:
         return self.data.u0.grid
 
 
+class Spool:
+    """float64 rows of one shape, appended to an unlinked temp file on disk.
+
+    shape is that of the rows written so far, stacked.  The file is closed,
+    and its disk space freed, when the spool is collected.
+    """
+
+    def __init__(self, row_shape: tuple) -> None:
+        self.file = tempfile.TemporaryFile()
+        weakref.finalize(self, self.file.close)
+        self.shape = (0, *row_shape)
+
+    def append(self, row: np.ndarray) -> None:
+        self.file.write(memoryview(row).cast("B"))
+        self.shape = (self.shape[0] + 1, *self.shape[1:])
+
+    def load(self) -> np.ndarray:
+        """The rows as one new array."""
+        out = np.empty(self.shape)
+        self.file.seek(0)
+        self.file.readinto(memoryview(out).cast("B"))
+        return out
+
+
 @dataclass
 class Trajectory:
     """Recorded norms (and optionally fields) of one run."""
@@ -127,7 +155,12 @@ class Trajectory:
     boundary_flagged: bool
     steps_taken: int
     field_times: np.ndarray | None = None
-    field_snapshots: np.ndarray | None = None
+    field_spool: Spool | None = None
+
+    @property
+    def field_snapshots(self) -> np.ndarray | None:
+        """The snapshots, one row per field time, read from field_spool on each access."""
+        return None if self.field_spool is None else self.field_spool.load()
 
 
 class Stepper:
@@ -274,11 +307,11 @@ def run(config: SimConfig) -> Trajectory:
     +-dt detection granularity.  The crossing step is recorded off
     cadence, but takes no field snapshot.
 
-    Field snapshots go into one array reserved before step 0 for a run
-    that reaches t_max, the last step included if it is off cadence; the
-    trajectory holds its filled rows, and rows an early blow-up never
-    writes are never touched, so they take no resident memory.  A
-    reservation that cannot be allocated is a ConfigError.
+    Field snapshots are appended to a Spool, an unlinked file on disk, so
+    no more than one of them is resident; the trajectory holds the spool.
+    Before step 0 the snapshots of a run that reaches t_max, the last step
+    included if it is off cadence, must fit in the free space of the
+    spool's file system, else ConfigError.
     """
     g = config.grid
     stepper = Stepper(config)
@@ -286,19 +319,18 @@ def run(config: SimConfig) -> Trajectory:
     vol = g.dx**g.dim
     n_steps = int(math.floor(config.t_max / config.dt + 1e-9))
     every = config.record_fields_every
-    ftimes = fsnaps = None
+    ftimes: list[float] = []
+    spool = None
     if every:
         count = n_steps // every + 1 + (n_steps % every != 0)
-        try:
-            fsnaps = np.empty((count,) + g.shape)
-        except (MemoryError, ValueError) as exc:
-            size = count * math.prod(g.shape) * 8
+        size = count * math.prod(g.shape) * 8
+        spool = Spool(g.shape)
+        disk = os.fstatvfs(spool.file.fileno())
+        if size > disk.f_bavail * disk.f_frsize:
             raise ConfigError(
                 f"cannot reserve {count} field snapshots ({size} bytes) for "
                 f"t_max / dt / record_fields_every"
-            ) from exc
-        ftimes = np.empty(count)
-    k = 0
+            )
     rows: list[tuple] = []
     boundary_ratio = 0.0
     outcome = "survived"
@@ -326,9 +358,8 @@ def run(config: SimConfig) -> Trajectory:
             if t_blowup is not None:
                 break
             if every and (n % every == 0 or n == n_steps):
-                ftimes[k] = t
-                fsnaps[k] = u_phys
-                k += 1
+                ftimes.append(t)
+                spool.append(u_phys)
 
     return Trajectory(
         *(np.array(col) for col in zip(*rows)),  # times, l2, linf, hs, hdotneg
@@ -337,8 +368,8 @@ def run(config: SimConfig) -> Trajectory:
         boundary_ratio=boundary_ratio,
         boundary_flagged=boundary_ratio > _BOUNDARY_RTOL,
         steps_taken=n,
-        field_times=ftimes[:k] if every else None,
-        field_snapshots=fsnaps[:k] if every else None,
+        field_times=np.array(ftimes) if every else None,
+        field_spool=spool,
     )
 
 

@@ -57,7 +57,7 @@ _EDGE = 1e-9
 
 # snapshot reductions take rows in blocks of about this many bytes, so
 # their temporaries stay small next to the snapshots themselves
-_BLOCK_BYTES = 1 << 21
+_BLOCK_BYTES = 1 << 18
 
 # 48-point Gauss-Legendre panels over the radii of the weight quadratures
 # (doubled to refine), and the time points they take at once
@@ -330,7 +330,7 @@ def check_bounds(
     """
     phi_r, lap_phi_r = spatial_factors(bump, R, grid)
     times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or snapshots.shape[0] != times.size:
+    if times.ndim != 1 or not times.size or snapshots.shape[0] != times.size:
         raise ConfigError("snapshots must stack one field per time")
     if times[-1] < R**2 * (1.0 - 1e-9):
         raise ConfigError(

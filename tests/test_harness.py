@@ -620,6 +620,10 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
         "flat_snapshots": {**arrays, "snapshots": arrays["snapshots"][:, 0]},
         "inf_u0": {**arrays, "u0_coeffs": inf_u0},
         "unsorted_times": {**arrays, "times": unsorted},
+        "short_times": {**arrays, "times": arrays["times"][:-1]},
+        "times_2d": {**arrays, "times": arrays["times"][:, None]},
+        "no_times": {**arrays, "times": arrays["times"][:0],
+                     "snapshots": arrays["snapshots"][:0]},
     }
     errs = {}
     for name, content in archives.items():
@@ -640,6 +644,8 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
     assert "non-finite times or snapshots" in errs["nan_last"]
     assert "do not stack fields of shape (128, 128)" in errs["scalar_snapshots"]
     assert "times that do not strictly increase" in errs["unsorted_times"]
+    for name in ("short_times", "times_2d", "no_times"):
+        assert "snapshots must stack one field per time" in errs[name], name
 
 
 def test_impossible_snapshot_reservation_exits_2(tmp_path, monkeypatch, capsys):
@@ -721,6 +727,57 @@ def test_testfunc_2d_run_passes_the_weak_form_check(fields_2d_fine, tmp_path, ca
     with open(f"{out}/testfunc.json", encoding="utf-8") as fh:
         (row,) = json.load(fh)["rows"]
     assert row["identity_rel"] < 0.01
+
+
+def test_testfunc_reads_a_compressed_archive(fields_2d, tmp_path):
+    # a deflated snapshots member is read through the same windowed reader
+    with np.load(fields_2d) as z:
+        arrays = dict(z)
+    packed = str(tmp_path / "packed.npz")
+    np.savez_compressed(packed, **arrays)
+    with zipfile.ZipFile(packed) as zf:
+        assert zf.getinfo("snapshots.npy").compress_type == zipfile.ZIP_DEFLATED
+    rows = [
+        harness.run_testfunc({"fields": path, "R_values": [2.0, 4.0], "time_points": 129})["rows"]
+        for path in (fields_2d, packed)
+    ]
+    assert rows[0] == rows[1]
+
+
+_MEMORY_SCRIPT = """\
+import json, resource, sys
+from dampedwave import harness
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+sim, out = json.loads(sys.argv[1]), sys.argv[2]
+harness.emit_outputs(harness.run_simulate(sim), out)
+res = harness.run_testfunc({"fields": out + "/fields.npz", "R_values": [2.5],
+                            "time_points": 65})
+print(json.dumps([1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base),
+                  res["rows"][0]["identity_rel"]]))
+"""
+
+
+def test_simulate_and_testfunc_hold_no_snapshot_stack(tmp_path):
+    # 961 snapshots of 32 KiB (31.5 MB), R^2 = 6.25 keeps 201 of them: a
+    # stage that held every snapshot would grow the peak by at least that much
+    sim = {
+        "grid": {"dim": 1, "size": 4096, "half_length": 512.0},
+        "profile": {"family": "power", "gamma": 0.25}, "eps": 0.015, "p": 2.0,
+        "dt": 0.03125, "t_max": 30.0, "record_every": 64, "record_fields_every": 1,
+    }
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEMORY_SCRIPT, json.dumps(sim), str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    growth, identity_rel = json.loads(proc.stdout)
+    snapshot_bytes = 961 * 4096 * 8
+    with np.load(out / "fields.npz") as z:
+        assert z["times"].size == 961
+    assert math.isfinite(identity_rel)
+    assert growth < snapshot_bytes / 2, growth / snapshot_bytes
 
 
 def test_testfunc_rejects_full_lattice_coefficients(fields_2d, tmp_path, capsys):

@@ -425,8 +425,8 @@ def test_blowup_snapshots_match_a_hand_loop():
 
 
 def test_snapshots_are_held_once():
-    # a run to t_max fills its reservation exactly: the traced peak is the
-    # snapshots plus the stepper, with no list of copies to stack
+    # snapshots go to a file on disk as they are taken: the traced peak is
+    # the stepper and the recorded norms, a small part of the snapshots
     g = Grid(1, 1024, 128.0)
     cfg = SimConfig(data=gaussian_pair(g, 1.0), p=2.0, nonlinear=False, dt=0.03125,
                     t_max=16.0, record_every=64, record_fields_every=1)
@@ -438,7 +438,7 @@ def test_snapshots_are_held_once():
         tracemalloc.stop()
     assert traj.outcome == "survived"
     assert traj.field_snapshots.shape == (513, 1024)
-    assert peak < 1.25 * traj.field_snapshots.nbytes, peak / traj.field_snapshots.nbytes
+    assert peak < 0.05 * traj.field_snapshots.nbytes, peak / traj.field_snapshots.nbytes
 
 
 def test_boundary_monitor():

@@ -57,8 +57,8 @@ EXTRA = {
          "config": {"fields": "{out:0}/fields.npz", "R_values": [2.0],
                     "time_points": 129, "check": {}}},
     ],
-    # a run to t_max fills its whole snapshot reservation: 640 steps at
-    # every 3rd, so the last snapshot (step 640) is off cadence
+    # a run to t_max takes every snapshot its size check counts: 640 steps
+    # at every 3rd, so the last snapshot (step 640) is off cadence
     "testfunc1d_full": [
         {"command": "simulate", "args": ["--check"],
          "config": {"grid": {"dim": 1, "size": 1024, "half_length": 128.0},
