@@ -73,23 +73,12 @@ def mollifier_samples(grid: Grid, center: float = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BumpFunction:
-    """A convolved bump on a periodic grid and an integer power of it.
-
-    samples/coeffs describe the base function; power_samples is
-    base**exponent, the function the powers of bump-check describe.
-    """
+    """A convolved bump on a periodic grid: its seed, samples and coefficients."""
 
     grid: Grid
     seed: np.ndarray
     samples: np.ndarray
     coeffs: SpectralField
-    exponent: int = 1
-
-    @property
-    def power_samples(self) -> np.ndarray:
-        if self.exponent == 1:
-            return self.samples
-        return np.maximum(self.samples, 0.0) ** self.exponent
 
 
 def _support_half_width(grid: Grid, samples: np.ndarray) -> float:
@@ -124,8 +113,8 @@ def self_convolve(grid: Grid, seed: np.ndarray | None = None) -> BumpFunction:
     return BumpFunction(grid, seed, coeffs.physical(), coeffs)
 
 
-def power(bump: BumpFunction | RadialBump, exponent: int) -> BumpFunction | RadialBump:
-    """Raise a grid or radial bump's base to an integer power >= 1."""
+def power(bump: RadialBump, exponent: int) -> RadialBump:
+    """Raise a radial bump's base to an integer power >= 1."""
     if exponent < 1 or exponent != int(exponent):
         raise ConfigError(f"exponent must be an integer >= 1, got {exponent}")
     if exponent == bump.exponent:

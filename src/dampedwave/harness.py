@@ -5,6 +5,9 @@ validates it strictly (unknown keys are errors), executes the experiment,
 and returns a result dict with the resolved config echo, rows, a summary,
 an optional check verdict and the summary lines the CLI prints.  A runner
 declares each config key once, in a spec that gives its kind and default.
+A kind converts its value, and resolves the grid, the profile and the
+check section; the echo is that resolved config plus the values the run
+derives from it.
 emit_outputs writes the result as CSV (rows), JSON (everything), and
 optionally a field archive; the rows define the CSV header, which is the
 first row's keys in order.
@@ -32,7 +35,7 @@ import zipfile
 import numpy as np
 
 from . import exponents, testfunc
-from .bump import check_conditions, mollifier_samples, power as bump_power
+from .bump import check_conditions, mollifier_samples
 from .bump import CERTIFY_TOL, RadialBump, required_power, self_convolve
 from .dispersion import propagate_linear
 from .errors import ConfigError
@@ -126,6 +129,22 @@ def _floats(values) -> list:
     return [_real(v) for v in values]
 
 
+def _radii(values) -> list:
+    """testfunc's radii: at least one, each with a finite square, its window's end."""
+    radii = _floats(values)
+    if not radii or not all(r * r < math.inf for r in radii):
+        raise ValueError("expected one or more radii with finite squares")
+    return radii
+
+
+def _powers(values) -> list:
+    """bump-check's powers of the base: at least one, each an integer >= 1."""
+    powers = [_int(v) for v in values]
+    if not powers or min(powers) < 1:
+        raise ValueError("expected one or more integers >= 1")
+    return powers
+
+
 def _outcome(value) -> str:
     if value not in ("survived", "blewup"):
         raise ValueError("expected 'survived' or 'blewup'")
@@ -140,8 +159,9 @@ def _take(cfg: dict, where: str, spec: dict) -> dict:
     """cfg checked against spec, which maps each key to (kind, default).
 
     Absent keys take their default, unless it is _REQUIRED.  Each value is
-    converted by its kind (kind None keeps it as given); a rejected value is
-    a ConfigError naming its key, and null is kept where the default is None.
+    converted by its kind (kind None keeps it as given, a dict kind is the
+    spec of a nested section); a rejected value is a ConfigError naming its
+    key, and null is kept where the default is None.
     """
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where} must be an object, got {type(cfg).__name__}")
@@ -158,27 +178,15 @@ def _take(cfg: dict, where: str, spec: dict) -> dict:
         if kind is None or (value is None and default is None):
             continue
         try:
-            out[key] = kind(value)
+            if isinstance(kind, dict):
+                out[key] = _take(value, f"{where}: {key!r}", kind)
+            else:
+                out[key] = kind(value)
         except ConfigError:
             raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}: bad value {value!r} for {key!r}: {exc}") from None
     return out
-
-
-def _check(c: dict, where: str, spec: dict) -> dict | None:
-    """Resolve the "check" section of c in place; returns it, or None."""
-    if c["check"] is not None:
-        c["check"] = _take(c["check"], where, spec)
-    return c["check"]
-
-
-def _echo(kind: str, c: dict, **resolved) -> dict:
-    """The config echo: c with resolved values swapped in, a null check dropped."""
-    echo = {"kind": kind, **c, **resolved}
-    if "check" in echo and echo["check"] is None:
-        del echo["check"]
-    return echo
 
 
 def build_grid(cfg: dict) -> Grid:
@@ -197,8 +205,8 @@ _PROFILE_KEYS = {
 _PROFILES = {"power": power_profile, "log": log_profile, "laplacian_gaussian": laplacian_gaussian}
 
 
-def build_profile(grid: Grid, cfg: dict) -> tuple[SpectralField, dict]:
-    """Build a profile field; returns it plus the fully resolved sub-config."""
+def _profile(cfg) -> dict:
+    """A profile section resolved: its family and that family's keys."""
     if not isinstance(cfg, dict) or "family" not in cfg:
         raise ConfigError("profile config needs to be an object with a 'family' key")
     family = cfg["family"]
@@ -207,15 +215,19 @@ def build_profile(grid: Grid, cfg: dict) -> tuple[SpectralField, dict]:
             f"unknown profile family {family!r}; expected one of "
             f"{sorted(_PROFILE_KEYS)}"
         )
-    c = _take(
-        {k: v for k, v in cfg.items() if k != "family"}, f"profile[{family}]",
-        _PROFILE_KEYS[family],
-    )
+    keys = {k: v for k, v in cfg.items() if k != "family"}
+    return {"family": family, **_take(keys, f"profile[{family}]", _PROFILE_KEYS[family])}
+
+
+def build_profile(grid: Grid, cfg: dict) -> tuple[SpectralField, dict]:
+    """Build a profile field; returns it plus the fully resolved sub-config."""
+    c = _profile(cfg)
+    keys = {k: v for k, v in c.items() if k != "family"}
     with np.errstate(over="ignore", invalid="ignore"):
-        fld = _PROFILES[family](grid, **c)
+        fld = _PROFILES[c["family"]](grid, **keys)
     if not np.all(np.isfinite(fld.coeffs)):
-        raise ConfigError(f"profile {family!r} has non-finite coefficients for {c}")
-    return fld, {"family": family, **c}
+        raise ConfigError(f"profile {c['family']!r} has non-finite coefficients for {keys}")
+    return fld, c
 
 
 def build_pair(grid: Grid, profile_cfg: dict, eps: float) -> tuple[DataPair, dict]:
@@ -258,11 +270,19 @@ def fit_powerlaw(x, y) -> FitResult:
 # experiment runners
 
 
-def _result(kind: str, config: dict, rows, summary, check, arrays=None, lines=()):
+def _result(kind: str, c: dict, rows, summary, check, arrays=None, lines=(), **resolved):
     """A runner's result; lines are its summary for the terminal.
 
-    rows is a non-empty list of dicts in one key order, the CSV header's.
+    The config echo is c, the runner's resolved config, plus the derived
+    values in resolved, with a Grid written as its fields and a null check
+    dropped.  rows is a non-empty list of dicts in one key order, the CSV
+    header's.
     """
+    config = {
+        k: dataclasses.asdict(v) if isinstance(v, Grid) else v
+        for k, v in {"kind": kind, **c, **resolved}.items()
+        if not (k == "check" and v is None)
+    }
     return {
         "kind": kind,
         "config": config,
@@ -308,20 +328,17 @@ def run_decay(cfg: dict) -> dict:
     expected slopes are -gamma/2 and -(s + gamma)/2.
     """
     c = _take(cfg, "decay config", {
-        "grid": (None, _REQUIRED), "profile": (None, _REQUIRED),
-        "times": (_ladder_times, _REQUIRED), "s": (_real, 1.0), "check": (None, None),
+        "grid": (build_grid, _REQUIRED), "profile": (_profile, _REQUIRED),
+        "times": (_ladder_times, _REQUIRED), "s": (_real, 1.0),
+        "check": ({"l2_tol": (_real, 0.05), "seminorm_tol": (_real, 0.1)}, None),
     })
-    cc = _check(c, "decay check", {"l2_tol": (_real, 0.05), "seminorm_tol": (_real, 0.1)})
-    grid = build_grid(c["grid"])
-    profile, prof_resolved = build_profile(grid, c["profile"])
-    times = c["times"]
+    cc = c["check"]
+    profile, _ = build_profile(c["grid"], c["profile"])
     s = c["s"]
-    gamma = float(prof_resolved.get("gamma", 0.5))
-    echo = _echo("decay", c, grid=dataclasses.asdict(grid), profile=prof_resolved,
-                 weight_gamma=gamma, policy=NORM_POLICY)
+    gamma = float(c["profile"].get("gamma", 0.5))
 
     rows = []
-    for t in times:
+    for t in c["times"]:
         uh, _ = propagate_linear(profile, profile, t)
         rows.append(
             {
@@ -369,7 +386,8 @@ def run_decay(cfg: dict) -> dict:
         f"l2 slope {l2_fit.slope:.4f} (expected {expected_l2:.4f}), "
         f"seminorm slope {semi_fit.slope:.4f} (expected {expected_semi:.4f})"
     ]
-    return _result("decay", echo, rows, summary, check, lines=lines)
+    return _result("decay", c, rows, summary, check, lines=lines,
+                   weight_gamma=gamma, policy=NORM_POLICY)
 
 
 def run_lifespan(cfg: dict) -> dict:
@@ -385,25 +403,24 @@ def run_lifespan(cfg: dict) -> dict:
     is stepped or any worker starts.
     """
     c = _take(cfg, "lifespan config", {
-        "grid": (None, _REQUIRED), "profile": (None, _REQUIRED), "p": (_real, _REQUIRED),
-        "eps_values": (_floats, _REQUIRED), "dt": (_real, _REQUIRED),
+        "grid": (build_grid, _REQUIRED), "profile": (_profile, _REQUIRED),
+        "p": (_real, _REQUIRED), "eps_values": (_floats, _REQUIRED), "dt": (_real, _REQUIRED),
         "t_cap": (_real, _REQUIRED), "blowup_threshold": (_real, 1e6),
-        "check": (None, None),
+        "check": ({
+            "rel_tol": (_real, None), "max_slope": (_real, None), "min_uncensored": (_int, 3),
+        }, None),
     })
-    cc = _check(c, "lifespan check", {
-        "rel_tol": (_real, None), "max_slope": (_real, None), "min_uncensored": (_int, 3),
-    })
-    grid = build_grid(c["grid"])
-    profile, prof_resolved = build_profile(grid, c["profile"])
+    cc = c["check"]
+    profile, _ = build_profile(c["grid"], c["profile"])
     p = c["p"]
     eps_values = c["eps_values"]
     if len(eps_values) < 3:
         raise ConfigError("need >= 3 eps values for a lifespan fit")
     if len(set(eps_values)) < len(eps_values):
         raise ConfigError(f"'eps_values' repeats an amplitude: {eps_values}")
-    gamma = prof_resolved.get("gamma")
+    gamma = c["profile"].get("gamma")
     predicted = (
-        dataclasses.asdict(exponents.lifespan_exponents(grid.dim, float(gamma), p))
+        dataclasses.asdict(exponents.lifespan_exponents(c["grid"].dim, float(gamma), p))
         if gamma is not None
         else None
     )
@@ -412,8 +429,6 @@ def run_lifespan(cfg: dict) -> dict:
         raise ConfigError(
             "rel_tol check needs a profile gamma and a predicted lifespan exponent"
         )
-    echo = _echo("lifespan", c, grid=dataclasses.asdict(grid), profile=prof_resolved,
-                 dealias=DEALIAS)
 
     # smallest amplitude first: it lives longest, so it starts at once
     ladder = sorted(eps_values)
@@ -460,29 +475,28 @@ def run_lifespan(cfg: dict) -> dict:
         f"lifespan exponent measured={shown} predicted={target} "
         f"censored={summary['n_censored']}"
     ]
-    return _result("lifespan", echo, rows, summary, check, lines=lines)
+    return _result("lifespan", c, rows, summary, check, lines=lines, dealias=DEALIAS)
 
 
 def run_simulate(cfg: dict) -> dict:
     """One nonlinear (or linear) run with recorded norms and fields."""
     c = _take(cfg, "simulate config", {
-        "grid": (None, _REQUIRED), "profile": (None, _REQUIRED), "eps": (_real, _REQUIRED),
-        "p": (_real, _REQUIRED), "dt": (_real, _REQUIRED), "t_max": (_real, _REQUIRED),
-        "blowup_threshold": (_real, 1e6), "nonlinear": (_flag, True),
-        "record_every": (_int, 1), "record_fields_every": (_int, 0), "check": (None, None),
+        "grid": (build_grid, _REQUIRED), "profile": (_profile, _REQUIRED),
+        "eps": (_real, _REQUIRED), "p": (_real, _REQUIRED), "dt": (_real, _REQUIRED),
+        "t_max": (_real, _REQUIRED), "blowup_threshold": (_real, 1e6),
+        "nonlinear": (_flag, True), "record_every": (_int, 1), "record_fields_every": (_int, 0),
+        "check": ({
+            "expect_outcome": (_outcome, None), "l2_decreasing_factor": (_real, None),
+        }, None),
     })
-    cc = _check(c, "simulate check", {
-        "expect_outcome": (_outcome, None), "l2_decreasing_factor": (_real, None),
-    })
-    grid = build_grid(c["grid"])
-    pair, prof_resolved = build_pair(grid, c["profile"], c["eps"])
-    gamma = float(prof_resolved.get("gamma", 0.5))
+    cc = c["check"]
+    grid = c["grid"]
+    pair, _ = build_pair(grid, c["profile"], c["eps"])
+    gamma = float(c["profile"].get("gamma", 0.5))
     # the keys that are SimConfig fields of the same name
     sim_keys = ("p", "dt", "t_max", "blowup_threshold", "nonlinear",
                 "record_every", "record_fields_every")
     sim = SimConfig(data=pair, gamma=gamma, **{k: c[k] for k in sim_keys})
-    echo = _echo("simulate", c, grid=dataclasses.asdict(grid), profile=prof_resolved,
-                 dealias=DEALIAS, s=HS_ORDER, weight_gamma=gamma, policy=NORM_POLICY)
 
     traj = run(sim)
     rows = [
@@ -534,7 +548,8 @@ def run_simulate(cfg: dict) -> dict:
         f"outcome={traj.outcome}{tail} steps={traj.steps_taken} "
         f"boundary_flagged={traj.boundary_flagged}"
     ]
-    return _result("simulate", echo, rows, summary, check, arrays, lines)
+    return _result("simulate", c, rows, summary, check, arrays, lines, dealias=DEALIAS,
+                   s=HS_ORDER, weight_gamma=gamma, policy=NORM_POLICY)
 
 
 def run_atlas(cfg: dict) -> dict:
@@ -558,7 +573,7 @@ def run_atlas(cfg: dict) -> dict:
         "fujita": exponents.fujita(n),
     }
     lines = ["raster classified: " + " ".join(f"{k}={v}" for k, v in summary["counts"].items())]
-    return _result("atlas", _echo("atlas", c), rows, summary, None, lines=lines)
+    return _result("atlas", c, rows, summary, None, lines=lines)
 
 
 def run_classify(cfg: dict) -> dict:
@@ -587,24 +602,16 @@ def run_classify(cfg: dict) -> dict:
         f"gamma_min={th.gamma_min:.6g} p_min={th.p_min:.6g}",
         f"lifespan exponent={life.a_combined} switch_p={life.switch_p:.6g}",
     ]
-    return _result("classify", _echo("classify", c), rows, summary, None, lines=lines)
-
-
-# the grid bump-check builds its bump on unless the config names one
-_BUMP_GRID = {"dim": 1, "size": 512, "half_length": 4.0}
+    return _result("classify", c, rows, summary, None, lines=lines)
 
 
 def run_bump_check(cfg: dict) -> dict:
     """Certify the convolved bump and optional shifted counterexample."""
     c = _take(cfg, "bump-check config", {
-        "grid": (None, _BUMP_GRID),
-        "exponents": (lambda ls: [_int(l) for l in ls], [3, 5, 7]),
-        "shifted_center": (_real, None),
+        "grid": (build_grid, {"dim": 1, "size": 512, "half_length": 4.0}),
+        "exponents": (_powers, [3, 5, 7]), "shifted_center": (_real, None),
     })
-    if not c["exponents"]:
-        raise ConfigError("bump-check config: 'exponents' must not be empty")
-    grid = build_grid(c["grid"])
-    exps = c["exponents"]
+    grid = c["grid"]
 
     base = self_convolve(grid)
     rep = check_conditions(base)
@@ -613,15 +620,11 @@ def run_bump_check(cfg: dict) -> dict:
     transform_residual = float(np.max(np.abs(refold.coeffs - base.coeffs.coeffs)))
 
     rows = []
-    for l in exps:
-        b = bump_power(base, l)
+    for l in c["exponents"]:
+        b = np.maximum(base.samples, 0.0) ** l
         rows.append(
-            {
-                "exponent": l,
-                "integral": float(b.power_samples.sum() * vol),
-                "max": float(b.power_samples.max()),
-                "min": float(b.power_samples.min()),
-            }
+            {"exponent": l, "integral": float(b.sum() * vol), "max": float(b.max()),
+             "min": float(b.min())}
         )
 
     summary: dict = {
@@ -645,21 +648,17 @@ def run_bump_check(cfg: dict) -> dict:
         f"nonneg={rep.nonneg_ok} fourier={rep.fourier_ok} monotone={rep.monotone_ok} "
         f"transform_residual={transform_residual:.3e}"
     ]
-    echo = _echo("bump-check", c, grid=dataclasses.asdict(grid), tol=CERTIFY_TOL)
-    return _result("bump-check", echo, rows, summary, check, lines=lines)
+    return _result("bump-check", c, rows, summary, check, lines=lines, tol=CERTIFY_TOL)
 
 
 def run_testfunc(cfg: dict) -> dict:
     """Evaluate the weak-solution inequalities on stored fields."""
     c = _take(cfg, "testfunc config", {
-        "fields": (str, _REQUIRED), "R_values": (_floats, [2.0, 4.0, 8.0]),
-        "time_points": (_int, 513), "check": (None, None),
+        "fields": (str, _REQUIRED), "R_values": (_radii, [2.0, 4.0, 8.0]),
+        "time_points": (_int, 513),
+        "check": ({"min_margin": (_real, 0.0), "max_identity_rel": (_real, 0.05)}, None),
     })
-    cc = _check(c, "testfunc check", {
-        "min_margin": (_real, 0.0), "max_identity_rel": (_real, 0.05),
-    })
-    if not c["R_values"]:
-        raise ConfigError("testfunc config: 'R_values' must not be empty")
+    cc = c["check"]
     if c["time_points"] < 2:
         raise ConfigError(
             f"testfunc config: 'time_points' must be at least 2, got {c['time_points']}"
@@ -668,9 +667,8 @@ def run_testfunc(cfg: dict) -> dict:
     grid: Grid = data["grid"]
     p = data["p"]
     l = required_power(p)
-    echo = _echo("testfunc", c, exponent=l)
 
-    bump = bump_power(RadialBump(grid.dim), l)
+    bump = RadialBump(grid.dim, l)
     weight = testfunc.weight_constant(p, bump, time_points=c["time_points"])
     rows = [
         dataclasses.asdict(testfunc.check_bounds(
@@ -707,7 +705,7 @@ def run_testfunc(cfg: dict) -> dict:
         f"margin_absorbed={r['margin_absorbed']:.4e} identity_rel={r['identity_rel']:.3e}"
         for r in rows
     ]
-    return _result("testfunc", echo, rows, summary, check, lines=lines)
+    return _result("testfunc", c, rows, summary, check, lines=lines, exponent=l)
 
 
 def _read_into(member, out: np.ndarray) -> np.ndarray:
@@ -853,13 +851,11 @@ def run_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         name, kind = jc["name"], jc["kind"]
         if kind not in RUNNERS:
             raise ConfigError(f"jobs[{j}]: unknown kind {kind!r}")
-        if name in seen or not name or "/" in name or name.startswith("."):
+        if name in seen or not name or "/" in name or "\0" in name or name.startswith("."):
             raise ConfigError(f"jobs[{j}]: bad or duplicate name {name!r}")
         seen.add(name)
         parsed.append((name, kind, jc["config"], out_dir))
 
-    echo = _echo("sweep", c, jobs=[{"name": n, "kind": k} for n, k, _, _ in parsed],
-                 threads=int(threads))
     results = _map(_sweep_job, parsed, threads)
     rows = [
         {"name": name, "kind": kind, "config_hash": cfg_hash,
@@ -870,7 +866,8 @@ def run_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     summary = {"jobs": len(rows), "all_passed": all_passed}
     check = {"passed": all_passed, "details": {"jobs": len(rows)}}
     lines = [f"{r['name']}: {'pass' if r['passed'] else 'FAIL'}" for r in rows]
-    return _result("sweep", echo, rows, summary, check, lines=lines)
+    return _result("sweep", c, rows, summary, check, lines=lines,
+                   jobs=[{"name": n, "kind": k} for n, k, _, _ in parsed], threads=int(threads))
 
 
 # ---------------------------------------------------------------------
@@ -964,12 +961,12 @@ def write_field_archive(path: str, arrays: dict) -> None:
 
 
 def emit_outputs(result: dict, out_dir: str) -> list:
-    """Write CSV + JSON (+ field archive) for one result; returns paths."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write CSV + JSON (+ field archive) for one result; returns paths.
+
+    A directory that cannot be made or written to is a ConfigError naming it.
+    """
     kind = result["kind"]
-    csv_path = os.path.join(out_dir, f"{kind}.csv")
-    write_csv(csv_path, result["rows"], result["config_hash"])
-    paths = [csv_path]
+    paths = [os.path.join(out_dir, f"{kind}.csv"), os.path.join(out_dir, f"{kind}.json")]
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": kind,
@@ -979,11 +976,13 @@ def emit_outputs(result: dict, out_dir: str) -> list:
         "rows": result["rows"],
         "check": result["check"],
     }
-    json_path = os.path.join(out_dir, f"{kind}.json")
-    write_json(json_path, payload)
-    paths.append(json_path)
-    if result.get("arrays"):
-        npz_path = os.path.join(out_dir, "fields.npz")
-        write_field_archive(npz_path, result["arrays"])
-        paths.append(npz_path)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        write_csv(paths[0], result["rows"], result["config_hash"])
+        write_json(paths[1], payload)
+        if result.get("arrays"):
+            paths.append(os.path.join(out_dir, "fields.npz"))
+            write_field_archive(paths[2], result["arrays"])
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {out_dir}: {exc}") from exc
     return paths

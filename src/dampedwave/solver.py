@@ -106,6 +106,11 @@ class SimConfig:
             )
         if not (self.dt <= self.t_max < math.inf):
             raise ConfigError(f"t_max = {self.t_max} must be finite and not below one step")
+        # run() counts steps of dt and measure_lifespan() ticks of dt / 2**_MAX_LEVEL
+        if not self.t_max / self.dt * 2**_MAX_LEVEL < math.inf:
+            raise ConfigError(
+                f"'dt' = {self.dt} is too small: t_max / dt * 2**{_MAX_LEVEL} ticks overflow"
+            )
         if self.record_every < 1 or self.record_fields_every < 0:
             raise ConfigError("record intervals must be positive (fields: >= 0)")
         if not (self.blowup_threshold > 0.0):

@@ -38,6 +38,14 @@ def test_take_validates_keys():
     assert harness._take({"g": None}, "x", {"g": (float, None)}) == {"g": None}
     with pytest.raises(ConfigError, match="'dt'"):
         harness._take({"dt": None}, "x", {"dt": (float, req)})
+    # a dict kind is the spec of a nested section, whose errors name its key
+    spec = {"check": ({"tol": (float, 0.5)}, None)}
+    assert harness._take({}, "x", spec) == {"check": None}
+    assert harness._take({"check": {}}, "x", spec) == {"check": {"tol": 0.5}}
+    with pytest.raises(ConfigError, match="x: 'check': bad value 'a' for 'tol'"):
+        harness._take({"check": {"tol": "a"}}, "x", spec)
+    with pytest.raises(ConfigError, match="unknown keys in x: 'check'"):
+        harness._take({"check": {"tl": 1.0}}, "x", spec)
 
 
 def test_config_hash_is_order_insensitive():
@@ -482,10 +490,11 @@ def test_sweep_name_and_kind_validation(tmp_path):
     bad["jobs"][1]["name"] = "j1"
     with pytest.raises(ConfigError, match="duplicate"):
         harness.run_sweep(bad, str(tmp_path))
-    bad = _sweep_cfg()
-    bad["jobs"][0]["name"] = "a/b"
-    with pytest.raises(ConfigError):
-        harness.run_sweep(bad, str(tmp_path))
+    for name in ("a/b", "a\0b"):
+        bad = _sweep_cfg()
+        bad["jobs"][0]["name"] = name
+        with pytest.raises(ConfigError, match="bad or duplicate name"):
+            harness.run_sweep(bad, str(tmp_path))
     bad = _sweep_cfg()
     bad["jobs"][0]["kind"] = "sweep"
     with pytest.raises(ConfigError, match="unknown kind"):
@@ -514,7 +523,7 @@ def test_cli_classify_flags_and_seed(tmp_path):
     assert payload["summary"]["verdict"] == "GlobalLargeGamma"
 
 
-def test_cli_config_errors(tmp_path, capsys, fields_2d):
+def test_cli_config_errors(tmp_path, capsys, monkeypatch, fields_2d):
     assert cli.main(["decay", "--out", str(tmp_path)]) == 2
     assert cli.main(
         ["decay", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]
@@ -532,6 +541,7 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
     common = {"grid": grid, "profile": {"family": "power", "gamma": 0.5}, "p": 2.0, "dt": 0.02}
     simulate = {**common, "eps": 0.1, "t_max": 0.1}
     lifespan = {**common, "eps_values": [0.4, 0.2, 0.1], "t_cap": 0.1}
+    gaussian = {**common, "profile": {"family": "laplacian_gaussian", "k": 1}}
     cases = [
         ("lifespan", lifespan, {"dt": "abc"}, "dt"),
         ("lifespan", lifespan, {"eps_values": 0.1}, "eps_values"),
@@ -564,6 +574,8 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
         # an empty R list would pass --check with nothing checked; the fields
         # path does not exist, so the error must come before it is read
         ("testfunc", {"fields": str(tmp_path / "none.npz")}, {"R_values": []}, "R_values"),
+        # R^2 ends the window the archive is read up to: it must be finite
+        ("testfunc", {"fields": str(tmp_path / "none.npz")}, {"R_values": [1e200]}, "R_values"),
         # the trapezoid weights need two time points; checked before the read
         ("testfunc", {"fields": str(tmp_path / "none.npz")}, {"time_points": 1}, "time_points"),
         ("testfunc", {"fields": str(tmp_path / "none.npz")}, {"time_points": 0}, "time_points"),
@@ -583,7 +595,19 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
         ("decay", _TINY["decay"], {"grid": {**grid, "half_length": 4.0},
                                    "profile": {"family": "laplacian_gaussian", "k": 200}},
          "laplacian_gaussian"),
+        # a run counts t_max in ticks of dt / 2**20; too many to count is
+        # refused before any step, also where the ladder's workers would count
+        ("simulate", {**gaussian, "eps": 0.1, "t_max": 0.1}, {"dt": 5e-324}, "dt"),
+        ("lifespan", {**gaussian, "eps_values": [0.4, 0.2, 0.1], "t_cap": 0.1},
+         {"dt": 5e-324}, "dt"),
+        ("lifespan", {**gaussian, "eps_values": [0.4, 0.2, 0.1], "t_cap": 1000.0},
+         {"dt": 1e-300}, "dt"),
     ]
+
+    def stepping(self):
+        raise AssertionError("stepped before the config error")
+
+    monkeypatch.setattr("dampedwave.solver.Stepper.start", stepping)
     cfgp = tmp_path / "typed.json"
     capsys.readouterr()
     for command, base, change, key in cases:
@@ -646,6 +670,27 @@ def test_cli_config_errors(tmp_path, capsys, fields_2d):
     assert "times that do not strictly increase" in errs["unsorted_times"]
     for name in ("short_times", "times_2d", "no_times"):
         assert "snapshots must stack one field per time" in errs[name], name
+
+
+def test_unusable_output_paths_exit_2(tmp_path, capsys):
+    # a job name longer than a file name may be, written by a pool worker,
+    # and an --out that is a file: each is one config error naming the path
+    job = {"kind": "classify", "config": {"n": 1, "gamma": 1.0, "p": 3.5}}
+    cfgp = tmp_path / "sweep.json"
+    cfgp.write_text(json.dumps({"jobs": [{"name": "ok", **job}, {"name": "x" * 300, **job}]}))
+    out = tmp_path / "o"
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    runs = [
+        (["sweep", "--config", str(cfgp), "--out", str(out), "--threads", "2"],
+         out / ("x" * 300)),
+        (["classify", "--n", "1", "--gamma", "1", "--p", "3.5", "--out", str(afile)], afile),
+    ]
+    for args, path in runs:
+        assert cli.main(args) == 2, args[0]
+        err = capsys.readouterr().err
+        assert f"cannot write outputs to {path}" in err, err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
 def test_impossible_snapshot_reservation_exits_2(tmp_path, monkeypatch, capsys):
