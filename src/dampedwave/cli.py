@@ -86,6 +86,7 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         seed = cfg.pop("seed", None) if isinstance(cfg, dict) else None
 
+        harness.make_out_dir(args.out)
         if args.command == "sweep":
             result = harness.run_sweep(cfg, args.out, threads=args.threads)
         else:

@@ -65,6 +65,7 @@ __all__ = [
     "run_bump_check",
     "run_testfunc",
     "run_sweep",
+    "make_out_dir",
     "emit_outputs",
     "RUNNERS",
 ]
@@ -143,6 +144,13 @@ def _powers(values) -> list:
     if not powers or min(powers) < 1:
         raise ValueError("expected one or more integers >= 1")
     return powers
+
+
+def _text(value) -> str:
+    """A JSON string; null or a number is an error, not the text of its repr."""
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
 
 
 def _outcome(value) -> str:
@@ -654,7 +662,7 @@ def run_bump_check(cfg: dict) -> dict:
 def run_testfunc(cfg: dict) -> dict:
     """Evaluate the weak-solution inequalities on stored fields."""
     c = _take(cfg, "testfunc config", {
-        "fields": (str, _REQUIRED), "R_values": (_radii, [2.0, 4.0, 8.0]),
+        "fields": (_text, _REQUIRED), "R_values": (_radii, [2.0, 4.0, 8.0]),
         "time_points": (_int, 513),
         "check": ({"min_margin": (_real, 0.0), "max_identity_rel": (_real, 0.05)}, None),
     })
@@ -846,7 +854,7 @@ def run_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     parsed = []
     for j, job in enumerate(jobs):
         jc = _take(job, f"jobs[{j}]", {
-            "name": (str, _REQUIRED), "kind": (str, _REQUIRED), "config": (None, _REQUIRED),
+            "name": (_text, _REQUIRED), "kind": (_text, _REQUIRED), "config": (None, _REQUIRED),
         })
         name, kind = jc["name"], jc["kind"]
         if kind not in RUNNERS:
@@ -855,6 +863,8 @@ def run_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
             raise ConfigError(f"jobs[{j}]: bad or duplicate name {name!r}")
         seen.add(name)
         parsed.append((name, kind, jc["config"], out_dir))
+    for name, *_ in parsed:
+        make_out_dir(os.path.join(out_dir, name))
 
     results = _map(_sweep_job, parsed, threads)
     rows = [
@@ -960,6 +970,22 @@ def write_field_archive(path: str, arrays: dict) -> None:
                     member.write(chunk)
 
 
+@contextlib.contextmanager
+def _writing_to(out_dir: str):
+    """An OSError inside becomes a ConfigError naming out_dir."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {out_dir}: {exc}") from exc
+
+
+def make_out_dir(out_dir: str) -> None:
+    """Make out_dir if it is missing and write a temp file there, so a run fails before it steps."""
+    with _writing_to(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        tempfile.TemporaryFile(dir=out_dir).close()
+
+
 def emit_outputs(result: dict, out_dir: str) -> list:
     """Write CSV + JSON (+ field archive) for one result; returns paths.
 
@@ -976,13 +1002,11 @@ def emit_outputs(result: dict, out_dir: str) -> list:
         "rows": result["rows"],
         "check": result["check"],
     }
-    try:
+    with _writing_to(out_dir):
         os.makedirs(out_dir, exist_ok=True)
         write_csv(paths[0], result["rows"], result["config_hash"])
         write_json(paths[1], payload)
         if result.get("arrays"):
             paths.append(os.path.join(out_dir, "fields.npz"))
             write_field_archive(paths[2], result["arrays"])
-    except OSError as exc:
-        raise ConfigError(f"cannot write outputs to {out_dir}: {exc}") from exc
     return paths

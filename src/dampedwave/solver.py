@@ -20,7 +20,11 @@ run() is one loop over steps of dt: step 0 is the eps-scaled data, and
 it goes through the same finiteness and threshold gate as every later
 step.  measure_lifespan() steps one run whose step halves as max|u|
 grows, so that it stays a fixed fraction of the ODE blow-up time scale
-max|u|^(-(p-1)/2), and reads the blow-up time off an integer clock.
+max|u|^(-(p-1)/2), and reads the blow-up time off an integer clock.  Its
+quiet phase steps on the coarsest power-of-two grid of the same box that
+holds the solution: the run moves to the next finer grid once the top half
+of the kept band holds _TAIL_TOL of the mass, and to the configured grid
+before any adapted step, so it crosses the threshold there.
 
 Second order accurate in the step.  The step size must resolve the
 fastest resolved oscillation, dt <= 1/(2 xi_max).
@@ -28,6 +32,7 @@ fastest resolved oscillation, dt <= 1/(2 xi_max).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import tempfile
@@ -62,6 +67,13 @@ _BOUNDARY_RTOL = 1e-8
 # of the ODE blow-up time scale max|u|^(-(p-1)/2), with k at most _MAX_LEVEL
 _STEP_FRACTION = 0.25
 _MAX_LEVEL = 20
+
+# measure_lifespan's grids: a run leaves a coarse grid for the next finer one
+# once the top half of its kept band holds _TAIL_TOL of the mass, and for the
+# configured grid once _COARSE_MARGIN times its max|u| would take a step of
+# level > 0 or pass the threshold (a coarse grid samples every other point)
+_TAIL_TOL = 1e-6
+_COARSE_MARGIN = 2.0
 
 # each step's 2/3-rule dealiasing, and the H^s order and zero-mode policy of
 # the norms run() records; the runners' config echoes read them from here
@@ -181,6 +193,10 @@ class Stepper:
     of level 0.  work is the real scratch array: |u|^p inside a step, free
     between steps.
 
+    grid, if given, is a grid of the same box as config's but another size:
+    the stepper then steps config's equation there, and take() fills its
+    state, since start() reads config's data.
+
     A step transforms once each way, one call per axis, in the axis order
     of np.fft.irfftn and rfftn: ifft over each leading axis and irfft over
     the last, then rfft over the last and fft over each leading axis.  The
@@ -188,8 +204,8 @@ class Stepper:
     place.
     """
 
-    def __init__(self, config: SimConfig) -> None:
-        grid = config.grid
+    def __init__(self, config: SimConfig, grid: Grid | None = None) -> None:
+        grid = grid or config.grid
         self.data = config.data
         self.dt = config.dt
         self.xi2 = grid.xi2
@@ -237,6 +253,24 @@ class Stepper:
         np.multiply(self.data.eps, self.data.u1.coeffs, out=self.vhat)
         self._fill_physical_and_nl(self.nl_hat)
         return self.uhat, self.vhat, self.u_phys, self.nl_hat
+
+    def take(self, other: "Stepper") -> None:
+        """Load other's state, a stepper's on another grid of the same box.
+
+        A coefficient means the same at the same k on each grid.  uhat and
+        vhat take other's within the kept band of the coarser grid, |k| <=
+        N/3 per axis, and are zero elsewhere: exact when other's state lies
+        in that band, zero padding onto a finer grid being exact
+        interpolation.  u_phys and nl_hat are then computed here.
+        """
+        m = min(self.size, other.size) // 3
+        self.uhat.fill(0.0)
+        self.vhat.fill(0.0)
+        for lead in itertools.product((slice(0, m + 1), slice(-m, None)), repeat=self.dim - 1):
+            band = (*lead, slice(0, m + 1))
+            self.uhat[band] = other.uhat[band]
+            self.vhat[band] = other.vhat[band]
+        self._fill_physical_and_nl(self.nl_hat)
 
     def advance(self, level: int = 0):
         """(uhat, vhat, u_phys, nl_hat) one step of dt / 2**level later, written over the last.
@@ -401,6 +435,61 @@ def _step_level(config: SimConfig, top: float) -> int:
     return math.ceil(k) if k > 0.0 else 0  # also -inf
 
 
+def _coarsest_size(config: SimConfig) -> int:
+    """The smallest power-of-two size whose kept band holds every nonzero data coefficient.
+
+    The band is |k| <= size/3 on each axis; a data coefficient at the
+    Nyquist mode leaves only the configured size.
+    """
+    g = config.grid
+    nonzero = (config.data.u0.coeffs != 0.0) | (config.data.u1.coeffs != 0.0)
+    reach = int(np.max(g.lattice(np.abs(g.k_axis), np.maximum, half=True)[nonzero], initial=0))
+    size = 8
+    # a Grid must resolve xi_max = pi size / (2L) > 1/2
+    while size < g.size and (size // 3 < reach or math.pi * size <= g.half_length):
+        size *= 2
+    return size
+
+
+def _band_views(uhat: np.ndarray) -> tuple[list, list]:
+    """(weight, slab) pairs of uhat's float64 view: (top half of the kept band, inner box).
+
+    With n = uhat's grid size, the top half is n/6 < max over axes |k| <=
+    n/3 and the inner box |k| <= n/6 on every axis; summed as weight *
+    vdot(slab, slab), each part gives sum w |uhat|^2 over its set, with w
+    the column weight.  Each set is cut by the first axis on which |k|
+    passes its lower bound, into slabs of the two signs of k along each
+    leading axis.  In 1D the slabs are contiguous, so vdot copies nothing.
+    """
+    f = uhat.view(np.float64)
+    size, dim = 2 * (uhat.shape[-1] - 1), uhat.ndim
+
+    def axis(a: int, b: int, last: bool) -> list:
+        """a < |k| <= b along one axis, as slices of the view."""
+        if last:
+            return [slice(2 * a + 2, 2 * b + 2)]
+        return [slice(a + 1, b + 1), slice(size - b, size - a)]
+
+    def part(a: int, b: int) -> list:
+        out = []
+        for j in range(dim if a >= 0 else 1):  # a box (a = -1) is one product
+            axes = [axis(-1, a, i == dim - 1) for i in range(j)] + [axis(a, b, j == dim - 1)]
+            axes += [axis(-1, b, i == dim - 1) for i in range(j + 1, dim)]
+            for index in itertools.product(*axes):
+                out.append((2.0, f[index]))
+                if index[-1].start == 0:  # the column k = 0 has weight 1
+                    out.append((-1.0, f[(*index[:-1], slice(0, 2))]))
+        return out
+
+    return part(size // 6, size // 3), part(-1, size // 6)
+
+
+def _quiet(views: tuple[list, list]) -> bool:
+    """True if the top half of the kept band holds less than _TAIL_TOL of the mass."""
+    top_half, inner = (sum(w * np.vdot(v, v) for w, v in slabs) for slabs in views)
+    return top_half < _TAIL_TOL * (top_half + inner)
+
+
 def measure_lifespan(config: SimConfig) -> LifespanResult:
     """The first time one run's max|u| exceeds the threshold or stops being finite.
 
@@ -409,29 +498,56 @@ def measure_lifespan(config: SimConfig) -> LifespanResult:
     fraction of the ODE blow-up time scale max|u|^(-(p-1)/2) as the
     solution grows.  The clock counts ticks of dt / 2**_MAX_LEVEL, so the
     blow-up time is exact and reproducible.  Step 0 passes the same gate
-    as run()'s.  The error bar is dt/2 + h for the step h that crossed:
-    the detection granularity of that step plus half a quiet step for the
-    scheme's own error.  A run that has not crossed by t_max, with run()'s
-    tolerance of 1e-9 dt, is censored.
+    as run()'s, on the configured grid.  The error bar is dt/2 + h for the
+    step h that crossed: the detection granularity of that step plus half
+    a quiet step for the scheme's own error.  A run that has not crossed
+    by t_max, with run()'s tolerance of 1e-9 dt, is censored.
+
+    The quiet phase steps on the coarsest grid that holds the solution.
+    The grids are the power-of-two sizes from the smallest whose kept band
+    holds every nonzero data coefficient up to the configured one, all of
+    the same box and dt, and the run starts on the smallest with the data's
+    coefficients (Stepper.take).  Before each step it moves to the next
+    finer grid unless the top half of the current kept band, n/6 < max over
+    axes |k| <= n/3, holds less than _TAIL_TOL of the mass sum w |uhat|^2.
+    It moves straight to the configured grid once _COARSE_MARGIN times its
+    max|u| would take a step of level > 0 or pass the threshold, so every
+    adapted step and the crossing are on the configured grid.
     """
-    stepper = Stepper(config)
+    fine = Stepper(config)
+    g = config.grid
     scale = 2**_MAX_LEVEL
     tick = config.dt / scale
     horizon = math.floor((config.t_max / config.dt + 1e-9) * scale)
     ticks = 0
     with np.errstate(**_QUIET):
-        stepper.start()
-        top = stepper.top()
+        fine.start()
+        top = fine.top()
         _start_gate(config, top)
+        stepper, size = fine, _coarsest_size(config)
         while True:
+            if stepper is not fine:
+                edge = _COARSE_MARGIN * top
+                if _step_level(config, edge) > 0 or not edge < config.blowup_threshold:
+                    size = fine.size
+                elif not _quiet(views):
+                    size = 2 * stepper.size
+            if size != stepper.size:
+                if size == fine.size:
+                    held = fine
+                else:
+                    held = Stepper(config, Grid(g.dim, size, g.half_length))
+                held.take(stepper)
+                stepper, top, views = held, held.top(), _band_views(held.uhat)
+                continue
+            if ticks and _ended(config, ticks * tick, top):
+                return LifespanResult(
+                    t_blowup=ticks * tick, error=config.dt / 2.0 + config.dt / 2**level,
+                    censored=False,
+                )
             level = _step_level(config, top)
             ticks += scale >> level
             if ticks > horizon:
                 return LifespanResult(t_blowup=math.inf, error=math.nan, censored=True)
             stepper.advance(level)
             top = stepper.top()
-            t = ticks * tick
-            if _ended(config, t, top):
-                return LifespanResult(
-                    t_blowup=t, error=config.dt / 2.0 + config.dt / 2**level, censored=False
-                )

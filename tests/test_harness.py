@@ -693,6 +693,44 @@ def test_unusable_output_paths_exit_2(tmp_path, capsys):
         assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
+def test_unusable_out_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    # --out is made and written to before the runner is called, and each
+    # sweep job's directory before the pool starts
+    def running(*args):
+        raise AssertionError("ran before the output path was refused")
+
+    monkeypatch.setitem(harness.RUNNERS, "simulate", running)
+    monkeypatch.setattr(harness, "_map", running)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfgp = tmp_path / "sim.json"
+    cfgp.write_text(json.dumps(_TINY["simulate"]))
+    job = {"kind": "classify", "config": {"n": 1, "gamma": 1.0, "p": 3.5}}
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"jobs": [{"name": "ok", **job}, {"name": "x" * 300, **job}]}))
+    out = tmp_path / "o"
+    runs = [
+        (["simulate", "--config", str(cfgp), "--out", str(afile)], afile),
+        (["sweep", "--config", str(sweep), "--out", str(out), "--threads", "2"],
+         out / ("x" * 300)),
+    ]
+    for args, path in runs:
+        assert cli.main(args) == 2, args[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write outputs to {path}: "), err
+        assert err.count("\n") == 1, err
+
+
+def test_testfunc_fields_must_be_a_string(tmp_path, capsys):
+    cfgp = tmp_path / "testfunc.json"
+    for value in (None, 3):
+        cfgp.write_text(json.dumps({"fields": value}))
+        assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: testfunc config: bad value {value!r} for 'fields': "
+                       "expected a string\n"), err
+
+
 def test_impossible_snapshot_reservation_exits_2(tmp_path, monkeypatch, capsys):
     # 1.6e13 snapshots of 64 bytes: far beyond any address space, so the
     # reservation fails outright and nothing is allocated or stepped

@@ -1,5 +1,6 @@
 """Time stepping: linear exactness, ODE oracle, blow-up, lifespan."""
 
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -8,14 +9,18 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from dampedwave import solver
 from dampedwave.accel import khat_kprime
 from dampedwave.dispersion import propagate_linear
 from dampedwave.errors import ConfigError, NumericalError
 from dampedwave.grid import Grid, SpectralField, forward_transform
-from dampedwave.profiles import DataPair, assemble_pair, power_profile
+from dampedwave.profiles import DataPair, assemble_pair, laplacian_gaussian, power_profile
 from dampedwave.solver import (
+    LifespanResult,
     SimConfig,
     Stepper,
+    _band_views,
+    _coarsest_size,
     _step_level,
     measure_lifespan,
     run,
@@ -550,3 +555,123 @@ def test_lifespan_shrinks_with_amplitude():
         assert not res.censored
         times.append(res.t_blowup)
     assert times[1] > times[0]
+
+
+def _single_grid_lifespan(cfg: SimConfig) -> LifespanResult:
+    """measure_lifespan's clock and step levels on the configured grid alone."""
+    stepper = Stepper(cfg)
+    stepper.start()
+    top = stepper.top()
+    scale = 2**20
+    horizon = math.floor((cfg.t_max / cfg.dt + 1e-9) * scale)
+    ticks = 0
+    while True:
+        level = _step_level(cfg, top)
+        ticks += scale >> level
+        assert ticks <= horizon, "the member outlived t_max"
+        stepper.advance(level)
+        top = stepper.top()
+        if not top <= cfg.blowup_threshold:
+            return LifespanResult(ticks * cfg.dt / scale, cfg.dt / 2 + cfg.dt / 2**level, False)
+
+
+def _steps_by_size(monkeypatch) -> collections.Counter:
+    """Counts each Stepper.advance by the size of the stepper's grid."""
+    counts: collections.Counter = collections.Counter()
+    advance = Stepper.advance
+
+    def counting(self, level=0):
+        counts[self.size] += 1
+        return advance(self, level)
+
+    monkeypatch.setattr(Stepper, "advance", counting)
+    return counts
+
+
+def _c11_member(eps: float) -> SimConfig:
+    g = Grid(1, 2048, 256.0)
+    return SimConfig(data=assemble_pair(power_profile(g, 1.0), eps), p=2.0, dt=1 / 32,
+                     t_max=600.0)
+
+
+def _off_centre_member() -> SimConfig:
+    """c11's eps 0.4 member, moved to x = dx, which no coarser grid samples, at threshold 1.5."""
+    g = Grid(1, 2048, 256.0)
+    coeffs = power_profile(g, 1.0).coeffs * np.exp(-1j * g.dx * g.xi_axis[: g.spectral_shape[-1]])
+    field = SpectralField(g, coeffs)
+    return SimConfig(data=DataPair(field, field.copy(), 0.4), p=2.0, dt=1 / 32, t_max=600.0,
+                     blowup_threshold=1.5)
+
+
+@pytest.mark.parametrize("dim,size", [(1, 64), (2, 32), (3, 16)])
+def test_band_views_sum_the_weighted_top_half_and_inner_box(dim, size):
+    # against masks on the half-spectrum: the top half of the kept band is
+    # size/6 < max over axes |k| <= size/3, the inner box |k| <= size/6
+    rng = np.random.default_rng(dim)
+    g = Grid(dim, size, 4.0)
+    uhat = rng.standard_normal(g.spectral_shape) + 1j * rng.standard_normal(g.spectral_shape)
+    reach = g.lattice(np.abs(g.k_axis), np.maximum, half=True)
+    mass = np.broadcast_to(g.column_weight, uhat.shape) * np.abs(uhat) ** 2
+    want = (mass[(reach > size // 6) & (reach <= size // 3)].sum(), mass[reach <= size // 6].sum())
+    got = [sum(w * np.vdot(v, v) for w, v in part) for part in _band_views(uhat)]
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_lifespan_at_tail_tol_zero_is_the_single_grid_run(monkeypatch):
+    # tol 0 leaves every coarse grid before step 1: the configured grid
+    # takes the data back bit for bit and steps the whole run
+    g = Grid(1, 512, 64.0)
+    cfg = SimConfig(data=assemble_pair(power_profile(g, 1.0), 1.0), p=2.0, dt=1 / 32,
+                    t_max=200.0)
+    assert _coarsest_size(cfg) == 32
+    want = _single_grid_lifespan(cfg)
+    counts = _steps_by_size(monkeypatch)
+    monkeypatch.setattr(solver, "_TAIL_TOL", 0.0)
+    assert measure_lifespan(cfg) == want
+    assert list(counts) == [512]
+
+
+@pytest.mark.parametrize("make_cfg", [
+    pytest.param(lambda: _c11_member(0.4), id="c11-eps0.4"),
+    pytest.param(lambda: SimConfig(
+        data=assemble_pair(power_profile(Grid(2, 128, 64.0), 1.0), 0.5), p=2.0,
+        dt=0.0625, t_max=60.0), id="2d-power"),
+    # a coarse grid's max|u| misses the peak: the run must still leave it
+    # before the threshold, which here lies below the first halved step
+    pytest.param(_off_centre_member, id="off-centre"),
+])
+def test_coarse_grids_give_the_tol_zero_lifespan(monkeypatch, make_cfg):
+    cfg = make_cfg()
+    counts = _steps_by_size(monkeypatch)
+    res = measure_lifespan(cfg)
+    assert not res.censored and min(counts) < cfg.grid.size
+    monkeypatch.setattr(solver, "_TAIL_TOL", 0.0)
+    assert measure_lifespan(cfg) == res
+
+
+def test_quiet_phase_steps_on_coarse_grids(monkeypatch):
+    # c11's eps 0.1 member: its data and solution live at |xi| < 1 for
+    # most of the run, far inside the band of N = 2048
+    counts = _steps_by_size(monkeypatch)
+    res = measure_lifespan(_c11_member(0.1))
+    assert not res.censored
+    coarse = sum(n for size, n in counts.items() if size < 2048)
+    assert coarse > 0.9 * sum(counts.values()), counts
+
+
+def test_data_at_the_nyquist_mode_builds_only_the_configured_grid(monkeypatch):
+    g = Grid(1, 64, 8.0)
+    field = laplacian_gaussian(g, 1)
+    assert field.coeffs[-1] != 0.0
+    cfg = SimConfig(data=assemble_pair(field, 3.0), p=2.0, dt=1 / 32, t_max=20.0)
+    assert _coarsest_size(cfg) == 64
+    built = []
+    init = Stepper.__init__
+
+    def recording(self, config, grid=None):
+        init(self, config, grid)
+        built.append(self.size)
+
+    monkeypatch.setattr(Stepper, "__init__", recording)
+    assert not measure_lifespan(cfg).censored
+    assert built == [64]

@@ -93,6 +93,15 @@ EXTRA = {
                                       "p": 2.0, "eps_values": [1.0, 0.25, 2.0, 0.5],
                                       "dt": 0.03125, "t_cap": 30.0,
                                       "check": {"min_uncensored": 3}}}],
+    # c10's ladder (tests/test_acceptance.py): the 1D N = 4096 run whose
+    # members step most of their quiet phase on coarser grids
+    "c10": [{"command": "lifespan", "args": ["--check"],
+             "config": {"grid": {"dim": 1, "size": 4096, "half_length": 512.0},
+                        "profile": {"family": "power", "gamma": 0.25, "scale": 0.0625},
+                        "p": 2.0,
+                        "eps_values": [0.4, 0.282842712474619, 0.2, 0.1414213562373095, 0.1],
+                        "dt": 0.03125, "t_cap": 2000.0,
+                        "check": {"rel_tol": 0.2, "min_uncensored": 5}}}],
     # a 2D ladder: each member steps one adapted run through the per-axis
     # transforms; the eps 0.03 member outlives t_cap
     "lifespan2d": [{"command": "lifespan", "args": ["--check"],
