@@ -87,9 +87,12 @@ def _hdotneg_weight(grid: Grid, gamma: float) -> np.ndarray:
 
 
 def _weighted_sum(fld: SpectralField, w: np.ndarray) -> float:
-    """sum of w |fhat|^2 dxi^n over the half-spectrum."""
+    """sum of w |fhat|^2 dxi^n over the half-spectrum, in one temporary."""
     g = fld.grid
-    return float(np.sum(w * np.abs(fld.coeffs) ** 2) * g.dxi**g.dim)
+    a = np.abs(fld.coeffs)
+    a *= a
+    a *= w
+    return float(np.sum(a) * g.dxi**g.dim)
 
 
 def hs_norm(fld: SpectralField, s: float) -> float:

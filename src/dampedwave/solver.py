@@ -12,9 +12,11 @@ dimensions that is n - 1 complex ifft calls and one irfft, then one rfft
 and n - 1 complex fft calls.  The Stepper owns its state and workspace:
 every combine and transform of a step writes into them in place, with
 the operand order of the out-of-place expressions.  Multipliers are held
-as complex128, so a step allocates nothing.  Fields are real, and every
-spectral array here is the half-spectrum that SpectralField holds (last
-axis k = 0 .. N/2, as np.fft.rfftn returns it).
+as complex128, so a step allocates nothing.  Fields are real, held by
+the half-spectrum that SpectralField holds (last axis k = 0 .. N/2, as
+np.fft.rfftn returns it).  Data inside the band the 2/3 rule keeps, |k| <=
+N/3 per axis, stays there: the Stepper then holds and combines only that
+band, and transforms the leading axes on its columns alone.
 
 run() is one loop over steps of dt: step 0 is the eps-scaled data, and
 it goes through the same finiteness and threshold gate as every later
@@ -39,6 +41,7 @@ import tempfile
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -180,8 +183,17 @@ class Trajectory:
         return None if self.field_spool is None else self.field_spool.load()
 
 
+def _slabs(a_shape: tuple, b_shape: tuple, m: int) -> list:
+    """(a index, b index) pairs for |k| <= m, one per sign of k on each leading axis (fftn order)."""
+    last = slice(0, m + 1)
+    signs = [((last, last), (slice(la - m, la), slice(lb - m, lb)))
+             for la, lb in zip(a_shape[:-1], b_shape[:-1])]
+    return [((*(a for a, _ in pick), last), (*(b for _, b in pick), last))
+            for pick in itertools.product(*signs)]
+
+
 class Stepper:
-    """Steps one run on the half-spectrum, multipliers computed once per step size.
+    """Steps one run on the kept band, multipliers computed once per step size.
 
     The stepper owns its state and workspace, allocated once here, and a
     step creates no arrays of its own.  start() fills the state at t = 0
@@ -191,7 +203,9 @@ class Stepper:
     level 0 are built here, those of any other level on its first use,
     and each is kept for the stepper's life.  run() is the loop over steps
     of level 0.  work is the real scratch array: |u|^p inside a step, free
-    between steps.
+    between steps.  The spectral arrays are band arrays, shape (2m+1,)*(dim-1)
+    + (m+1,) for m = N//3 or the half-spectrum's, and half_spectrum() gives
+    one as the half-spectrum.
 
     grid, if given, is a grid of the same box as config's but another size:
     the stepper then steps config's equation there, and take() fills its
@@ -200,8 +214,10 @@ class Stepper:
     A step transforms once each way, one call per axis, in the axis order
     of np.fft.irfftn and rfftn: ifft over each leading axis and irfft over
     the last, then rfft over the last and fft over each leading axis.  The
-    calls look np.fft up when they run, and the complex ones write in
-    place.
+    multiplies by inv_factor and fwd_factor put the band into _pad, zero
+    outside it, and take it out of _spec.  The leading-axis calls run on the
+    band's columns, the first out of place so _pad stays zero, and irfft
+    pads them with zeros.  The calls look np.fft up when they run.
     """
 
     def __init__(self, config: SimConfig, grid: Grid | None = None) -> None:
@@ -212,45 +228,85 @@ class Stepper:
         self.dim, self.size = grid.dim, grid.size
         self.p = config.p
         self.nonlinear = config.nonlinear
+        half, m = grid.spectral_shape, grid.size // 3
+        shape = (2 * m + 1,) * (grid.dim - 1) + (m + 1,)
+        nonzero = (self.data.u0.coeffs != 0.0) | (self.data.u1.coeffs != 0.0)
+        if np.any(nonzero & ~config.grid.dealias_mask):
+            shape = half
+        self._slabs = [(..., ...)] if shape == half else _slabs(shape, half, m)
         self._levels: dict[int, tuple] = {}
-        kh = self._level(0)[0]
-        self.inv_factor = (grid.phase / grid.transform_scale).astype(complex)
-        self.fwd_factor = (grid.phase * grid.transform_scale * grid.dealias_mask).astype(complex)
         # linear runs keep both nl buffers at zero
-        self.uhat, self.vhat, self.nl_hat, self._nl_next, self._pv, self._spec_work = (
-            np.zeros(kh.shape, dtype=np.complex128) for _ in range(6)
+        self.uhat, self.vhat, self.nl_hat, self._nl_next, self._pv, self._work_band = (
+            np.zeros(shape, dtype=np.complex128) for _ in range(6)
         )
+        self._level(0)
+        self.inv_factor = self._band_of(grid.phase / grid.transform_scale)
+        self.fwd_factor = self._band_of(grid.phase * grid.transform_scale * grid.dealias_mask)
+        self._pad, self._spec = (np.zeros(half, dtype=np.complex128) for _ in range(2))
+        cols = (..., slice(0, shape[-1]))
+        self._pad_cols, self._spec_cols = self._pad[cols], self._spec[cols]
+        # NumPy buffers a strided ufunc operand through a temporary of its
+        # size: one slab pair (1D or the whole half-spectrum) is contiguous,
+        # more go through the combine scratch and copyto moves each slab
+        if len(self._slabs) == 1:
+            h = self._slabs[0][1]
+            self._pad_band, self._spec_band, moves = self._pad[h], self._spec[h], []
+        else:
+            self._pad_band = self._spec_band = self._work_band
+            moves = self._slabs
+        self._to_pad = [(self._pad[h], self._work_band[b]) for b, h in moves]
+        self._from_spec = [(self._work_band[b], self._spec[h]) for b, h in moves]
         self.u_phys = np.empty(grid.shape)
         self.work = np.empty(grid.shape)
 
+    def _band_of(self, full: np.ndarray) -> np.ndarray:
+        """A half-spectrum array's band, as a new complex128 array."""
+        out = np.empty_like(self.uhat)
+        for b, h in self._slabs:
+            out[b] = full[h]
+        return out
+
+    def half_spectrum(self, band: np.ndarray) -> np.ndarray:
+        """One of the stepper's band arrays as a new half-spectrum, zero outside the band."""
+        out = np.zeros(self._pad.shape, dtype=np.complex128)
+        for b, h in self._slabs:
+            out[h] = band[b]
+        return out
+
     def _level(self, level: int) -> tuple:
-        """(kh, kp, xi2 * kh, h/2 * kh, h/2) for h = dt / 2**level, built once."""
+        """(kh, kp, xi2 * kh, h/2 * kh, h/2) for h = dt / 2**level, built once on the half-spectrum."""
         mult = self._levels.get(level)
         if mult is None:
             h = self.dt / 2**level
             half = 0.5 * h
             kh, kp = khat_kprime(h, self.xi2)
             arrays = (kh, kp, self.xi2 * kh, half * kh)
-            mult = self._levels[level] = (*(a.astype(complex) for a in arrays), half)
+            mult = self._levels[level] = (*(self._band_of(a) for a in arrays), half)
         return mult
 
     def _fill_physical_and_nl(self, nl_out: np.ndarray) -> None:
         """u_phys from uhat, then the dealiased coefficients of |u|^p into nl_out."""
-        spec = self._spec_work
-        np.multiply(self.uhat, self.inv_factor, out=spec)
+        np.multiply(self.uhat, self.inv_factor, out=self._pad_band)
+        for dst, src in self._to_pad:
+            np.copyto(dst, src)
+        spec = self._pad_cols
         for axis in range(self.dim - 1):
-            np.fft.ifft(spec, axis=axis, out=spec)
+            np.fft.ifft(spec, axis=axis, out=self._spec_cols)
+            spec = self._spec_cols
         np.fft.irfft(spec, n=self.size, axis=-1, out=self.u_phys)
         if self.nonlinear:
-            np.fft.rfft(abs_pow(self.u_phys, self.p, self.work), axis=-1, out=nl_out)
+            np.fft.rfft(abs_pow(self.u_phys, self.p, self.work), axis=-1, out=self._spec)
             for axis in range(self.dim - 2, -1, -1):
-                np.fft.fft(nl_out, axis=axis, out=nl_out)
-            np.multiply(nl_out, self.fwd_factor, out=nl_out)
+                np.fft.fft(self._spec_cols, axis=axis, out=self._spec_cols)
+            for dst, src in self._from_spec:
+                np.copyto(dst, src)
+            np.multiply(self._spec_band, self.fwd_factor, out=nl_out)
 
     def start(self):
         """(uhat, vhat, u_phys, nl_hat) of the eps-scaled data at t = 0."""
-        np.multiply(self.data.eps, self.data.u0.coeffs, out=self.uhat)
-        np.multiply(self.data.eps, self.data.u1.coeffs, out=self.vhat)
+        for b, h in self._slabs:
+            np.multiply(self.data.eps, self.data.u0.coeffs[h], out=self.uhat[b])
+            np.multiply(self.data.eps, self.data.u1.coeffs[h], out=self.vhat[b])
         self._fill_physical_and_nl(self.nl_hat)
         return self.uhat, self.vhat, self.u_phys, self.nl_hat
 
@@ -266,10 +322,9 @@ class Stepper:
         m = min(self.size, other.size) // 3
         self.uhat.fill(0.0)
         self.vhat.fill(0.0)
-        for lead in itertools.product((slice(0, m + 1), slice(-m, None)), repeat=self.dim - 1):
-            band = (*lead, slice(0, m + 1))
-            self.uhat[band] = other.uhat[band]
-            self.vhat[band] = other.vhat[band]
+        for mine, theirs in _slabs(self.uhat.shape, other.uhat.shape, m):
+            self.uhat[mine] = other.uhat[theirs]
+            self.vhat[mine] = other.vhat[theirs]
         self._fill_physical_and_nl(self.nl_hat)
 
     def advance(self, level: int = 0):
@@ -281,7 +336,7 @@ class Stepper:
         kh, kp, xi2_kh, half_kh, half = self._level(level)
         predict_combine(
             self.uhat, self.vhat, self.nl_hat, kh, kp, xi2_kh, half_kh, self._pv,
-            self._spec_work,
+            self._work_band,
         )
         self._fill_physical_and_nl(self._nl_next)
         correct_combine(self._pv, self.nl_hat, self._nl_next, kp, half, self.vhat)
@@ -387,7 +442,7 @@ def run(config: SimConfig) -> Trajectory:
                 if not math.isfinite(top):
                     break
             if t_blowup is not None or n % config.record_every == 0 or n == n_steps:
-                fld = SpectralField(g, uhat)
+                fld = SpectralField(g, stepper.half_spectrum(uhat))
                 l2 = math.sqrt(np.sum(u_phys * u_phys) * vol)
                 hneg = hdotneg_norm(fld, config.gamma, NORM_POLICY)
                 rows.append((t, l2, top, hs_norm(fld, HS_ORDER), hneg))
@@ -452,23 +507,24 @@ def _coarsest_size(config: SimConfig) -> int:
 
 
 def _band_views(uhat: np.ndarray) -> tuple[list, list]:
-    """(weight, slab) pairs of uhat's float64 view: (top half of the kept band, inner box).
+    """(weight, slab) pairs of a band's float64 view: (top half of the band, inner box).
 
-    With n = uhat's grid size, the top half is n/6 < max over axes |k| <=
-    n/3 and the inner box |k| <= n/6 on every axis; summed as weight *
-    vdot(slab, slab), each part gives sum w |uhat|^2 over its set, with w
-    the column weight.  Each set is cut by the first axis on which |k|
-    passes its lower bound, into slabs of the two signs of k along each
-    leading axis.  In 1D the slabs are contiguous, so vdot copies nothing.
+    uhat is a Stepper's compact band, m = n//3 for grid size n.  The top half
+    is m//2 < max over axes |k| <= m, the inner box |k| <= m//2 (= n//6) on
+    every axis; summed as weight * (slab . slab), each part gives sum w
+    |uhat|^2 over its set, w the column weight.  Each set is cut by the first
+    axis on which |k| passes its lower bound, into slabs of the signs of k.
     """
     f = uhat.view(np.float64)
-    size, dim = 2 * (uhat.shape[-1] - 1), uhat.ndim
+    m, dim = uhat.shape[-1] - 1, uhat.ndim
 
     def axis(a: int, b: int, last: bool) -> list:
         """a < |k| <= b along one axis, as slices of the view."""
         if last:
             return [slice(2 * a + 2, 2 * b + 2)]
-        return [slice(a + 1, b + 1), slice(size - b, size - a)]
+        if b == m:  # k = a+1 .. m, then -m .. -(a+1): one run of rows
+            return [slice(a + 1, 2 * m + 1 - max(a, 0))]
+        return [slice(a + 1, b + 1), slice(2 * m + 1 - b, 2 * m + 1 - max(a, 0))]
 
     def part(a: int, b: int) -> list:
         out = []
@@ -481,12 +537,17 @@ def _band_views(uhat: np.ndarray) -> tuple[list, list]:
                     out.append((-1.0, f[(*index[:-1], slice(0, 2))]))
         return out
 
-    return part(size // 6, size // 3), part(-1, size // 6)
+    return part(m // 2, m), part(-1, m // 2)
+
+
+# slab . slab by the slab's ndim, copying nothing: vdot reads a contiguous
+# 1D slab in place but would flatten a strided one into a copy
+_SQUARES = {1: np.vdot, 2: partial(np.einsum, "ij,ij->"), 3: partial(np.einsum, "ijk,ijk->")}
 
 
 def _quiet(views: tuple[list, list]) -> bool:
     """True if the top half of the kept band holds less than _TAIL_TOL of the mass."""
-    top_half, inner = (sum(w * np.vdot(v, v) for w, v in slabs) for slabs in views)
+    top_half, inner = (sum(w * _SQUARES[v.ndim](v, v) for w, v in slabs) for slabs in views)
     return top_half < _TAIL_TOL * (top_half + inner)
 
 

@@ -34,13 +34,31 @@ def constant_pair(grid: Grid, c0: float, c1: float, eps: float = 1.0) -> DataPai
     return DataPair(u0=u0, u1=u1, eps=eps)
 
 
-def gaussian_pair(grid: Grid, eps: float) -> DataPair:
+def gaussian_pair(grid: Grid, eps: float, band: bool = False) -> DataPair:
+    """The Gaussian pair; band=True keeps only its coefficients inside the kept band."""
     r2 = grid.x_axis**2 if grid.dim == 1 else grid.x_abs**2
-    return assemble_pair(forward_transform(grid, np.exp(-r2)), eps)
+    field = forward_transform(grid, np.exp(-r2))
+    if band:
+        field = SpectralField(grid, field.coeffs * grid.dealias_mask)
+    return assemble_pair(field, eps)
+
+
+def assert_extent(stepper: Stepper, g: Grid, band: bool) -> None:
+    """The stepper holds the compact band |k| <= N/3, or the whole half-spectrum."""
+    m = g.size // 3
+    want = (2 * m + 1,) * (g.dim - 1) + (m + 1,) if band else g.spectral_shape
+    assert stepper.uhat.shape == want
 
 
 # (dim, size) of the 2D and 3D variants of the 1D Gaussian tests
 _MULTI_D = [pytest.param(2, 32, id="2d"), pytest.param(3, 16, id="3d")]
+# (dim, size, band): the Gaussian rows step the whole half-spectrum, the
+# band rows the Gaussian pair cut to the kept band
+_EXTENTS = [
+    pytest.param(1, 64, False, id="1d"), pytest.param(2, 32, False, id="2d"),
+    pytest.param(3, 16, False, id="3d"), pytest.param(1, 64, True, id="1d-band"),
+    pytest.param(2, 32, True, id="2d-band"), pytest.param(3, 16, True, id="3d-band"),
+]
 
 
 def ode_solution(p: float, u0: float, v0: float, t_end: float):
@@ -54,21 +72,28 @@ def ode_solution(p: float, u0: float, v0: float, t_end: float):
 
 
 def test_linear_run_matches_exact_propagator():
-    check_linear_run_matches_exact_propagator(Grid(1, 64, 16.0))
+    check_linear_run_matches_exact_propagator(Grid(1, 64, 16.0), False)
 
 
-@pytest.mark.parametrize("dim,size", _MULTI_D)
-def test_linear_run_matches_exact_propagator_multi_d(dim, size):
-    check_linear_run_matches_exact_propagator(Grid(dim, size, 8.0))
+# dt = 0.05 needs N <= 50 at L = 8 in 1D
+@pytest.mark.parametrize("dim,size,band", [
+    pytest.param(2, 32, False, id="2d"), pytest.param(3, 16, False, id="3d"),
+    pytest.param(1, 32, True, id="1d-band"), pytest.param(2, 32, True, id="2d-band"),
+    pytest.param(3, 16, True, id="3d-band"),
+])
+def test_linear_run_matches_exact_propagator_multi_d(dim, size, band):
+    check_linear_run_matches_exact_propagator(Grid(dim, size, 8.0), band)
 
 
-def check_linear_run_matches_exact_propagator(g: Grid):
-    pair = gaussian_pair(g, 0.7)
+def check_linear_run_matches_exact_propagator(g: Grid, band: bool):
+    pair = gaussian_pair(g, 0.7, band)
     dt, n = 0.05, 60
     stepper = Stepper(SimConfig(data=pair, p=2.0, dt=dt, t_max=n * dt, nonlinear=False))
+    assert_extent(stepper, g, band)
     stepper.start()
     for _ in range(n):
         uhat, vhat, _, _ = stepper.advance()
+    uhat, vhat = stepper.half_spectrum(uhat), stepper.half_spectrum(vhat)
     uex, vex = propagate_linear(pair.u0, pair.u1, n * dt)
     scale = np.max(np.abs(uex.coeffs)) * pair.eps
     assert np.max(np.abs(uhat - pair.eps * uex.coeffs)) < 1e-12 * scale
@@ -261,32 +286,41 @@ def reference_steps(cfg: SimConfig, n: int):
         yield uhat, vhat, u, nl
 
 
-@pytest.mark.parametrize("dim,size", [pytest.param(1, 64, id="1d"), *_MULTI_D])
+@pytest.mark.parametrize("dim,size,band", _EXTENTS)
 @pytest.mark.parametrize(
     "p,nonlinear", [(2.0, True), (3.0, True), (1.71, True), (2.0, False)],
     ids=["p2", "p3", "p1.71", "linear"],
 )
-def test_in_place_step_is_bit_identical(dim, size, p, nonlinear):
+def test_in_place_step_is_bit_identical(dim, size, band, p, nonlinear):
     g = Grid(dim, size, 8.0)
-    cfg = SimConfig(data=gaussian_pair(g, 0.8), p=p, dt=0.02, t_max=1.0, nonlinear=nonlinear)
+    cfg = SimConfig(data=gaussian_pair(g, 0.8, band), p=p, dt=0.02, t_max=1.0,
+                    nonlinear=nonlinear)
     stepper = Stepper(cfg)
+    assert_extent(stepper, g, band)
     ref = reference_steps(cfg, 20)
     for n, want in enumerate(ref):
-        got = stepper.advance() if n else stepper.start()
+        uhat, vhat, u_phys, nl_hat = stepper.advance() if n else stepper.start()
+        got = (*map(stepper.half_spectrum, (uhat, vhat)), u_phys, stepper.half_spectrum(nl_hat))
         for a, b in zip(got, want):
             assert np.array_equal(a, b), f"step {n}"
 
 
+# the band rows take grids whose compact band is at least 20 KB, so that
+# NumPy's per-call bookkeeping (about 1.5 KB) stays below the bound
 @pytest.mark.parametrize(
-    "dim,size,half_length,dt",
-    [pytest.param(1, 4096, 256.0, 0.01, id="1d"),
-     pytest.param(2, 64, 8.0, 0.02, id="2d"),
-     pytest.param(3, 16, 8.0, 0.02, id="3d")],
+    "dim,size,half_length,dt,band",
+    [pytest.param(1, 4096, 256.0, 0.01, False, id="1d"),
+     pytest.param(2, 64, 8.0, 0.02, False, id="2d"),
+     pytest.param(3, 16, 8.0, 0.02, False, id="3d"),
+     pytest.param(1, 4096, 256.0, 0.01, True, id="1d-band"),
+     pytest.param(2, 128, 16.0, 0.02, True, id="2d-band"),
+     pytest.param(3, 32, 16.0, 0.02, True, id="3d-band")],
 )
-def test_step_allocates_no_state_arrays(dim, size, half_length, dt):
+def test_step_allocates_no_state_arrays(dim, size, half_length, dt, band):
     g = Grid(dim, size, half_length)
-    cfg = SimConfig(data=gaussian_pair(g, 0.5), p=1.71, dt=dt, t_max=1.0)
+    cfg = SimConfig(data=gaussian_pair(g, 0.5, band), p=1.71, dt=dt, t_max=1.0)
     stepper = Stepper(cfg)
+    assert_extent(stepper, g, band)
     stepper.start()
     stepper.advance()
     tracemalloc.start()
@@ -613,8 +647,29 @@ def test_band_views_sum_the_weighted_top_half_and_inner_box(dim, size):
     reach = g.lattice(np.abs(g.k_axis), np.maximum, half=True)
     mass = np.broadcast_to(g.column_weight, uhat.shape) * np.abs(uhat) ** 2
     want = (mass[(reach > size // 6) & (reach <= size // 3)].sum(), mass[reach <= size // 6].sum())
-    got = [sum(w * np.vdot(v, v) for w, v in part) for part in _band_views(uhat)]
+    # the compact band: |k| <= size/3, fftn order along each leading axis
+    m = size // 3
+    lead = np.r_[0 : m + 1, size - m : size]
+    band = uhat[np.ix_(*[lead] * (dim - 1), np.arange(m + 1))]
+    got = [sum(w * np.vdot(v, v) for w, v in part) for part in _band_views(band)]
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("dim,size", [(2, 256), (3, 64)])
+def test_quiet_copies_no_band_slab(dim, size):
+    # the strided slabs of a 2D or 3D band are summed where they lie
+    m = size // 3
+    band = np.ones((2 * m + 1,) * (dim - 1) + (m + 1,), dtype=np.complex128)
+    views = _band_views(band)
+    assert not solver._quiet(views)
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            solver._quiet(views)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
 
 
 def test_lifespan_at_tail_tol_zero_is_the_single_grid_run(monkeypatch):
