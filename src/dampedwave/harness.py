@@ -72,11 +72,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# field archive members are copied and read in pieces of this many bytes,
-# the read buffer np.lib.format uses
-_CHUNK_BYTES = 1 << 18
-
-
 # ---------------------------------------------------------------------
 # config plumbing
 
@@ -671,20 +666,16 @@ def run_testfunc(cfg: dict) -> dict:
         raise ConfigError(
             f"testfunc config: 'time_points' must be at least 2, got {c['time_points']}"
         )
-    data = _load_fields(c["fields"], max(c["R_values"]) ** 2)
-    grid: Grid = data["grid"]
-    p = data["p"]
-    l = required_power(p)
-
-    bump = RadialBump(grid.dim, l)
-    weight = testfunc.weight_constant(p, bump, time_points=c["time_points"])
-    rows = [
-        dataclasses.asdict(testfunc.check_bounds(
-            data["times"], data["snapshots"], grid, data["pair"], p,
-            bump, float(R), weight,
-        ))
-        for R in c["R_values"]
-    ]
+    with _open_fields(c["fields"]) as data:
+        grid: Grid = data["grid"]
+        p = data["p"]
+        l = required_power(p)
+        bump = RadialBump(grid.dim, l)
+        weight = testfunc.weight_constant(p, bump, time_points=c["time_points"])
+        rows = [dataclasses.asdict(r) for r in testfunc.check_bounds(
+            data["times"], data["snapshots"], grid, data["pair"], p, bump,
+            c["R_values"], weight,
+        )]
     summary = {
         "p": p,
         "exponent": l,
@@ -717,56 +708,20 @@ def run_testfunc(cfg: dict) -> dict:
 
 
 def _read_into(member, out: np.ndarray) -> np.ndarray:
-    """out filled from member's next out.nbytes bytes, _CHUNK_BYTES at a time."""
+    """out filled from member's next out.nbytes bytes, BLOCK_BYTES at a time."""
     view = out.reshape(-1).view(np.uint8)
-    for i in range(0, view.size, _CHUNK_BYTES):
-        part = view[i : i + _CHUNK_BYTES]
+    for i in range(0, view.size, testfunc.BLOCK_BYTES):
+        part = view[i : i + testfunc.BLOCK_BYTES]
         if member.readinto(part) < part.size:
             raise ValueError("the snapshots member ends early")
     return out
 
 
-def _load_fields(path: str, t_end: float) -> dict:
-    """Grid, data pair, p, and the times and snapshots up to the first time at or past t_end.
-
-    The snapshots member is read in bounded pieces, never mapped.  The
-    rows in that window are kept; each later block of rows is read into
-    one reused buffer, checked for finiteness and dropped.  Every archive
-    error is a ConfigError that names path.
-    """
+@contextlib.contextmanager
+def _archive_errors(path: str):
+    """An error reading the fields archive at path becomes a ConfigError that names it."""
     try:
-        # np.load leaves a file it opened itself open when the zip is corrupt
-        with open(path, "rb") as fh, np.load(fh) as z:
-            grid = Grid(int(z["dim"]), int(z["size"]), float(z["half_length"]))
-            u0 = SpectralField(grid, np.ascontiguousarray(z["u0_coeffs"]))
-            u1 = SpectralField(grid, np.ascontiguousarray(z["u1_coeffs"]))
-            pair = DataPair(u0=u0, u1=u1, eps=float(z["eps"]))
-            times = np.asarray(z["times"], dtype=np.float64)
-            with z.zip.open("snapshots.npy") as member:
-                fmt = np.lib.format
-                read_header = (fmt.read_array_header_1_0 if fmt.read_magic(member)[0] == 1
-                               else fmt.read_array_header_2_0)
-                shape, fortran_order, dtype = read_header(member)
-                if shape[1:] != grid.shape:
-                    raise ConfigError(
-                        f"snapshots of shape {shape} do not stack fields of "
-                        f"shape {grid.shape}"
-                    )
-                if times.ndim != 1 or not times.size or shape[0] != times.size:
-                    raise ConfigError("snapshots must stack one field per time")
-                if fortran_order or dtype.hasobject:
-                    raise ValueError("snapshots must be a C-ordered array of numbers")
-                stop = min(times.size, int(np.searchsorted(times, t_end)) + 1)
-                block = max(1, _CHUNK_BYTES // max(1, math.prod(grid.shape) * dtype.itemsize))
-                snapshots = np.empty((stop, *grid.shape), dtype)
-                spare = np.empty((block, *grid.shape), dtype)
-                finite = np.isfinite(times).all()
-                for i in (*range(0, stop, block), *range(stop, times.size, block)):
-                    rows = snapshots[i : i + block] if i < stop else spare[: times.size - i]
-                    finite = finite and np.isfinite(_read_into(member, rows)).all()
-            increasing = bool(np.all(np.diff(times) > 0.0))
-            fields = {"grid": grid, "pair": pair, "times": times[:stop],
-                      "snapshots": snapshots, "p": float(z["p"])}
+        yield
     except ConfigError as exc:  # from Grid, SpectralField, DataPair or the shape checks
         raise ConfigError(f"fields archive {path}: {exc}") from exc
     except OSError as exc:
@@ -775,11 +730,66 @@ def _load_fields(path: str, t_end: float) -> dict:
         raise ConfigError(f"fields archive {path} is missing array {exc}") from exc
     except (ValueError, TypeError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"fields archive {path} is malformed: {exc}") from exc
-    if not finite:
-        raise ConfigError(f"fields archive {path} holds non-finite times or snapshots")
-    if not increasing:
-        raise ConfigError(f"fields archive {path} holds times that do not strictly increase")
-    return fields
+
+
+def _read_blocks(path: str, member, count: int, shape: tuple, dtype: np.dtype):
+    """The snapshots member's count rows in order, read block by block into one buffer.
+
+    Each block is checked for finiteness before it is yielded; the next
+    one overwrites it.
+    """
+    buffer = None
+    for b in testfunc.row_blocks(count, math.prod(shape) * dtype.itemsize):
+        if buffer is None:  # the first block is the largest
+            buffer = np.empty((b.stop, *shape), dtype)
+        rows = buffer[: b.stop - b.start]
+        with _archive_errors(path):
+            _read_into(member, rows)
+        if not np.isfinite(rows).all():
+            raise ConfigError(f"fields archive {path} holds non-finite times or snapshots")
+        yield rows
+
+
+@contextlib.contextmanager
+def _open_fields(path: str):
+    """Grid, data pair, p, times, and the snapshots as a one-pass iterable of row blocks.
+
+    Every check on the archive's header and times runs here, before any
+    snapshot byte is read.  The snapshots member is never mapped or held:
+    iterating "snapshots" reads it block by block into one reused buffer
+    (_read_blocks), while the archive stays open.  Every archive error is a
+    ConfigError that names path.
+    """
+    with contextlib.ExitStack() as files:
+        with _archive_errors(path):
+            # np.load leaves a file it opened itself open when the zip is corrupt
+            z = files.enter_context(np.load(files.enter_context(open(path, "rb"))))
+            grid = Grid(int(z["dim"]), int(z["size"]), float(z["half_length"]))
+            u0 = SpectralField(grid, np.ascontiguousarray(z["u0_coeffs"]))
+            u1 = SpectralField(grid, np.ascontiguousarray(z["u1_coeffs"]))
+            pair = DataPair(u0=u0, u1=u1, eps=float(z["eps"]))
+            times = np.asarray(z["times"], dtype=np.float64)
+            p = float(z["p"])
+            member = files.enter_context(z.zip.open("snapshots.npy"))
+            fmt = np.lib.format
+            read_header = (fmt.read_array_header_1_0 if fmt.read_magic(member)[0] == 1
+                           else fmt.read_array_header_2_0)
+            shape, fortran_order, dtype = read_header(member)
+            if shape[1:] != grid.shape:
+                raise ConfigError(
+                    f"snapshots of shape {shape} do not stack fields of "
+                    f"shape {grid.shape}"
+                )
+            if times.ndim != 1 or not times.size or shape[0] != times.size:
+                raise ConfigError("snapshots must stack one field per time")
+            if fortran_order or dtype.hasobject:
+                raise ValueError("snapshots must be a C-ordered array of numbers")
+        if not np.isfinite(times).all():
+            raise ConfigError(f"fields archive {path} holds non-finite times or snapshots")
+        if not np.all(np.diff(times) > 0.0):
+            raise ConfigError(f"fields archive {path} holds times that do not strictly increase")
+        yield {"grid": grid, "pair": pair, "times": times, "p": p,
+               "snapshots": _read_blocks(path, member, times.size, grid.shape, dtype)}
 
 
 def _map(fn, items: list, workers: int) -> list:
@@ -945,7 +955,7 @@ def write_field_archive(path: str, arrays: dict) -> None:
     header, then the array's own buffer (its transpose's for a Fortran-
     ordered array) written straight into the temp file, with no copy of a
     C- or Fortran-contiguous array.  A Spool member is the C-ordered
-    float64 array of its shape, copied from its file _CHUNK_BYTES at a time.
+    float64 array of its shape, copied from its file BLOCK_BYTES at a time.
     """
     with _replacing(path) as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
@@ -956,7 +966,7 @@ def write_field_archive(path: str, arrays: dict) -> None:
                 header = {"descr": descr, "fortran_order": False, "shape": value.shape}
                 info.file_size = math.prod(value.shape) * 8
                 value.file.seek(0)
-                chunks = iter(functools.partial(value.file.read, _CHUNK_BYTES), b"")
+                chunks = iter(functools.partial(value.file.read, testfunc.BLOCK_BYTES), b"")
             else:
                 arr = np.asarray(value)
                 header = np.lib.format.header_data_from_array_1_0(arr)

@@ -14,6 +14,11 @@ weak-form quantity is computed once: cutoff gives eta, eta' and eta''
 from one evaluation of c, spatial_factors phi_R and Delta(phi_R) from
 one lookup, and check_bounds derives every reported number.
 
+check_bounds makes one forward pass over the snapshots, a block of rows
+at a time: each block gives every radius whose window still covers it
+the per-row sums of |u|^p phi_R, u phi_R and u Delta(phi_R), and is then
+dropped, so no snapshot outlives its block.
+
 Weighted integrands are evaluated in a factored form: with phi = B**l and
 eta = c**l the density is
 
@@ -29,6 +34,7 @@ weight integrals are sums over radii.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,9 +61,10 @@ __all__ = [
 # profile is flat to double precision and the closed forms would hit 0/0
 _EDGE = 1e-9
 
-# snapshot reductions take rows in blocks of about this many bytes, so
-# their temporaries stay small next to the snapshots themselves
-_BLOCK_BYTES = 1 << 18
+# snapshots are read, and field archive members copied, in blocks of
+# about this many bytes (the read buffer np.lib.format uses), so a pass
+# over an archive holds a few blocks at a time, never the archive
+BLOCK_BYTES = 1 << 18
 
 # 48-point Gauss-Legendre panels over the radii of the weight quadratures
 # (doubled to refine), and the time points they take at once
@@ -148,24 +155,10 @@ def spatial_factors(bump: RadialBump, R: float, grid: Grid) -> tuple:
     return phi_r, lap_phi_r
 
 
-def row_blocks(snapshots: np.ndarray):
-    """Slices that cover snapshots' rows in order, about _BLOCK_BYTES each."""
-    rows = max(1, _BLOCK_BYTES // max(1, snapshots[:1].nbytes))
-    return (slice(i, i + rows) for i in range(0, len(snapshots), rows))
-
-
-def _row_sums(snapshots: np.ndarray, weight: np.ndarray, p: float | None = None) -> np.ndarray:
-    """sum(|u|^p * weight) over space for each snapshot u; p None sums u * weight.
-
-    Each row is one pairwise sum whatever the block it falls in, so the
-    result is bit-identical to the one-shot expression.
-    """
-    axes = tuple(range(1, snapshots.ndim))
-    out = np.empty(len(snapshots))
-    for b in row_blocks(snapshots):
-        u = snapshots[b] if p is None else np.abs(snapshots[b]) ** p
-        out[b] = (u * weight).sum(axis=axes)
-    return out
+def row_blocks(count: int, row_bytes: int):
+    """Slices that cover count rows of row_bytes each in order, about BLOCK_BYTES each."""
+    rows = max(1, BLOCK_BYTES // max(1, row_bytes))
+    return (slice(i, min(i + rows, count)) for i in range(0, count, rows))
 
 
 def pairing(data: DataPair, phi_r: np.ndarray) -> float:
@@ -314,65 +307,102 @@ class BoundReport:
 
 def check_bounds(
     times: np.ndarray,
-    snapshots: np.ndarray,
+    snapshots: np.ndarray | Iterable[np.ndarray],
     grid: Grid,
     data: DataPair,
     p: float,
     bump: RadialBump,
-    R: float,
+    R_values: Sequence[float],
     weight: WeightReport,
-) -> BoundReport:
-    """Evaluate both weak-solution inequalities on recorded fields.
+) -> list[BoundReport]:
+    """Evaluate both weak-solution inequalities at each R on recorded fields.
 
     snapshots must be the signed solution u of a run with amplitude
-    data.eps and nonlinearity p, recorded densely enough for time
-    quadrature up to R^2; phi_R is bump dilated to radius 2R.
+    data.eps and nonlinearity p, one field per time, recorded densely
+    enough for time quadrature up to R^2; phi_R is bump dilated to radius
+    2R.  It is an array, taken in row_blocks, or an iterable of its
+    consecutive row blocks, which may refill one buffer.  Every check on
+    the radii and times runs before the first block is taken; the rows
+    then pass once.  Each row's sums are one pairwise sum whatever the
+    block it arrives in, so the result is bit-identical to the one-shot
+    expression.  Returns one BoundReport per R, in order.
     """
-    phi_r, lap_phi_r = spatial_factors(bump, R, grid)
     times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or not times.size or snapshots.shape[0] != times.size:
+    if times.ndim != 1 or not times.size:
         raise ConfigError("snapshots must stack one field per time")
-    if times[-1] < R**2 * (1.0 - 1e-9):
-        raise ConfigError(
-            f"fields end at t = {times[-1]:.6g}, before the cutoff window "
-            f"closes at R^2 = {R ** 2:.6g}"
-        )
-    if snapshots.shape[1:] != grid.shape:
-        raise ConfigError("snapshot shape does not match grid")
     if weight.exponent != bump.exponent:
         raise ConfigError("weight constant was computed for a different exponent")
+    # (R, phi_R, Delta(phi_R), per-row sums of |u|^p phi_R, u phi_R, u Delta(phi_R))
+    windows = []
+    for R in map(float, R_values):
+        phi_r, lap_phi_r = spatial_factors(bump, R, grid)
+        if times[-1] < R**2 * (1.0 - 1e-9):
+            raise ConfigError(
+                f"fields end at t = {times[-1]:.6g}, before the cutoff window "
+                f"closes at R^2 = {R ** 2:.6g}"
+            )
+        # eta(t/R^2) is 0 past R^2: the window ends at the first time at or
+        # past it, or at the last time when that falls just short of R^2
+        stop = min(times.size, int(np.searchsorted(times, R * R)) + 1)
+        windows.append((R, phi_r, lap_phi_r, np.empty((3, stop))))
+    last = max(sums.shape[1] for *_, sums in windows)
+
+    blocks = snapshots
+    if isinstance(snapshots, np.ndarray):
+        blocks = (snapshots[b] for b in row_blocks(len(snapshots), snapshots[:1].nbytes))
+    axes = tuple(range(1, grid.dim + 1))
+    start = 0
+    for rows in blocks:
+        if rows.shape[1:] != grid.shape:
+            raise ConfigError("snapshot shape does not match grid")
+        end = start + len(rows)
+        if start < last:
+            powered = np.abs(rows[: last - start])
+            powered **= p
+            for _, phi_r, lap_phi_r, sums in windows:
+                k = min(end, sums.shape[1]) - start  # rows of this block in R's window
+                if k > 0:
+                    b = slice(start, start + k)
+                    sums[0, b] = (powered[:k] * phi_r).sum(axis=axes)
+                    sums[1, b] = (rows[:k] * phi_r).sum(axis=axes)
+                    sums[2, b] = (rows[:k] * lap_phi_r).sum(axis=axes)
+            del powered  # freed before the next block is read
+        start = end
+    if start != times.size:
+        raise ConfigError("snapshots must stack one field per time")
+
     pprime = p / (p - 1.0)
     n = grid.dim
-    # eta(t/R^2) is 0 past R^2: keep the snapshots up to the first at or past it
-    stop = int(np.searchsorted(times, R * R)) + 1
-    times, snapshots = times[:stop], snapshots[:stop]
-
     vol = grid.dx**grid.dim
-    eta, etap, etas = cutoff(times / R**2, bump.exponent)
-    ival = float(np.trapezoid(_row_sums(snapshots, phi_r, p) * vol * eta, times))
-    data_term = -data.eps * pairing(data, phi_r)
-
     W = weight.dominating
-    holder_rhs = data_term + W ** (1.0 / pprime) * ival ** (1.0 / p) * R ** (
-        (n + 2.0) / pprime - 2.0
-    )
-    absorbed_rhs = pprime * data_term + W * R ** (n + 2.0 - 2.0 * pprime)
+    reports = []
+    for R, phi_r, _, sums in windows:
+        window = times[: sums.shape[1]]
+        eta, etap, etas = cutoff(window / R**2, bump.exponent)
+        ival = float(np.trapezoid(sums[0] * vol * eta, window))
+        data_term = -data.eps * pairing(data, phi_r)
 
-    # exact identity defect: I - (-eps P) - iint u Op(phi_R eta_R)
-    u_phi = _row_sums(snapshots, phi_r) * vol
-    u_lap = _row_sums(snapshots, lap_phi_r) * vol
-    op_series = u_phi * (etas / R**4 - etap / R**2) - u_lap * eta
-    j_val = float(np.trapezoid(op_series, times))
-    scale = max(abs(ival), abs(data_term), abs(j_val))
-    residual = ival - data_term - j_val
+        holder_rhs = data_term + W ** (1.0 / pprime) * ival ** (1.0 / p) * R ** (
+            (n + 2.0) / pprime - 2.0
+        )
+        absorbed_rhs = pprime * data_term + W * R ** (n + 2.0 - 2.0 * pprime)
 
-    return BoundReport(
-        R=R,
-        i_value=ival,
-        data_term=data_term,
-        holder_rhs=holder_rhs,
-        absorbed_rhs=absorbed_rhs,
-        margin_holder=holder_rhs - ival,
-        margin_absorbed=absorbed_rhs - ival,
-        identity_rel=abs(residual) / scale if scale > 0.0 else 0.0,
-    )
+        # exact identity defect: I - (-eps P) - iint u Op(phi_R eta_R)
+        u_phi = sums[1] * vol
+        u_lap = sums[2] * vol
+        op_series = u_phi * (etas / R**4 - etap / R**2) - u_lap * eta
+        j_val = float(np.trapezoid(op_series, window))
+        scale = max(abs(ival), abs(data_term), abs(j_val))
+        residual = ival - data_term - j_val
+
+        reports.append(BoundReport(
+            R=R,
+            i_value=ival,
+            data_term=data_term,
+            holder_rhs=holder_rhs,
+            absorbed_rhs=absorbed_rhs,
+            margin_holder=holder_rhs - ival,
+            margin_absorbed=absorbed_rhs - ival,
+            identity_rel=abs(residual) / scale if scale > 0.0 else 0.0,
+        ))
+    return reports

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dampedwave import cli, exponents, harness
+from dampedwave import cli, exponents, harness, testfunc
 from dampedwave.errors import ConfigError, NumericalError
 from dampedwave.grid import Grid, full_of
 
@@ -861,6 +861,97 @@ def test_simulate_and_testfunc_hold_no_snapshot_stack(tmp_path):
         assert z["times"].size == 961
     assert math.isfinite(identity_rel)
     assert growth < snapshot_bytes / 2, growth / snapshot_bytes
+
+
+def test_testfunc_holds_a_few_blocks_whatever_the_window(tmp_path):
+    # rows of 32 KiB, 8 to a block: R = 2 windows of 65 and 513 rows span
+    # about 8 and 64 blocks, and a pass that held its window would hold
+    # 2 MB or 16 MB of it
+    rng = np.random.default_rng(3)
+    zero = np.zeros(2049, dtype=complex)
+    peaks = []
+    for rows in (65, 513):
+        path = str(tmp_path / f"w{rows}.npz")
+        np.savez(path, dim=1, size=4096, half_length=512.0, u0_coeffs=zero, u1_coeffs=zero,
+                 eps=0.05, p=2.0, times=np.linspace(0.0, 4.0, rows),
+                 snapshots=rng.standard_normal((rows, 4096)))
+        tracemalloc.start()
+        try:
+            harness.run_testfunc({"fields": path, "R_values": [2.0], "time_points": 65})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    spatial_factors = 2 * 4096 * 8
+    assert max(peaks) < 5 * testfunc.BLOCK_BYTES + spatial_factors, peaks
+    assert max(peaks) < 1.1 * min(peaks), peaks
+
+
+def test_testfunc_reads_fields_that_end_just_short_of_r_squared(tmp_path, capsys):
+    # 40 steps of dt = 0.03025 end at t = 1.21, one ulp short of 1.1**2:
+    # R = 1.1's window is the whole archive
+    out = tmp_path / "sim"
+    cfgp = tmp_path / "simulate.json"
+    cfgp.write_text(json.dumps({
+        "grid": {"dim": 1, "size": 512, "half_length": 64.0},
+        "profile": {"family": "power", "gamma": 1.0},
+        "eps": 0.05, "p": 2.0, "dt": 0.03025, "t_max": 1.21, "record_fields_every": 1,
+    }))
+    assert cli.main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
+    with np.load(out / "fields.npz") as z:
+        assert z["times"].size == 41 and z["times"][-1] < 1.1**2
+    cfgp.write_text(json.dumps({
+        "fields": str(out / "fields.npz"), "R_values": [1.1], "time_points": 65,
+    }))
+    capsys.readouterr()
+    assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+    assert "R=1.1 cells_per_radius=8.8 intervals_per_window=40 " in capsys.readouterr().out
+
+
+def test_testfunc_archive_faults_come_before_any_snapshot_read(fields_2d, tmp_path,
+                                                              monkeypatch, capsys):
+    # a box phi_R does not fit, fields that end before R^2, a bad header and
+    # bad times each exit 2 with the message a full read gives, with no
+    # snapshot byte read
+    with np.load(fields_2d) as z:
+        arrays = dict(z)
+    nan_time = arrays["times"].copy()
+    nan_time[3] = np.nan
+    unsorted = arrays["times"].copy()
+    unsorted[[10, 20]] = unsorted[[20, 10]]
+    # fields_2d: dx = 1 and L = 64, fields up to t = 17
+    cases = {
+        "no_fit": (arrays, 32.0, "dilated support radius 2R = 64 does not fit the box"),
+        "short": (arrays, 4.5, "fields end at t = 17, before the cutoff window closes "
+                               "at R^2 = 20.25"),
+        "shape": ({**arrays, "snapshots": arrays["snapshots"][:, 0]}, 4.0,
+                  "do not stack fields of shape (128, 128)"),
+        "fortran": ({**arrays, "snapshots": np.asfortranarray(arrays["snapshots"])}, 4.0,
+                    "must be a C-ordered array of numbers"),
+        "count": ({**arrays, "times": arrays["times"][:-1]}, 4.0,
+                  "snapshots must stack one field per time"),
+        "nan_time": ({**arrays, "times": nan_time}, 4.0, "non-finite times or snapshots"),
+        "unsorted": ({**arrays, "times": unsorted}, 4.0,
+                     "times that do not strictly increase"),
+    }
+    cfgp = tmp_path / "testfunc.json"
+
+    def testfunc_err(path, R):
+        cfgp.write_text(json.dumps({"fields": path, "R_values": [R], "time_points": 129}))
+        assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        return capsys.readouterr().err
+
+    def reading(member, out):
+        raise AssertionError("read a snapshot before the fault was found")
+
+    capsys.readouterr()
+    for name, (content, R, message) in cases.items():
+        path = str(tmp_path / f"{name}.npz")
+        np.savez(path, **content)
+        full = testfunc_err(path, R)
+        assert message in full and full.count("\n") == 1, (name, full)
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "_read_into", reading)
+            assert testfunc_err(path, R) == full, name
 
 
 def test_testfunc_rejects_full_lattice_coefficients(fields_2d, tmp_path, capsys):

@@ -154,7 +154,7 @@ def test_i_of_r_window_and_scaling(bump5):
     snaps = rng.standard_normal((times.size, g.size))
 
     def i_value(times, snaps):
-        return check_bounds(times, snaps, g, data, 2.0, bump5, 2.0, weight).i_value
+        return check_bounds(times, snaps, g, data, 2.0, bump5, [2.0], weight)[0].i_value
 
     base = i_value(times, snaps)
     doubled = i_value(times, 2.0 * snaps)
@@ -190,8 +190,8 @@ def test_check_bounds_on_small_run(bump5):
     traj = run(cfg)
     assert traj.outcome == "survived"
     weight = weight_constant(2.0, bump5)
-    rep = check_bounds(
-        traj.field_times, traj.field_snapshots, g, data, 2.0, bump5, 2.0, weight
+    (rep,) = check_bounds(
+        traj.field_times, traj.field_snapshots, g, data, 2.0, bump5, [2.0], weight
     )
     assert rep.i_value > 0.0
     assert rep.margin_holder > 0.0
@@ -202,7 +202,7 @@ def test_check_bounds_on_small_run(bump5):
     other = weight_constant(2.5, bump7, time_points=65, refine=False)
     with pytest.raises(ConfigError):
         check_bounds(
-            traj.field_times, traj.field_snapshots, g, data, 2.0, bump5, 2.0, other
+            traj.field_times, traj.field_snapshots, g, data, 2.0, bump5, [2.0], other
         )
 
 
@@ -215,12 +215,12 @@ def test_check_bounds_ignores_snapshots_past_the_window(bump5):
                          record_fields_every=2))
     times, snaps = traj.field_times, traj.field_snapshots
     weight = weight_constant(2.0, bump5, time_points=65, refine=False)
-    rep = check_bounds(times, snaps, g, data, 2.0, bump5, 2.0, weight)
+    (rep,) = check_bounds(times, snaps, g, data, 2.0, bump5, [2.0], weight)
     first_past = int(np.argmax(times >= 4.0))
     assert first_past + 1 < times.size
     poisoned = snaps.copy()
     poisoned[first_past + 1:] = np.nan
-    again = check_bounds(times, poisoned, g, data, 2.0, bump5, 2.0, weight)
+    (again,) = check_bounds(times, poisoned, g, data, 2.0, bump5, [2.0], weight)
     assert again == rep
     # the one-shot I(R) over every snapshot, as in the blocked-reduction test
     phi_r = spatial_factors(bump5, 2.0, g)[0]
@@ -246,11 +246,30 @@ def test_blocked_reductions_are_bit_identical(dim, monkeypatch):
     spatial = (np.abs(snaps) ** 2.0 * phi_r).sum(axis=axes) * g.dx**dim
     one_shot = float(np.trapezoid(spatial * cutoff(times / 4.0, 5)[0], times))
 
-    monkeypatch.setattr(testfunc_module, "_BLOCK_BYTES", 1 << 40)
-    whole = check_bounds(times, snaps, g, data, 2.0, bump, 2.0, weight)
-    monkeypatch.setattr(testfunc_module, "_BLOCK_BYTES", 7 * snaps[0].nbytes)
+    monkeypatch.setattr(testfunc_module, "BLOCK_BYTES", 1 << 40)
+    (whole,) = check_bounds(times, snaps, g, data, 2.0, bump, [2.0], weight)
+    monkeypatch.setattr(testfunc_module, "BLOCK_BYTES", 7 * snaps[0].nbytes)
     assert len(snaps) == 73 and int(np.searchsorted(times, 4.0)) + 1 == 65
-    assert [b.start for b in testfunc_module.row_blocks(snaps)] == list(range(0, 73, 7))
-    blocked = check_bounds(times, snaps, g, data, 2.0, bump, 2.0, weight)
+    blocks = testfunc_module.row_blocks(len(snaps), snaps[0].nbytes)
+    assert [b.start for b in blocks] == list(range(0, 73, 7))
+    (blocked,) = check_bounds(times, snaps, g, data, 2.0, bump, [2.0], weight)
     assert blocked.i_value == one_shot
     assert blocked == whole
+
+    # several radii in one pass: their windows (37, 65, 69 and 72 rows)
+    # end mid-block, and the block of rows 63-69 holds two windows' ends;
+    # the last R^2 lies just past the last time, so its window is all 73 rows
+    radii = [1.5, 2.0, 2.05, 2.1, 2.1213203436]
+    assert times[-1] == 4.5 < radii[-1] ** 2 < 4.5 * (1.0 + 1e-9)
+    stops = [min(len(times), int(np.searchsorted(times, R * R)) + 1) for R in radii]
+    assert stops == [37, 65, 69, 72, 73]
+    reports = check_bounds(times, snaps, g, data, 2.0, bump, radii, weight)
+    assert reports[1] == whole
+    for R, stop, rep in zip(radii, stops, reports):
+        window, phi_r = times[:stop], spatial_factors(bump, R, g)[0]
+        spatial = (np.abs(snaps[:stop]) ** 2.0 * phi_r).sum(axis=axes) * g.dx**dim
+        assert rep.i_value == float(np.trapezoid(spatial * cutoff(window / R**2, 5)[0], window))
+    monkeypatch.setattr(testfunc_module, "BLOCK_BYTES", 1 << 40)
+    assert check_bounds(times, snaps, g, data, 2.0, bump, radii, weight) == reports
+    assert [check_bounds(times, snaps, g, data, 2.0, bump, [R], weight)[0]
+            for R in radii] == reports
