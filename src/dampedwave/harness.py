@@ -125,6 +125,22 @@ def _floats(values) -> list:
     return [_real(v) for v in values]
 
 
+def _amplitudes(values) -> list:
+    """lifespan's eps values: at least 3 for the fit, no amplitude twice."""
+    amplitudes = _floats(values)
+    if len(set(amplitudes)) < max(3, len(amplitudes)):
+        raise ValueError("expected 3 or more distinct amplitudes")
+    return amplitudes
+
+
+def _time_points(value) -> int:
+    """testfunc's trapezoid points in time: an integer >= 2."""
+    points = _int(value)
+    if points < 2:
+        raise ValueError("expected an integer >= 2")
+    return points
+
+
 def _radii(values) -> list:
     """testfunc's radii: at least one, each with a finite square, its window's end."""
     radii = _floats(values)
@@ -407,7 +423,7 @@ def run_lifespan(cfg: dict) -> dict:
     """
     c = _take(cfg, "lifespan config", {
         "grid": (build_grid, _REQUIRED), "profile": (_profile, _REQUIRED),
-        "p": (_real, _REQUIRED), "eps_values": (_floats, _REQUIRED), "dt": (_real, _REQUIRED),
+        "p": (_real, _REQUIRED), "eps_values": (_amplitudes, _REQUIRED), "dt": (_real, _REQUIRED),
         "t_cap": (_real, _REQUIRED), "blowup_threshold": (_real, 1e6),
         "check": ({
             "rel_tol": (_real, None), "max_slope": (_real, None), "min_uncensored": (_int, 3),
@@ -417,10 +433,6 @@ def run_lifespan(cfg: dict) -> dict:
     profile, _ = build_profile(c["grid"], c["profile"])
     p = c["p"]
     eps_values = c["eps_values"]
-    if len(eps_values) < 3:
-        raise ConfigError("need >= 3 eps values for a lifespan fit")
-    if len(set(eps_values)) < len(eps_values):
-        raise ConfigError(f"'eps_values' repeats an amplitude: {eps_values}")
     gamma = c["profile"].get("gamma")
     predicted = (
         dataclasses.asdict(exponents.lifespan_exponents(c["grid"].dim, float(gamma), p))
@@ -658,14 +670,10 @@ def run_testfunc(cfg: dict) -> dict:
     """Evaluate the weak-solution inequalities on stored fields."""
     c = _take(cfg, "testfunc config", {
         "fields": (_text, _REQUIRED), "R_values": (_radii, [2.0, 4.0, 8.0]),
-        "time_points": (_int, 513),
+        "time_points": (_time_points, 513),
         "check": ({"min_margin": (_real, 0.0), "max_identity_rel": (_real, 0.05)}, None),
     })
     cc = c["check"]
-    if c["time_points"] < 2:
-        raise ConfigError(
-            f"testfunc config: 'time_points' must be at least 2, got {c['time_points']}"
-        )
     with _open_fields(c["fields"]) as data:
         grid: Grid = data["grid"]
         p = data["p"]
@@ -707,16 +715,6 @@ def run_testfunc(cfg: dict) -> dict:
     return _result("testfunc", c, rows, summary, check, lines=lines, exponent=l)
 
 
-def _read_into(member, out: np.ndarray) -> np.ndarray:
-    """out filled from member's next out.nbytes bytes, BLOCK_BYTES at a time."""
-    view = out.reshape(-1).view(np.uint8)
-    for i in range(0, view.size, testfunc.BLOCK_BYTES):
-        part = view[i : i + testfunc.BLOCK_BYTES]
-        if member.readinto(part) < part.size:
-            raise ValueError("the snapshots member ends early")
-    return out
-
-
 @contextlib.contextmanager
 def _archive_errors(path: str):
     """An error reading the fields archive at path becomes a ConfigError that names it."""
@@ -733,18 +731,19 @@ def _archive_errors(path: str):
 
 
 def _read_blocks(path: str, member, count: int, shape: tuple, dtype: np.dtype):
-    """The snapshots member's count rows in order, read block by block into one buffer.
+    """The snapshots member's count rows in order, one block at a time.
 
-    Each block is checked for finiteness before it is yielded; the next
-    one overwrites it.
+    Each block is a read-only array over the bytes read for it, checked for
+    finiteness before it is yielded.
     """
-    buffer = None
-    for b in testfunc.row_blocks(count, math.prod(shape) * dtype.itemsize):
-        if buffer is None:  # the first block is the largest
-            buffer = np.empty((b.stop, *shape), dtype)
-        rows = buffer[: b.stop - b.start]
+    row_bytes = math.prod(shape) * dtype.itemsize
+    for b in testfunc.row_blocks(count, row_bytes):
+        nbytes = (b.stop - b.start) * row_bytes
         with _archive_errors(path):
-            _read_into(member, rows)
+            data = member.read(nbytes)
+            if len(data) < nbytes:
+                raise ValueError("the snapshots member ends early")
+        rows = np.frombuffer(data, dtype).reshape(b.stop - b.start, *shape)
         if not np.isfinite(rows).all():
             raise ConfigError(f"fields archive {path} holds non-finite times or snapshots")
         yield rows
@@ -756,9 +755,9 @@ def _open_fields(path: str):
 
     Every check on the archive's header and times runs here, before any
     snapshot byte is read.  The snapshots member is never mapped or held:
-    iterating "snapshots" reads it block by block into one reused buffer
-    (_read_blocks), while the archive stays open.  Every archive error is a
-    ConfigError that names path.
+    iterating "snapshots" reads it one block at a time (_read_blocks), while
+    the archive stays open.  Every archive error is a ConfigError that
+    names path.
     """
     with contextlib.ExitStack() as files:
         with _archive_errors(path):

@@ -21,7 +21,6 @@ and flags growth above 20% per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -35,8 +34,6 @@ __all__ = [
     "hs_norm",
     "seminorm_hs",
     "hdotneg_norm",
-    "embedding_check",
-    "EmbeddingReport",
     "divergence_probe",
 ]
 
@@ -155,37 +152,6 @@ def hdotneg_norm(fld: SpectralField, gamma: float, policy: str) -> float:
     if math.isfinite(cell):
         total += abs(c0) ** 2 * cell
     return math.sqrt(total)
-
-
-@dataclass
-class EmbeddingReport:
-    lhs: float
-    rhs: float
-    ratio: float
-
-
-def embedding_check(
-    fld: SpectralField,
-    s: float,
-    gamma_tilde: float,
-    gamma: float,
-    policy: str = "require_zero",
-) -> EmbeddingReport:
-    """Norm comparison behind the space inclusion for gamma_tilde < gamma.
-
-    lhs uses the weaker weight gamma_tilde, rhs the stronger gamma; the
-    ratio lhs/rhs is bounded by 2 uniformly (split |xi| <= 1 / |xi| > 1).
-    """
-    if not (0.0 <= gamma_tilde < gamma):
-        raise ConfigError(
-            f"need 0 <= gamma_tilde < gamma, got gamma_tilde={gamma_tilde}, gamma={gamma}"
-        )
-    base = hs_norm(fld, s)
-    lhs = base + hdotneg_norm(fld, gamma_tilde, policy)
-    rhs = base + hdotneg_norm(fld, gamma, policy)
-    if rhs == 0.0:
-        raise ConfigError("embedding check needs a nonzero field")
-    return EmbeddingReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
 
 
 def divergence_probe(

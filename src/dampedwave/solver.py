@@ -24,9 +24,9 @@ step.  measure_lifespan() steps one run whose step halves as max|u|
 grows, so that it stays a fixed fraction of the ODE blow-up time scale
 max|u|^(-(p-1)/2), and reads the blow-up time off an integer clock.  Its
 quiet phase steps on the coarsest power-of-two grid of the same box that
-holds the solution: the run moves to the next finer grid once the top half
-of the kept band holds _TAIL_TOL of the mass, and to the configured grid
-before any adapted step, so it crosses the threshold there.
+holds the solution: the run moves to the next finer grid once the Stepper
+is no longer quiet(), and to the configured grid before any adapted step,
+so it crosses the threshold there.
 
 Second order accurate in the step.  The step size must resolve the
 fastest resolved oscillation, dt <= 1/(2 xi_max).
@@ -34,6 +34,7 @@ fastest resolved oscillation, dt <= 1/(2 xi_max).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -41,7 +42,6 @@ import tempfile
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -202,7 +202,8 @@ class Stepper:
     overwrites, so a caller copies what it keeps.  The multipliers of
     level 0 are built here, those of any other level on its first use,
     and each is kept for the stepper's life.  run() is the loop over steps
-    of level 0.  work is the real scratch array: |u|^p inside a step, free
+    of level 0; measure_lifespan() also asks top() and quiet() between
+    steps.  work is the real scratch array: |u|^p inside a step, free
     between steps.  The spectral arrays are band arrays, shape (2m+1,)*(dim-1)
     + (m+1,) for m = N//3 or the half-spectrum's, and half_spectrum() gives
     one as the half-spectrum.
@@ -224,15 +225,11 @@ class Stepper:
         grid = grid or config.grid
         self.data = config.data
         self.dt = config.dt
-        self.xi2 = grid.xi2
-        self.dim, self.size = grid.dim, grid.size
+        self.grid, self.dim, self.size = grid, grid.dim, grid.size
         self.p = config.p
         self.nonlinear = config.nonlinear
         half, m = grid.spectral_shape, grid.size // 3
-        shape = (2 * m + 1,) * (grid.dim - 1) + (m + 1,)
-        nonzero = (self.data.u0.coeffs != 0.0) | (self.data.u1.coeffs != 0.0)
-        if np.any(nonzero & ~config.grid.dealias_mask):
-            shape = half
+        shape = half if _reach(self.data) > m else (2 * m + 1,) * (grid.dim - 1) + (m + 1,)
         self._slabs = [(..., ...)] if shape == half else _slabs(shape, half, m)
         self._levels: dict[int, tuple] = {}
         # linear runs keep both nl buffers at zero
@@ -279,8 +276,8 @@ class Stepper:
         if mult is None:
             h = self.dt / 2**level
             half = 0.5 * h
-            kh, kp = khat_kprime(h, self.xi2)
-            arrays = (kh, kp, self.xi2 * kh, half * kh)
+            kh, kp = khat_kprime(h, self.grid.xi2)
+            arrays = (kh, kp, self.grid.xi2 * kh, half * kh)
             mult = self._levels[level] = (*(self._band_of(a) for a in arrays), half)
         return mult
 
@@ -346,6 +343,35 @@ class Stepper:
     def top(self) -> float:
         """max|u| of the current state, NaN if it holds one; overwrites work."""
         return float(np.max(np.abs(self.u_phys, out=self.work)))
+
+    @functools.cached_property
+    def _quiet_sums(self) -> tuple:
+        """quiet()'s weights on the band's float64 view, (top half, inner box), and its scratch."""
+        g, m = self.grid, self.size // 3
+        inner = g.lattice(np.abs(g.k_axis) <= m // 2, np.logical_and, half=True)
+        w = g.column_weight * (1.0 + 1.0j)  # on the real and the imaginary part alike
+        top, box = (self._band_of(w * part).view(np.float64)
+                    for part in (g.dealias_mask & ~inner, inner))
+        return top, box, np.empty_like(top)
+
+    def quiet(self) -> bool:
+        """True if the top half of the kept band holds less than _TAIL_TOL of its mass.
+
+        The band is |k| <= m = N//3 per axis, its top half m//2 < max over
+        axes |k| <= m, and the mass sum w |uhat|^2, w the column weight; a
+        zero band is not quiet.  Only the first call allocates.
+        """
+        top_w, box_w, squares = self._quiet_sums
+        np.square(self.uhat.view(np.float64), out=squares)
+        top, box = np.vdot(top_w, squares), np.vdot(box_w, squares)
+        return top < _TAIL_TOL * (top + box)
+
+
+def _reach(data: DataPair) -> int:
+    """The largest |k| over axes among the nonzero u0 and u1 coefficients, 0 for zero data."""
+    g = data.u0.grid
+    nonzero = (data.u0.coeffs != 0.0) | (data.u1.coeffs != 0.0)
+    return int(np.max(g.lattice(np.abs(g.k_axis), np.maximum, half=True)[nonzero], initial=0))
 
 
 def _boundary_mask(grid: Grid) -> np.ndarray:
@@ -496,59 +522,12 @@ def _coarsest_size(config: SimConfig) -> int:
     The band is |k| <= size/3 on each axis; a data coefficient at the
     Nyquist mode leaves only the configured size.
     """
-    g = config.grid
-    nonzero = (config.data.u0.coeffs != 0.0) | (config.data.u1.coeffs != 0.0)
-    reach = int(np.max(g.lattice(np.abs(g.k_axis), np.maximum, half=True)[nonzero], initial=0))
+    g, reach = config.grid, _reach(config.data)
     size = 8
     # a Grid must resolve xi_max = pi size / (2L) > 1/2
     while size < g.size and (size // 3 < reach or math.pi * size <= g.half_length):
         size *= 2
     return size
-
-
-def _band_views(uhat: np.ndarray) -> tuple[list, list]:
-    """(weight, slab) pairs of a band's float64 view: (top half of the band, inner box).
-
-    uhat is a Stepper's compact band, m = n//3 for grid size n.  The top half
-    is m//2 < max over axes |k| <= m, the inner box |k| <= m//2 (= n//6) on
-    every axis; summed as weight * (slab . slab), each part gives sum w
-    |uhat|^2 over its set, w the column weight.  Each set is cut by the first
-    axis on which |k| passes its lower bound, into slabs of the signs of k.
-    """
-    f = uhat.view(np.float64)
-    m, dim = uhat.shape[-1] - 1, uhat.ndim
-
-    def axis(a: int, b: int, last: bool) -> list:
-        """a < |k| <= b along one axis, as slices of the view."""
-        if last:
-            return [slice(2 * a + 2, 2 * b + 2)]
-        if b == m:  # k = a+1 .. m, then -m .. -(a+1): one run of rows
-            return [slice(a + 1, 2 * m + 1 - max(a, 0))]
-        return [slice(a + 1, b + 1), slice(2 * m + 1 - b, 2 * m + 1 - max(a, 0))]
-
-    def part(a: int, b: int) -> list:
-        out = []
-        for j in range(dim if a >= 0 else 1):  # a box (a = -1) is one product
-            axes = [axis(-1, a, i == dim - 1) for i in range(j)] + [axis(a, b, j == dim - 1)]
-            axes += [axis(-1, b, i == dim - 1) for i in range(j + 1, dim)]
-            for index in itertools.product(*axes):
-                out.append((2.0, f[index]))
-                if index[-1].start == 0:  # the column k = 0 has weight 1
-                    out.append((-1.0, f[(*index[:-1], slice(0, 2))]))
-        return out
-
-    return part(m // 2, m), part(-1, m // 2)
-
-
-# slab . slab by the slab's ndim, copying nothing: vdot reads a contiguous
-# 1D slab in place but would flatten a strided one into a copy
-_SQUARES = {1: np.vdot, 2: partial(np.einsum, "ij,ij->"), 3: partial(np.einsum, "ijk,ijk->")}
-
-
-def _quiet(views: tuple[list, list]) -> bool:
-    """True if the top half of the kept band holds less than _TAIL_TOL of the mass."""
-    top_half, inner = (sum(w * _SQUARES[v.ndim](v, v) for w, v in slabs) for slabs in views)
-    return top_half < _TAIL_TOL * (top_half + inner)
 
 
 def measure_lifespan(config: SimConfig) -> LifespanResult:
@@ -569,8 +548,8 @@ def measure_lifespan(config: SimConfig) -> LifespanResult:
     holds every nonzero data coefficient up to the configured one, all of
     the same box and dt, and the run starts on the smallest with the data's
     coefficients (Stepper.take).  Before each step it moves to the next
-    finer grid unless the top half of the current kept band, n/6 < max over
-    axes |k| <= n/3, holds less than _TAIL_TOL of the mass sum w |uhat|^2.
+    finer grid unless the stepper is quiet(): the top half of its kept band,
+    n/6 < max over axes |k| <= n/3, holds less than _TAIL_TOL of the mass.
     It moves straight to the configured grid once _COARSE_MARGIN times its
     max|u| would take a step of level > 0 or pass the threshold, so every
     adapted step and the crossing are on the configured grid.
@@ -591,7 +570,7 @@ def measure_lifespan(config: SimConfig) -> LifespanResult:
                 edge = _COARSE_MARGIN * top
                 if _step_level(config, edge) > 0 or not edge < config.blowup_threshold:
                     size = fine.size
-                elif not _quiet(views):
+                elif not stepper.quiet():
                     size = 2 * stepper.size
             if size != stepper.size:
                 if size == fine.size:
@@ -599,7 +578,7 @@ def measure_lifespan(config: SimConfig) -> LifespanResult:
                 else:
                     held = Stepper(config, Grid(g.dim, size, g.half_length))
                 held.take(stepper)
-                stepper, top, views = held, held.top(), _band_views(held.uhat)
+                stepper, top = held, held.top()
                 continue
             if ticks and _ended(config, ticks * tick, top):
                 return LifespanResult(

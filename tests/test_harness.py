@@ -548,6 +548,8 @@ def test_cli_config_errors(tmp_path, capsys, monkeypatch, fields_2d):
         ("lifespan", lifespan, {"dealias": "no"}, "dealias"),
         # repeated amplitudes leave nothing to fit a slope to: NaN, not a result
         ("lifespan", _TINY["lifespan"], {"eps_values": [0.5, 0.5, 0.5]}, "eps_values"),
+        # two amplitudes leave no slope to check a fit against
+        ("lifespan", lifespan, {"eps_values": [0.4, 0.2]}, "eps_values"),
         ("simulate", simulate, {"grid": {**grid, "dim": "x"}}, "dim"),
         ("simulate", simulate, {"check": {"l2_decreasing_factor": "x"}}, "l2_decreasing_factor"),
         ("simulate", simulate, {"dealias": "no"}, "dealias"),
@@ -907,6 +909,20 @@ def test_testfunc_reads_fields_that_end_just_short_of_r_squared(tmp_path, capsys
     assert "R=1.1 cells_per_radius=8.8 intervals_per_window=40 " in capsys.readouterr().out
 
 
+def test_testfunc_names_a_snapshots_member_that_ends_early(fields_2d, tmp_path):
+    # the header promises one more snapshot value than the member holds
+    with np.load(fields_2d) as z:
+        arrays = dict(z)
+    npy = io.BytesIO()
+    np.save(npy, arrays.pop("snapshots"))
+    path = tmp_path / "short.npz"
+    np.savez(path, **arrays)
+    with zipfile.ZipFile(path, "a") as zf:
+        zf.writestr("snapshots.npy", npy.getvalue()[:-8])
+    with pytest.raises(ConfigError, match="is malformed: the snapshots member ends early"):
+        harness.run_testfunc({"fields": str(path), "R_values": [4.0], "time_points": 129})
+
+
 def test_testfunc_archive_faults_come_before_any_snapshot_read(fields_2d, tmp_path,
                                                               monkeypatch, capsys):
     # a box phi_R does not fit, fields that end before R^2, a bad header and
@@ -940,8 +956,9 @@ def test_testfunc_archive_faults_come_before_any_snapshot_read(fields_2d, tmp_pa
         assert cli.main(["testfunc", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
         return capsys.readouterr().err
 
-    def reading(member, out):
+    def reading(*args):
         raise AssertionError("read a snapshot before the fault was found")
+        yield
 
     capsys.readouterr()
     for name, (content, R, message) in cases.items():
@@ -950,7 +967,7 @@ def test_testfunc_archive_faults_come_before_any_snapshot_read(fields_2d, tmp_pa
         full = testfunc_err(path, R)
         assert message in full and full.count("\n") == 1, (name, full)
         with monkeypatch.context() as mp:
-            mp.setattr(harness, "_read_into", reading)
+            mp.setattr(harness, "_read_blocks", reading)
             assert testfunc_err(path, R) == full, name
 
 

@@ -10,7 +10,6 @@ from dampedwave.errors import ConfigError
 from dampedwave.grid import Grid, SpectralField, forward_transform
 from dampedwave.norms import (
     divergence_probe,
-    embedding_check,
     hdotneg_norm,
     hs_norm,
     lp_norm,
@@ -146,16 +145,12 @@ def test_embedding_ratio_bounded():
         samples = rng.standard_normal(g.shape)
         samples -= samples.mean()
         fld = forward_transform(g, samples)
-        rep = embedding_check(fld, 1.0, 0.25, 0.5)
-        assert rep.lhs <= 2.0 * rep.rhs
-        worst = max(worst, rep.ratio)
+        # the inclusion's norm comparison: weaker weight over stronger
+        base = hs_norm(fld, 1.0)
+        weaker, stronger = (hdotneg_norm(fld, g, "require_zero") for g in (0.25, 0.5))
+        ratio = (base + weaker) / (base + stronger)
+        worst = max(worst, ratio)
     assert worst <= 2.0
-
-
-def test_embedding_validates_order():
-    fld = _gaussian(Grid(1, 256, 15.0))
-    with pytest.raises(ConfigError):
-        embedding_check(fld, 1.0, 0.5, 0.25)
 
 
 def test_hs_order_validation():

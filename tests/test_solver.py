@@ -19,7 +19,6 @@ from dampedwave.solver import (
     LifespanResult,
     SimConfig,
     Stepper,
-    _band_views,
     _coarsest_size,
     _step_level,
     measure_lifespan,
@@ -637,8 +636,18 @@ def _off_centre_member() -> SimConfig:
                      blowup_threshold=1.5)
 
 
+def _stepper_holding(dim: int, size: int, uhat: np.ndarray) -> Stepper:
+    """A stepper on Grid(dim, size, 4.0) whose band holds uhat's coefficients |k| <= size/3."""
+    g = Grid(dim, size, 4.0)
+    stepper = Stepper(SimConfig(data=constant_pair(g, 1.0, 0.0), p=2.0, dt=1e-3, t_max=1.0))
+    m = size // 3
+    lead = np.r_[0 : m + 1, size - m : size]
+    stepper.uhat[...] = uhat[np.ix_(*[lead] * (dim - 1), np.arange(m + 1))]
+    return stepper
+
+
 @pytest.mark.parametrize("dim,size", [(1, 64), (2, 32), (3, 16)])
-def test_band_views_sum_the_weighted_top_half_and_inner_box(dim, size):
+def test_quiet_compares_the_weighted_top_half_with_the_band(monkeypatch, dim, size):
     # against masks on the half-spectrum: the top half of the kept band is
     # size/6 < max over axes |k| <= size/3, the inner box |k| <= size/6
     rng = np.random.default_rng(dim)
@@ -646,26 +655,25 @@ def test_band_views_sum_the_weighted_top_half_and_inner_box(dim, size):
     uhat = rng.standard_normal(g.spectral_shape) + 1j * rng.standard_normal(g.spectral_shape)
     reach = g.lattice(np.abs(g.k_axis), np.maximum, half=True)
     mass = np.broadcast_to(g.column_weight, uhat.shape) * np.abs(uhat) ** 2
-    want = (mass[(reach > size // 6) & (reach <= size // 3)].sum(), mass[reach <= size // 6].sum())
-    # the compact band: |k| <= size/3, fftn order along each leading axis
-    m = size // 3
-    lead = np.r_[0 : m + 1, size - m : size]
-    band = uhat[np.ix_(*[lead] * (dim - 1), np.arange(m + 1))]
-    got = [sum(w * np.vdot(v, v) for w, v in part) for part in _band_views(band)]
-    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    top = mass[(reach > size // 6) & (reach <= size // 3)].sum()
+    share = top / (top + mass[reach <= size // 6].sum())
+    stepper = _stepper_holding(dim, size, uhat)
+    monkeypatch.setattr(solver, "_TAIL_TOL", share * (1.0 + 1e-9))
+    assert stepper.quiet()
+    monkeypatch.setattr(solver, "_TAIL_TOL", share * (1.0 - 1e-9))
+    assert not stepper.quiet()
 
 
 @pytest.mark.parametrize("dim,size", [(2, 256), (3, 64)])
 def test_quiet_copies_no_band_slab(dim, size):
-    # the strided slabs of a 2D or 3D band are summed where they lie
-    m = size // 3
-    band = np.ones((2 * m + 1,) * (dim - 1) + (m + 1,), dtype=np.complex128)
-    views = _band_views(band)
-    assert not solver._quiet(views)
+    # after its first call, quiet() squares the band into the stepper's own
+    # scratch and takes two vdots: no slab copy, no allocation
+    stepper = _stepper_holding(dim, size, np.ones(Grid(dim, size, 4.0).spectral_shape))
+    assert not stepper.quiet()
     tracemalloc.start()
     try:
         for _ in range(100):
-            solver._quiet(views)
+            stepper.quiet()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
