@@ -15,7 +15,7 @@ it as the oracle for the table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +26,6 @@ from .grid import Grid, SpectralField, evaluate_at, forward_transform
 __all__ = [
     "mollifier_samples",
     "self_convolve",
-    "power",
     "required_power",
     "check_conditions",
     "BumpFunction",
@@ -111,15 +110,6 @@ def self_convolve(grid: Grid, seed: np.ndarray | None = None) -> BumpFunction:
     seed_hat = forward_transform(grid, seed)
     coeffs = SpectralField(grid, (2.0 * np.pi) ** (grid.dim / 2.0) * seed_hat.coeffs**2)
     return BumpFunction(grid, seed, coeffs.physical(), coeffs)
-
-
-def power(bump: RadialBump, exponent: int) -> RadialBump:
-    """Raise a radial bump's base to an integer power >= 1."""
-    if exponent < 1 or exponent != int(exponent):
-        raise ConfigError(f"exponent must be an integer >= 1, got {exponent}")
-    if exponent == bump.exponent:
-        return bump
-    return replace(bump, exponent=int(exponent))
 
 
 def required_power(p: float) -> int:
@@ -274,8 +264,9 @@ def _radial_fit(dim: int) -> tuple:
 class RadialBump:
     """The base bump as a function of r = |x| in dim dimensions, and a power.
 
-    Its table is built on first use, once per dimension; report is the
-    table's certificate.
+    exponent is the integer >= 1 that testfunc raises the base to.  The
+    table is built on first use, once per dimension, and every exponent
+    shares it; report is the table's certificate.
     """
 
     dim: int
@@ -284,6 +275,8 @@ class RadialBump:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
             raise ConfigError(f"dim must be 1, 2 or 3, got {self.dim}")
+        if self.exponent < 1 or self.exponent != int(self.exponent):
+            raise ConfigError(f"exponent must be an integer >= 1, got {self.exponent}")
 
     @property
     def report(self) -> ConditionReport:

@@ -2,7 +2,9 @@
 
 Subcommands map one-to-one onto the harness runners (harness.RUNNERS plus
 sweep); each runner's docstring is its help line, and the summary lines it
-returns in result["lines"] are printed after the run.  Every run writes
+returns in result["lines"] are printed after the run.  The config from
+--config (or classify's --n/--gamma/--p/--s) goes to the runner as it is,
+so a key its spec does not declare is a config error.  Every run writes
 CSV/JSON outputs into --out; --check additionally gates the exit code on
 the run's built-in pass criterion.
 
@@ -36,12 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--out",
             default="out",
             help="output directory (default: ./out)",
-        )
-        sp.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="recorded in the config echo; runs are deterministic regardless",
         )
         sp.add_argument(
             "--check",
@@ -81,19 +77,11 @@ def main(argv=None) -> int:
             if args.config is None:
                 raise ConfigError(f"{args.command} needs --config")
             cfg = harness.load_config(args.config)
-        if args.seed is not None:
-            cfg = dict(cfg)
-            cfg["seed"] = args.seed
-        seed = cfg.pop("seed", None) if isinstance(cfg, dict) else None
-
         harness.make_out_dir(args.out)
         if args.command == "sweep":
             result = harness.run_sweep(cfg, args.out, threads=args.threads)
         else:
             result = harness.RUNNERS[args.command](cfg)
-        if seed is not None:
-            result["config"]["seed"] = seed
-            result["config_hash"] = harness.config_hash(result["config"])
         paths = harness.emit_outputs(result, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

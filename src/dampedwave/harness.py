@@ -238,20 +238,14 @@ def _profile(cfg) -> dict:
     return {"family": family, **_take(keys, f"profile[{family}]", _PROFILE_KEYS[family])}
 
 
-def build_profile(grid: Grid, cfg: dict) -> tuple[SpectralField, dict]:
-    """Build a profile field; returns it plus the fully resolved sub-config."""
-    c = _profile(cfg)
-    keys = {k: v for k, v in c.items() if k != "family"}
+def build_profile(grid: Grid, section: dict) -> SpectralField:
+    """The profile field on grid for a section that _profile resolved."""
+    keys = {k: v for k, v in section.items() if k != "family"}
     with np.errstate(over="ignore", invalid="ignore"):
-        fld = _PROFILES[c["family"]](grid, **keys)
+        fld = _PROFILES[section["family"]](grid, **keys)
     if not np.all(np.isfinite(fld.coeffs)):
-        raise ConfigError(f"profile {c['family']!r} has non-finite coefficients for {keys}")
-    return fld, c
-
-
-def build_pair(grid: Grid, profile_cfg: dict, eps: float) -> tuple[DataPair, dict]:
-    fld, resolved = build_profile(grid, profile_cfg)
-    return assemble_pair(fld, eps), resolved
+        raise ConfigError(f"profile {section['family']!r} has non-finite coefficients for {keys}")
+    return fld
 
 
 # ---------------------------------------------------------------------
@@ -352,7 +346,7 @@ def run_decay(cfg: dict) -> dict:
         "check": ({"l2_tol": (_real, 0.05), "seminorm_tol": (_real, 0.1)}, None),
     })
     cc = c["check"]
-    profile, _ = build_profile(c["grid"], c["profile"])
+    profile = build_profile(c["grid"], c["profile"])
     s = c["s"]
     gamma = float(c["profile"].get("gamma", 0.5))
 
@@ -430,7 +424,7 @@ def run_lifespan(cfg: dict) -> dict:
         }, None),
     })
     cc = c["check"]
-    profile, _ = build_profile(c["grid"], c["profile"])
+    profile = build_profile(c["grid"], c["profile"])
     p = c["p"]
     eps_values = c["eps_values"]
     gamma = c["profile"].get("gamma")
@@ -506,7 +500,7 @@ def run_simulate(cfg: dict) -> dict:
     })
     cc = c["check"]
     grid = c["grid"]
-    pair, _ = build_pair(grid, c["profile"], c["eps"])
+    pair = assemble_pair(build_profile(grid, c["profile"]), c["eps"])
     gamma = float(c["profile"].get("gamma", 0.5))
     # the keys that are SimConfig fields of the same name
     sim_keys = ("p", "dt", "t_max", "blowup_threshold", "nonlinear",
@@ -730,6 +724,18 @@ def _archive_errors(path: str):
         raise ConfigError(f"fields archive {path} is malformed: {exc}") from exc
 
 
+# snapshots are read, and field archive members copied, in blocks of
+# about this many bytes (the read buffer np.lib.format uses), so a pass
+# over an archive holds a few blocks at a time, never the archive
+BLOCK_BYTES = 1 << 18
+
+
+def row_blocks(count: int, row_bytes: int):
+    """Slices that cover count rows of row_bytes each in order, about BLOCK_BYTES each."""
+    rows = max(1, BLOCK_BYTES // max(1, row_bytes))
+    return (slice(i, min(i + rows, count)) for i in range(0, count, rows))
+
+
 def _read_blocks(path: str, member, count: int, shape: tuple, dtype: np.dtype):
     """The snapshots member's count rows in order, one block at a time.
 
@@ -737,7 +743,7 @@ def _read_blocks(path: str, member, count: int, shape: tuple, dtype: np.dtype):
     finiteness before it is yielded.
     """
     row_bytes = math.prod(shape) * dtype.itemsize
-    for b in testfunc.row_blocks(count, row_bytes):
+    for b in row_blocks(count, row_bytes):
         nbytes = (b.stop - b.start) * row_bytes
         with _archive_errors(path):
             data = member.read(nbytes)
@@ -965,7 +971,7 @@ def write_field_archive(path: str, arrays: dict) -> None:
                 header = {"descr": descr, "fortran_order": False, "shape": value.shape}
                 info.file_size = math.prod(value.shape) * 8
                 value.file.seek(0)
-                chunks = iter(functools.partial(value.file.read, testfunc.BLOCK_BYTES), b"")
+                chunks = iter(functools.partial(value.file.read, BLOCK_BYTES), b"")
             else:
                 arr = np.asarray(value)
                 header = np.lib.format.header_data_from_array_1_0(arr)

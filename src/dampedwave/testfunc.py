@@ -14,10 +14,10 @@ weak-form quantity is computed once: cutoff gives eta, eta' and eta''
 from one evaluation of c, spatial_factors phi_R and Delta(phi_R) from
 one lookup, and check_bounds derives every reported number.
 
-check_bounds makes one forward pass over the snapshots, a block of rows
-at a time: each block gives every radius whose window still covers it
-the per-row sums of |u|^p phi_R, u phi_R and u Delta(phi_R), and is then
-dropped, so no snapshot outlives its block.
+check_bounds makes one forward pass over the snapshots, in the row
+blocks its caller yields: each block gives every radius whose window
+still covers it the per-row sums of |u|^p phi_R, u phi_R and
+u Delta(phi_R), and is then dropped, so no snapshot outlives its block.
 
 Weighted integrands are evaluated in a factored form: with phi = B**l and
 eta = c**l the density is
@@ -48,7 +48,6 @@ from .profiles import DataPair
 __all__ = [
     "cutoff",
     "spatial_factors",
-    "row_blocks",
     "pairing",
     "WeightReport",
     "weight_constant",
@@ -60,11 +59,6 @@ __all__ = [
 # cutoff transition lives on (1/2, 1); closer than this to an endpoint the
 # profile is flat to double precision and the closed forms would hit 0/0
 _EDGE = 1e-9
-
-# snapshots are read, and field archive members copied, in blocks of
-# about this many bytes (the read buffer np.lib.format uses), so a pass
-# over an archive holds a few blocks at a time, never the archive
-BLOCK_BYTES = 1 << 18
 
 # 48-point Gauss-Legendre panels over the radii of the weight quadratures
 # (doubled to refine), and the time points they take at once
@@ -155,12 +149,6 @@ def spatial_factors(bump: RadialBump, R: float, grid: Grid) -> tuple:
     return phi_r, lap_phi_r
 
 
-def row_blocks(count: int, row_bytes: int):
-    """Slices that cover count rows of row_bytes each in order, about BLOCK_BYTES each."""
-    rows = max(1, BLOCK_BYTES // max(1, row_bytes))
-    return (slice(i, min(i + rows, count)) for i in range(0, count, rows))
-
-
 def pairing(data: DataPair, phi_r: np.ndarray) -> float:
     """Data pairing integral (u0 + u1, phi_R) for the unit-amplitude profile.
 
@@ -241,29 +229,21 @@ def _weight_integrals(
             float(np.trapezoid(lit_t, tau)) * vol_factor)
 
 
-def weight_constant(
-    p: float, bump: RadialBump, time_points: int = 513, refine: bool = True
-) -> WeightReport:
-    """Unit-scale weighted integral of bump's test function.
+def weight_constant(p: float, bump: RadialBump, time_points: int = 513) -> WeightReport:
+    """Unit-scale weighted integrals of bump's test function.
 
-    Refinement doubles the radial panels and the time intervals, and
-    reports the finer values with their relative change.
+    They are taken with the radial panels and time intervals doubled, and
+    reported with their relative change from the undoubled values.
     """
     dom, lit = _weight_integrals(bump, p, 1.0, time_points, _RADIAL_PANELS)
-    rel_d = math.nan
-    rel_l = math.nan
-    if refine:
-        fine_t = 2 * (time_points - 1) + 1
-        dom2, lit2 = _weight_integrals(bump, p, 1.0, fine_t, 2 * _RADIAL_PANELS)
-        rel_d = abs(dom2 - dom) / dom2 if dom2 else math.nan
-        rel_l = abs(lit2 - lit) / lit2 if lit2 else math.nan
-        dom, lit = dom2, lit2
+    fine_t = 2 * (time_points - 1) + 1
+    dom2, lit2 = _weight_integrals(bump, p, 1.0, fine_t, 2 * _RADIAL_PANELS)
     return WeightReport(
         exponent=bump.exponent,
-        dominating=dom,
-        literal=lit,
-        rel_change_dominating=rel_d,
-        rel_change_literal=rel_l,
+        dominating=dom2,
+        literal=lit2,
+        rel_change_dominating=abs(dom2 - dom) / dom2 if dom2 else math.nan,
+        rel_change_literal=abs(lit2 - lit) / lit2 if lit2 else math.nan,
     )
 
 
@@ -307,7 +287,7 @@ class BoundReport:
 
 def check_bounds(
     times: np.ndarray,
-    snapshots: np.ndarray | Iterable[np.ndarray],
+    blocks: Iterable[np.ndarray],
     grid: Grid,
     data: DataPair,
     p: float,
@@ -317,15 +297,15 @@ def check_bounds(
 ) -> list[BoundReport]:
     """Evaluate both weak-solution inequalities at each R on recorded fields.
 
-    snapshots must be the signed solution u of a run with amplitude
+    The snapshots must be the signed solution u of a run with amplitude
     data.eps and nonlinearity p, one field per time, recorded densely
     enough for time quadrature up to R^2; phi_R is bump dilated to radius
-    2R.  It is an array, taken in row_blocks, or an iterable of its
-    consecutive row blocks, which may refill one buffer.  Every check on
-    the radii and times runs before the first block is taken; the rows
-    then pass once.  Each row's sums are one pairwise sum whatever the
-    block it arrives in, so the result is bit-identical to the one-shot
-    expression.  Returns one BoundReport per R, in order.
+    2R.  blocks yields the snapshots as consecutive row blocks, each a
+    stack of fields on axis 0; an in-memory stack is passed as [snapshots].
+    Every check on the radii and times runs before the first block is
+    taken; the rows then pass once.  Each row's sums are one pairwise sum
+    whatever the block it arrives in, so the result is bit-identical to the
+    one-shot expression.  Returns one BoundReport per R, in order.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or not times.size:
@@ -347,9 +327,6 @@ def check_bounds(
         windows.append((R, phi_r, lap_phi_r, np.empty((3, stop))))
     last = max(sums.shape[1] for *_, sums in windows)
 
-    blocks = snapshots
-    if isinstance(snapshots, np.ndarray):
-        blocks = (snapshots[b] for b in row_blocks(len(snapshots), snapshots[:1].nbytes))
     axes = tuple(range(1, grid.dim + 1))
     start = 0
     for rows in blocks:

@@ -16,7 +16,7 @@ from scipy.special import gamma as gamma_fn
 
 from dampedwave import exponents, harness, testfunc
 from dampedwave.accel import DELTA
-from dampedwave.bump import RadialBump, power, required_power
+from dampedwave.bump import RadialBump, required_power
 from dampedwave.dispersion import khat, kprimehat, propagate_linear
 from dampedwave.grid import Grid, SpectralField, forward_transform
 from dampedwave.norms import (
@@ -31,6 +31,7 @@ from dampedwave.profiles import (
     assemble_pair,
     laplacian_gaussian,
     log_profile,
+    power_profile,
 )
 from dampedwave.solver import SimConfig, run
 
@@ -376,8 +377,8 @@ def test_c12_weak_solution_bounds_on_recorded_fields(tmp_path):
 
     # data pairing follows the predicted dilation power up to a bounded band
     g = Grid(1, 1024, 128.0)
-    pair, _ = harness.build_pair(g, {"family": "power", "gamma": 0.25}, 0.03)
-    bump = power(RadialBump(1), 5)
+    pair = assemble_pair(power_profile(g, 0.25), 0.03)
+    bump = RadialBump(1, 5)
     band = []
     for R in (4.0, 8.0, 16.0, 32.0):
         val = testfunc.pairing(pair, testfunc.spatial_factors(bump, R, g)[0])

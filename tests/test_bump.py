@@ -12,7 +12,6 @@ from dampedwave.bump import (
     RadialBump,
     check_conditions,
     mollifier_samples,
-    power,
     required_power,
     self_convolve,
 )
@@ -99,13 +98,11 @@ def test_certification_in_two_dimensions():
 
 
 def test_power_requires_valid_exponent():
-    base = RadialBump(1)
-    with pytest.raises(ConfigError):
-        power(base, 0)
-    with pytest.raises(ConfigError):
-        power(base, -2)
+    for exponent in (0, -2, 2.5):
+        with pytest.raises(ConfigError, match="exponent"):
+            RadialBump(1, exponent)
     # exponent 1 is the base itself
-    assert power(base, 1) is base
+    assert RadialBump(1, 1) == RadialBump(1)
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 512, 4.0), Grid(2, 256, 3.0)])
@@ -151,7 +148,7 @@ def test_radial_table_is_certified(dim):
     rep = RadialBump(dim).report
     assert rep.passed
     assert rep.worst_negative <= 1e-12 and rep.worst_monotone <= 1e-10
-    b, slope, lap = power(RadialBump(dim), 5).at(np.array([2.0, 2.5]))
+    b, slope, lap = RadialBump(dim, 5).at(np.array([2.0, 2.5]))
     assert not b.any() and not slope.any() and not lap.any()
 
 
@@ -164,9 +161,9 @@ def test_an_uncertified_table_is_refused(monkeypatch):
 
 
 def test_radial_bump_validation():
-    for dim, exponent in ((0, 1), (4, 1), (1, 0), (1, 2.5)):
+    for dim, exponent in ((0, 1), (4, 1), (1, 0), (1, -2), (1, 2.5)):
         with pytest.raises(ConfigError):
-            power(RadialBump(dim), exponent)
+            RadialBump(dim, exponent)
     # the table is shared: a power keeps the base's dimension and certificate
-    assert power(RadialBump(2), 5) == RadialBump(2, 5)
-    assert power(RadialBump(2), 5).report is RadialBump(2).report
+    assert RadialBump(2, 5).dim == 2
+    assert RadialBump(2, 5).report is RadialBump(2).report

@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dampedwave import cli, exponents, harness, testfunc
+from dampedwave import cli, exponents, harness
 from dampedwave.errors import ConfigError, NumericalError
 from dampedwave.grid import Grid, full_of
+from dampedwave.profiles import power_profile
 
 
 def test_take_validates_keys():
@@ -72,16 +73,18 @@ def test_fit_powerlaw_recovers_exact_law():
 
 def test_build_profile_resolution_and_validation():
     g = Grid(1, 256, 64.0)
-    _, resolved = harness.build_profile(g, {"family": "power", "gamma": 0.5})
+    resolved = harness._profile({"family": "power", "gamma": 0.5})
     assert resolved == {"family": "power", "gamma": 0.5, "r0": 0.5, "scale": 1.0}
+    field = harness.build_profile(g, resolved)
+    assert np.array_equal(field.coeffs, power_profile(g, 0.5).coeffs)
     with pytest.raises(ConfigError, match="family"):
-        harness.build_profile(g, {"gamma": 0.5})
+        harness._profile({"gamma": 0.5})
     with pytest.raises(ConfigError, match="unknown profile family"):
-        harness.build_profile(g, {"family": "spiral", "gamma": 0.5})
+        harness._profile({"family": "spiral", "gamma": 0.5})
     with pytest.raises(ConfigError, match="missing keys"):
-        harness.build_profile(g, {"family": "log"})
+        harness._profile({"family": "log"})
     with pytest.raises(ConfigError, match="unknown keys"):
-        harness.build_profile(g, {"family": "power", "gamma": 0.5, "k": 1})
+        harness._profile({"family": "power", "gamma": 0.5, "k": 1})
 
 
 def test_ladder_times():
@@ -512,13 +515,13 @@ def test_sweep_name_and_kind_validation(tmp_path):
 
 def test_cli_classify_flags_and_seed(tmp_path):
     out = str(tmp_path / "out")
-    code = cli.main(
-        ["classify", "--n", "1", "--gamma", "1.0", "--p", "3.5",
-         "--out", out, "--seed", "7"]
-    )
-    assert code == 0
+    flags = ["classify", "--n", "1", "--gamma", "1.0", "--p", "3.5", "--out", out]
+    # --seed is no flag: runs are deterministic, and no runner takes a seed
+    with pytest.raises(SystemExit) as exc:
+        cli.main(flags + ["--seed", "7"])
+    assert exc.value.code == 2
+    assert cli.main(flags) == 0
     payload = json.loads(Path(f"{out}/classify.json").read_text())
-    assert payload["config"]["seed"] == 7
     assert payload["config_hash"] == harness.config_hash(payload["config"])
     assert payload["summary"]["verdict"] == "GlobalLargeGamma"
 
@@ -561,6 +564,8 @@ def test_cli_config_errors(tmp_path, capsys, monkeypatch, fields_2d):
         ("simulate", _TINY["simulate"], {"policy": "exclude"}, "policy"),
         ("decay", _TINY["decay"], {"weight_gamma": 0.5}, "weight_gamma"),
         ("decay", _TINY["decay"], {"policy": "exclude"}, "policy"),
+        # runs are deterministic: a seed is an unknown key like any other
+        ("classify", {"n": 1, "gamma": 0.25, "p": 2.0}, {"seed": 3}, "seed"),
         ("testfunc", {"fields": str(tmp_path / "none.npz")}, {"exponent": 5}, "exponent"),
         ("bump-check", {}, {"tol": 1e-8}, "tol"),
         # integer keys reject non-integral values instead of truncating them
@@ -884,7 +889,7 @@ def test_testfunc_holds_a_few_blocks_whatever_the_window(tmp_path):
         finally:
             tracemalloc.stop()
     spatial_factors = 2 * 4096 * 8
-    assert max(peaks) < 5 * testfunc.BLOCK_BYTES + spatial_factors, peaks
+    assert max(peaks) < 5 * harness.BLOCK_BYTES + spatial_factors, peaks
     assert max(peaks) < 1.1 * min(peaks), peaks
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dampedwave import testfunc as testfunc_module
-from dampedwave.bump import RadialBump, power
+from dampedwave import harness
+from dampedwave.bump import RadialBump
 from dampedwave.errors import ConfigError
 from dampedwave.grid import Grid, forward_transform
 from dampedwave.profiles import assemble_pair
@@ -26,7 +26,7 @@ from dampedwave.testfunc import (
 
 @pytest.fixture(scope="module")
 def bump5():
-    return power(RadialBump(1), 5)
+    return RadialBump(1, 5)
 
 
 def test_cutoff_profile_shape():
@@ -67,9 +67,9 @@ def test_cutoff_and_pair_validation(bump5):
 
 def test_weight_requires_integrable_surplus():
     # p' = 2 needs exponent strictly above 4
-    bump4 = power(RadialBump(1), 4)
+    bump4 = RadialBump(1, 4)
     with pytest.raises(ConfigError):
-        weight_constant(2.0, bump4, time_points=33, refine=False)
+        weight_constant(2.0, bump4, time_points=33)
 
 
 def test_weight_refinement_is_stable(bump5):
@@ -81,7 +81,7 @@ def test_weight_refinement_is_stable(bump5):
 
 
 def test_scaled_weight_bounded_by_unit_constant(bump5):
-    rep = weight_constant(2.0, bump5, refine=False)
+    rep = weight_constant(2.0, bump5)
     expo = 1 + 2 - 2 * 2.0  # n + 2 - 2 p'
     for R in (2.0, 8.0, 32.0):
         s = scaled_weight(2.0, bump5, R)
@@ -124,7 +124,7 @@ def test_spatial_factors_laplacian_matches_finite_differences(dim, size, half_le
     # Richardson-extrapolated central differences of phi_R on N and 2N
     # lattices over the same box are O(dx^4) from Delta(phi_R); the
     # uncorrected N-lattice difference is off by 4% (2D) and 15% (3D)
-    bump = power(RadialBump(dim), 5)
+    bump = RadialBump(dim, 5)
 
     def laplacians(n):
         g = Grid(dim, n, half_length)
@@ -148,13 +148,13 @@ def test_spatial_factors_fit_guard(bump5):
 def test_i_of_r_window_and_scaling(bump5):
     g = Grid(1, 64, 16.0)
     data = assemble_pair(forward_transform(g, np.exp(-g.x_axis**2)), 0.05)
-    weight = weight_constant(2.0, bump5, time_points=65, refine=False)
+    weight = weight_constant(2.0, bump5, time_points=65)
     times = np.linspace(0.0, 5.0, 161)
     rng = np.random.default_rng(7)
     snaps = rng.standard_normal((times.size, g.size))
 
     def i_value(times, snaps):
-        return check_bounds(times, snaps, g, data, 2.0, bump5, [2.0], weight)[0].i_value
+        return check_bounds(times, [snaps], g, data, 2.0, bump5, [2.0], weight)[0].i_value
 
     base = i_value(times, snaps)
     doubled = i_value(times, 2.0 * snaps)
@@ -167,6 +167,9 @@ def test_i_of_r_window_and_scaling(bump5):
         i_value(times[:100], snaps[:100])
     with pytest.raises(ConfigError):
         i_value(times, snaps[:, :32])
+    # a bare stack iterates its rows, which are not fields of the grid's shape
+    with pytest.raises(ConfigError, match="shape"):
+        check_bounds(times, snaps, g, data, 2.0, bump5, [2.0], weight)
 
 
 def test_pairing_ignores_eps(bump5):
@@ -191,18 +194,18 @@ def test_check_bounds_on_small_run(bump5):
     assert traj.outcome == "survived"
     weight = weight_constant(2.0, bump5)
     (rep,) = check_bounds(
-        traj.field_times, traj.field_snapshots, g, data, 2.0, bump5, [2.0], weight
+        traj.field_times, [traj.field_snapshots], g, data, 2.0, bump5, [2.0], weight
     )
     assert rep.i_value > 0.0
     assert rep.margin_holder > 0.0
     assert rep.margin_absorbed > 0.0
     assert rep.identity_rel < 0.05
     # a weight constant computed for another exponent is rejected
-    bump7 = power(RadialBump(1), 7)
-    other = weight_constant(2.5, bump7, time_points=65, refine=False)
+    bump7 = RadialBump(1, 7)
+    other = weight_constant(2.5, bump7, time_points=65)
     with pytest.raises(ConfigError):
         check_bounds(
-            traj.field_times, traj.field_snapshots, g, data, 2.0, bump5, [2.0], other
+            traj.field_times, [traj.field_snapshots], g, data, 2.0, bump5, [2.0], other
         )
 
 
@@ -214,13 +217,13 @@ def test_check_bounds_ignores_snapshots_past_the_window(bump5):
     traj = run(SimConfig(data=data, p=2.0, dt=0.03125, t_max=4.5, record_every=16,
                          record_fields_every=2))
     times, snaps = traj.field_times, traj.field_snapshots
-    weight = weight_constant(2.0, bump5, time_points=65, refine=False)
-    (rep,) = check_bounds(times, snaps, g, data, 2.0, bump5, [2.0], weight)
+    weight = weight_constant(2.0, bump5, time_points=65)
+    (rep,) = check_bounds(times, [snaps], g, data, 2.0, bump5, [2.0], weight)
     first_past = int(np.argmax(times >= 4.0))
     assert first_past + 1 < times.size
     poisoned = snaps.copy()
     poisoned[first_past + 1:] = np.nan
-    (again,) = check_bounds(times, poisoned, g, data, 2.0, bump5, [2.0], weight)
+    (again,) = check_bounds(times, [poisoned], g, data, 2.0, bump5, [2.0], weight)
     assert again == rep
     # the one-shot I(R) over every snapshot, as in the blocked-reduction test
     phi_r = spatial_factors(bump5, 2.0, g)[0]
@@ -230,7 +233,7 @@ def test_check_bounds_ignores_snapshots_past_the_window(bump5):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_blocked_reductions_are_bit_identical(dim, monkeypatch):
+def test_blocked_reductions_are_bit_identical(dim):
     # 73 snapshots, 65 of them up to R^2 = 4: neither is a multiple of the
     # 7-row blocks, and each row's sum must not depend on its block
     g = Grid(dim, 256 // dim**2, 32.0)
@@ -239,20 +242,20 @@ def test_blocked_reductions_are_bit_identical(dim, monkeypatch):
     traj = run(SimConfig(data=data, p=2.0, dt=0.03125, t_max=4.5, record_every=16,
                          record_fields_every=2))
     times, snaps = traj.field_times, traj.field_snapshots
-    bump = power(RadialBump(dim), 5)
-    weight = weight_constant(2.0, bump, time_points=65, refine=False)
+    bump = RadialBump(dim, 5)
+    weight = weight_constant(2.0, bump, time_points=65)
     phi_r = spatial_factors(bump, 2.0, g)[0]
     axes = tuple(range(1, dim + 1))
     spatial = (np.abs(snaps) ** 2.0 * phi_r).sum(axis=axes) * g.dx**dim
     one_shot = float(np.trapezoid(spatial * cutoff(times / 4.0, 5)[0], times))
 
-    monkeypatch.setattr(testfunc_module, "BLOCK_BYTES", 1 << 40)
-    (whole,) = check_bounds(times, snaps, g, data, 2.0, bump, [2.0], weight)
-    monkeypatch.setattr(testfunc_module, "BLOCK_BYTES", 7 * snaps[0].nbytes)
+    (whole,) = check_bounds(times, [snaps], g, data, 2.0, bump, [2.0], weight)
     assert len(snaps) == 73 and int(np.searchsorted(times, 4.0)) + 1 == 65
-    blocks = testfunc_module.row_blocks(len(snaps), snaps[0].nbytes)
-    assert [b.start for b in blocks] == list(range(0, 73, 7))
-    (blocked,) = check_bounds(times, snaps, g, data, 2.0, bump, [2.0], weight)
+    # rows of BLOCK_BYTES // 7 bytes come 7 to a block
+    slices = list(harness.row_blocks(len(snaps), harness.BLOCK_BYTES // 7))
+    assert [b.start for b in slices] == list(range(0, 73, 7))
+    blocks = [snaps[b] for b in slices]
+    (blocked,) = check_bounds(times, blocks, g, data, 2.0, bump, [2.0], weight)
     assert blocked.i_value == one_shot
     assert blocked == whole
 
@@ -263,13 +266,12 @@ def test_blocked_reductions_are_bit_identical(dim, monkeypatch):
     assert times[-1] == 4.5 < radii[-1] ** 2 < 4.5 * (1.0 + 1e-9)
     stops = [min(len(times), int(np.searchsorted(times, R * R)) + 1) for R in radii]
     assert stops == [37, 65, 69, 72, 73]
-    reports = check_bounds(times, snaps, g, data, 2.0, bump, radii, weight)
+    reports = check_bounds(times, blocks, g, data, 2.0, bump, radii, weight)
     assert reports[1] == whole
     for R, stop, rep in zip(radii, stops, reports):
         window, phi_r = times[:stop], spatial_factors(bump, R, g)[0]
         spatial = (np.abs(snaps[:stop]) ** 2.0 * phi_r).sum(axis=axes) * g.dx**dim
         assert rep.i_value == float(np.trapezoid(spatial * cutoff(window / R**2, 5)[0], window))
-    monkeypatch.setattr(testfunc_module, "BLOCK_BYTES", 1 << 40)
-    assert check_bounds(times, snaps, g, data, 2.0, bump, radii, weight) == reports
-    assert [check_bounds(times, snaps, g, data, 2.0, bump, [R], weight)[0]
+    assert check_bounds(times, [snaps], g, data, 2.0, bump, radii, weight) == reports
+    assert [check_bounds(times, [snaps], g, data, 2.0, bump, [R], weight)[0]
             for R in radii] == reports

@@ -38,6 +38,11 @@ EXTRA = {
                           "profile": {"family": "power", "gamma": 0.5},
                           "times": {"start": 100.0, "ratio": 2.0, "count": 5},
                           "check": {"l2_tol": 0.05, "seminorm_tol": 0.1}}}],
+    # the log profile family and a list of times; it has no check section
+    "decay_log": [{"command": "decay", "args": [],
+                   "config": {"grid": {"dim": 1, "size": 4096, "half_length": 3200.0},
+                              "profile": {"family": "log", "gamma": 0.5},
+                              "times": [100.0, 200.0, 400.0, 800.0]}}],
     # the weak-form check in 2D and 3D: 16 cells per radius of phi_R (2R / dx)
     "testfunc2d": [
         {"command": "simulate", "args": [],
@@ -85,6 +90,14 @@ EXTRA = {
                                  "profile": {"family": "power", "gamma": 0.5}, "eps": 1.0,
                                  "p": 2.0, "nonlinear": False, "dt": 0.03125,
                                  "t_max": 20.0}}],
+    # simulate's l2_decreasing_factor check, on a linear run
+    "sim_l2": [{"command": "simulate", "args": ["--check"],
+                "config": {"grid": {"dim": 1, "size": 1024, "half_length": 128.0},
+                           "profile": {"family": "laplacian_gaussian", "k": 1}, "eps": 1.0,
+                           "p": 2.0, "nonlinear": False, "dt": 0.03125, "t_max": 10.0,
+                           "record_every": 16,
+                           "check": {"expect_outcome": "survived",
+                                     "l2_decreasing_factor": 1.0}}}],
     # a ladder out of eps order whose smallest member outlives t_cap (its
     # t_b is about 38.7): rows come back in config order, one censored
     "lifespan_unsorted": [{"command": "lifespan", "args": ["--check"],
