@@ -1,16 +1,18 @@
 """Hot elementwise kernels of the solver step, in NumPy.
 
-The dispersion multiplier is evaluated piecewise in D = 1/4 - |xi|^2:
+The dispersion multiplier is evaluated piecewise in D = 1/4 - |xi|^2,
+with q = sqrt(|D|):
 
-    D >  delta:  khat = e^{-t/2} sinh(t sqrt(D)) / sqrt(D)
-                      = (e^{t(sqrt(D)-1/2)} - e^{-t(sqrt(D)+1/2)}) / (2 sqrt(D))
-    D < -delta:  khat = e^{-t/2} sin(t sqrt(-D)) / sqrt(-D)
-    |D| <= delta: khat = e^{-t/2} sum_k D^k t^{2k+1} / (2k+1)!
+    D >  delta:       khat = (e^{t(q-1/2)} - e^{-t(q+1/2)}) / (2q)
+    0 <= D <= delta:  khat = e^{t(q-1/2)} (1 - e^{-2tq}) / (2q)   (t e^{-t/2} at q = 0)
+    D <  0:           khat = e^{-t/2} sin(tq) / q
 
-and the time derivative is kprimehat = -khat/2 + e^{-t/2} cosh(t sqrt(D))
-(cos in the oscillatory branch, even series in the window).  The shifted
-exponential form never overflows because sqrt(D) <= 1/2 on the real lattice.
-khat_kprime is the multiplier's one entry point, dispersion's as well.
+which is e^{-t/2} sinh(tq) / q on D >= 0.  The time derivative is
+kprimehat = -khat/2 + e^{-t/2} cosh(tq) (cos(tq) where D < 0).  Near
+D = 0 the factor 1 - e^{-2tq} is taken by expm1, so nothing cancels; the
+shifted exponentials never overflow because q <= 1/2 on the real lattice.
+Each element depends only on t and its own xi2.  khat_kprime is the
+multiplier's one entry point, dispersion's as well.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from .errors import ConfigError
 
 __all__ = ["DELTA", "khat_kprime", "abs_pow", "predict_combine", "correct_combine"]
 
-DELTA = 1e-4  # series window half-width in D
-_SERIES_MAX_TERMS = 256
-_SERIES_RTOL = 1e-17
+DELTA = 1e-4  # below this D, e^{t(q-1/2)} - e^{-t(q+1/2)} would cancel
 
 
 def khat_kprime(t: float, xi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -50,7 +50,7 @@ def khat_kprime(t: float, xi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         kh[pos] = (ea - eb) / (2.0 * q)
         ct[pos] = 0.5 * (ea + eb)
 
-    neg = D < -DELTA
+    neg = D < 0.0
     if neg.any():
         q = np.sqrt(-D[neg])
         kh[neg] = emt * np.sin(t * q) / q
@@ -58,27 +58,11 @@ def khat_kprime(t: float, xi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     mid = ~(pos | neg)
     if mid.any():
-        Dm = D[mid]
-        s_odd = np.full(Dm.shape, t)   # sum D^k t^{2k+1}/(2k+1)!
-        s_even = np.ones(Dm.shape)     # sum D^k t^{2k}/(2k)!
-        term_odd = np.full(Dm.shape, t)
-        term_even = np.ones(Dm.shape)
-        tt = t * t
-        for k in range(1, _SERIES_MAX_TERMS):
-            term_even = term_even * Dm * tt / ((2 * k - 1) * (2 * k))
-            term_odd = term_odd * Dm * tt / ((2 * k) * (2 * k + 1))
-            s_even += term_even
-            s_odd += term_odd
-            odd_done = np.max(np.abs(term_odd)) < _SERIES_RTOL * max(
-                float(np.max(np.abs(s_odd))), 1e-300
-            )
-            even_done = np.max(np.abs(term_even)) < _SERIES_RTOL * max(
-                float(np.max(np.abs(s_even))), 1e-300
-            )
-            if odd_done and even_done:
-                break
-        kh[mid] = emt * s_odd
-        ct[mid] = emt * s_even
+        q = np.sqrt(D[mid])
+        ea = np.exp(t * (q - 0.5))
+        lost = -np.expm1(-2.0 * t * q)  # 1 - e^{-2tq}, so ea - eb = ea * lost
+        kh[mid] = np.divide(ea * lost, 2.0 * q, out=np.full_like(q, t * emt), where=q != 0.0)
+        ct[mid] = ea - 0.5 * ea * lost
 
     return kh, -0.5 * kh + ct
 

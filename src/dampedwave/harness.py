@@ -338,7 +338,8 @@ def run_decay(cfg: dict) -> dict:
 
     Propagates u0 = u1 = profile exactly to each ladder time and fits
     power laws to the L2 norm and the order-s homogeneous seminorm.  The
-    expected slopes are -gamma/2 and -(s + gamma)/2.
+    expected slopes are -gamma/2 and -(s + gamma)/2, null for a profile
+    without a gamma, which then weighs the negative-order norm at 0.5.
     """
     c = _take(cfg, "decay config", {
         "grid": (build_grid, _REQUIRED), "profile": (_profile, _REQUIRED),
@@ -347,8 +348,11 @@ def run_decay(cfg: dict) -> dict:
     })
     cc = c["check"]
     profile = build_profile(c["grid"], c["profile"])
+    profile_gamma = c["profile"].get("gamma")
+    if cc is not None and profile_gamma is None:
+        raise ConfigError("decay check needs a profile 'gamma' to set its expected slopes")
     s = c["s"]
-    gamma = float(c["profile"].get("gamma", 0.5))
+    gamma = 0.5 if profile_gamma is None else profile_gamma
 
     rows = []
     for t in c["times"]:
@@ -367,8 +371,9 @@ def run_decay(cfg: dict) -> dict:
     tarr = [r["t"] for r in rows]
     l2_fit = fit_powerlaw(tarr, [r["l2"] for r in rows])
     semi_fit = fit_powerlaw(tarr, [r["seminorm"] for r in rows])
-    expected_l2 = -gamma / 2.0
-    expected_semi = -(s + gamma) / 2.0
+    expected_l2, expected_semi = (
+        (None, None) if profile_gamma is None else (-gamma / 2.0, -(s + gamma) / 2.0)
+    )
     summary = {
         "l2_fit": dataclasses.asdict(l2_fit),
         "seminorm_fit": dataclasses.asdict(semi_fit),
@@ -395,9 +400,10 @@ def run_decay(cfg: dict) -> dict:
             },
         }
 
+    shown = ["n/a" if e is None else f"{e:.4f}" for e in (expected_l2, expected_semi)]
     lines = [
-        f"l2 slope {l2_fit.slope:.4f} (expected {expected_l2:.4f}), "
-        f"seminorm slope {semi_fit.slope:.4f} (expected {expected_semi:.4f})"
+        f"l2 slope {l2_fit.slope:.4f} (expected {shown[0]}), "
+        f"seminorm slope {semi_fit.slope:.4f} (expected {shown[1]})"
     ]
     return _result("decay", c, rows, summary, check, lines=lines,
                    weight_gamma=gamma, policy=NORM_POLICY)

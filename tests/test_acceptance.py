@@ -65,21 +65,21 @@ def test_c01_kernel_identities_and_branch_continuity():
     for t in (0.5, 3.0, 5000.0):
         vals = khat(t, xi2)
         assert np.all(np.isfinite(vals)) and np.max(np.abs(vals)) <= t * (1 + 1e-12)
-    # at 1/4 +- 1e-6 the series evaluation matches the closed forms
+    # at 1/4 +- 1e-6 the window's evaluation matches the sinh and sin forms
     worst = 0.0
     for t in (1.0, 10.0):
         for x2 in (0.25 - 1e-6, 0.25 + 1e-6):
             diff = abs(khat(t, x2) - _sinh_form(t, x2))
             worst = max(worst, diff)
             assert diff < 1e-9
-    # dispatcher handoff at the series-window edges is seamless
+    # dispatcher handoff at the window edges is seamless
     for t in (1.0, 10.0):
         for edge in (0.25 - DELTA, 0.25 + DELTA):
             inner = khat(t, edge - 1e-12) - khat(t, edge + 1e-12)
             assert abs(inner) < 1e-9
     spread = abs(khat(1.0, 0.25 - 1e-6) - khat(1.0, 0.25 + 1e-6))
     print(
-        f"c01: series-vs-closed-form {worst:.3e}; smooth variation across "
+        f"c01: window-vs-closed-form {worst:.3e}; smooth variation across "
         f"the 2e-6 window {spread:.3e} (kernel slope, not a branch artifact)"
     )
 

@@ -62,7 +62,7 @@ def test_kprime_is_time_derivative_of_khat():
 
 
 def test_branch_values_agree_near_the_circle():
-    # piecewise rule vs direct branch formulas just outside the series window
+    # piecewise rule vs direct branch formulas just past DELTA on either side
     for t in (0.5, 1.0, 10.0):
         for D in (2e-4, 5e-4):
             xi2 = 0.25 - D
@@ -77,7 +77,7 @@ def test_branch_values_agree_near_the_circle():
 
 
 def test_series_window_matches_analytic_branches():
-    # inside the window the series must agree with both closed forms
+    # inside the window the expm1 and oscillatory forms agree with sinh and sin
     t = 1.0
     for D in (1e-6, 5e-5, 9.9e-5):
         xi2 = 0.25 - D
@@ -114,9 +114,32 @@ def test_no_overflow_at_large_time():
     assert kh[0] == pytest.approx(1.0, rel=1e-12)
 
 
+def test_window_stays_finite_at_long_times():
+    # 0 < |D| <= DELTA at t = 1e5, where t^2 |D| reaches 1e6: the true values
+    # are below 1e-20000, so they round to zero
+    D = np.array([1e-12, 1e-6, 5e-5, 0.99 * DELTA])
+    kh, kp = khat_kprime(1e5, 0.25 - np.concatenate([D, -D]))
+    assert np.all(np.isfinite(kh)) and np.all(np.isfinite(kp))
+    assert np.all(kh == 0.0) and np.all(kp == 0.0)
+
+
+def test_each_element_is_its_value_alone():
+    # the multiplier is elementwise: no element depends on the others
+    rng = np.random.default_rng(5)
+    xi2 = np.concatenate([
+        0.25 - rng.uniform(-DELTA, DELTA, 200), rng.uniform(0.0, 30.0, 100), [0.0, 0.25],
+    ])
+    for t in (0.5, 1.0, 10.0, 100.0, 1000.0):
+        together = khat_kprime(t, xi2)
+        alone = [khat_kprime(t, xi2[i : i + 1]) for i in range(xi2.size)]
+        for which in (0, 1):
+            single = np.concatenate([pair[which] for pair in alone])
+            assert np.array_equal(single.view(np.uint64), together[which].view(np.uint64)), t
+
+
 def test_integer_time_matches_float_time_through_both_imports():
     # the solver's and dispersion's multiplier are one function; xi2 = 1/4
-    # sits in the series window, which starts its sums from t itself
+    # sits in the window, where khat is t e^{-t/2}
     assert khat_kprime is accel.khat_kprime
     xi2 = np.array([0.0, 0.2, 0.25, 0.25 + 0.5 * DELTA, 0.3, 100.0])
     for fn in (khat_kprime, accel.khat_kprime):

@@ -598,6 +598,11 @@ def test_cli_config_errors(tmp_path, capsys, monkeypatch, fields_2d):
         ("lifespan", _TINY["lifespan"], {"profile": {**_POWER, "scale": math.nan}}, "scale"),
         ("decay", _TINY["decay"], {"profile": {**_POWER, "scale": math.nan}}, "scale"),
         ("decay", _TINY["decay"], {"times": [1.0, 2.0, math.nan]}, "times"),
+        # the expected slopes come from the profile's gamma: no gamma, no check
+        ("decay", _TINY["decay"], {"profile": {"family": "laplacian_gaussian", "k": 1},
+                                   "check": {}}, "gamma"),
+        ("decay", _TINY["decay"], {"profile": {"family": "laplacian_gaussian", "k": 1}},
+         "gamma"),
         # |xi|^400 overflows: a profile with inf coefficients is rejected by family
         ("decay", _TINY["decay"], {"grid": {**grid, "half_length": 4.0},
                                    "profile": {"family": "laplacian_gaussian", "k": 200}},
@@ -1065,6 +1070,46 @@ def test_cli_overflow_is_quiet(tmp_path, kind, cfg, code):
     )
     assert out.returncode == code, out.stderr
     assert "RuntimeWarning" not in out.stderr and "Traceback" not in out.stderr, out.stderr
+
+
+def test_decay_at_the_branch_point_is_finite_and_quiet(tmp_path):
+    # mode k = 100 sits at D = 1/4 - |xi|^2 = 9.0e-5, inside DELTA; at t = 1e5
+    # its multiplier is far below the smallest float, not NaN
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({
+        "grid": {"dim": 1, "size": 4096, "half_length": 628.431659},
+        "profile": {"family": "power", "gamma": 0.5}, "times": [1e3, 1e4, 1e5],
+    }))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "dampedwave.cli", "decay", "--config", str(cfgp),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    rows = json.loads((tmp_path / "o" / "decay.json").read_text())["rows"]
+    assert [r["t"] for r in rows] == [1e3, 1e4, 1e5]
+    for r in rows:
+        for key in ("l2", "linf", "hs", "hdotneg", "seminorm"):
+            assert isinstance(r[key], float) and math.isfinite(r[key]), (r["t"], key)
+
+
+def test_decay_without_profile_gamma_has_no_expected_slopes(tmp_path, capsys):
+    # laplacian_gaussian has no gamma: the negative-order norm is weighed at
+    # 0.5, but there is no slope to expect
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({
+        "grid": {"dim": 1, "size": 1024, "half_length": 64.0},
+        "profile": {"family": "laplacian_gaussian", "k": 1}, "times": [1.0, 2.0, 4.0],
+    }))
+    assert cli.main(["decay", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("l2 slope ") and line.count("(expected n/a)") == 2, line
+    payload = json.loads((tmp_path / "o" / "decay.json").read_text())
+    assert payload["summary"]["expected_l2_slope"] is None
+    assert payload["summary"]["expected_seminorm_slope"] is None
+    assert payload["config"]["weight_gamma"] == 0.5
+    assert payload["config_hash"] == harness.config_hash(payload["config"])
 
 
 def test_cli_import_loads_no_scipy():

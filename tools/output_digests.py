@@ -43,6 +43,12 @@ EXTRA = {
                    "config": {"grid": {"dim": 1, "size": 4096, "half_length": 3200.0},
                               "profile": {"family": "log", "gamma": 0.5},
                               "times": [100.0, 200.0, 400.0, 800.0]}}],
+    # mode k = 100 sits at D = 1/4 - |xi|^2 = 9.0e-5, so the multiplier's
+    # window near the branch point runs, out to t = 1e5
+    "decay_window": [{"command": "decay", "args": [],
+                      "config": {"grid": {"dim": 1, "size": 4096, "half_length": 628.431659},
+                                 "profile": {"family": "power", "gamma": 0.5},
+                                 "times": [1e3, 1e4, 1e5]}}],
     # the weak-form check in 2D and 3D: 16 cells per radius of phi_R (2R / dx)
     "testfunc2d": [
         {"command": "simulate", "args": [],
